@@ -588,8 +588,9 @@ class DurablePartitionIndex(PartitionIndex):
 
     def _resident_total(self) -> int:
         # The deferred-free list is honest resident state: one word per
-        # retired block id.
-        return super()._resident_total() + self._store.retired_blocks
+        # retired block id — a record is three words, so charge
+        # retired/3 records, rounded up.
+        return super()._resident_total() + -(-self._store.retired_blocks // 3)
 
     # ------------------------------------------------------------------
     # Lifecycle

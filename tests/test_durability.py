@@ -233,6 +233,23 @@ class TestDurableRoundtrip:
         assert index.durability_stats()["snapshots"] == snaps0 + 2
         index.destroy()
 
+    def test_long_churn_charges_retired_ids_by_the_word(self):
+        # Regression: the deferred-free list was charged one record per
+        # retired block id (three times its size), so about 2,300
+        # resident ids starved the snapshot buffer and this run died at
+        # round 79 with a MemoryBudgetError on 'svc-snapshot-buf'.
+        n, rounds = 2**17, 100
+        recs = random_permutation(n, seed=103)
+        plan = update_batches(recs["key"], rounds, 48, 16, seed=103 + 1_000_003)
+        ranks = zipfian_trace(rounds * 16, n, seed=103 + 2_000_006)
+        index = _build_durable(_machine(), recs, k=64, snapshot_every=8)
+        for batch, batch_ranks in zip(plan, ranks.reshape(rounds, 16)):
+            _apply_batch(index, batch)
+            index.batch_select(batch_ranks)
+        assert index.durability_stats()["retired_blocks"] > 0
+        assert index.n_live == n + rounds * (48 - 16)
+        index.destroy()
+
 
 def _shadow_answers(recs, plan, seq, trace, k=16, **kw):
     """Answers of an uncrashed volatile index that applied plan[:seq]."""
