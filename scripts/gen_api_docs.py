@@ -75,8 +75,6 @@ MODULES = [
     "repro.lint.rules_lease",
     "repro.lint.rules_kernel",
     "repro.lint.rules_shard",
-    "repro.lint.rules_protocol",
-    "repro.lint.rules_registry",
     "repro.lint.runner",
     "repro.apps.histogram",
     "repro.apps.load_balance",
@@ -126,7 +124,7 @@ see ``repro <command> --help`` for every flag.
   change.
 - `repro lint [PATH ...] [--json] [--rule RULE ...] [--diff REF]
   [--baseline FILE] [--no-cache]` — run the emlint EM-conformance
-  rules (`repro.lint`, rules R1–R9) with whole-program call-graph and
+  rules (`repro.lint`, rules R1–R7) with whole-program call-graph and
   dataflow analysis over the package plus `scripts/` and
   `benchmarks/`; exits non-zero on any active error-severity finding.
   `--diff` reports only files changed versus a git ref (analysis stays

@@ -32,7 +32,7 @@ Subcommands:
     Check every registered solver against its committed I/O envelope
     (the regression gate), or recalibrate and rewrite the envelopes.
 ``repro lint [PATH ...] [--json] [--rule RULE ...]``
-    Run the emlint EM-conformance rules (R1–R5) over the source tree;
+    Run the emlint EM-conformance rules (R1–R7) over the source tree;
     non-zero exit on any active error-severity finding.
 ``repro sanitize-check [--solver NAME ...] [--n N] ...``
     Arm the runtime sanitizer: fire every trap (use-after-free,

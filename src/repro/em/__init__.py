@@ -25,14 +25,7 @@ from .errors import (
     UseAfterFreeError,
 )
 from .file import EMFile
-from .kernels import (
-    DEFAULT_KERNEL,
-    KERNEL_ENV,
-    KernelBackend,
-    available_kernels,
-    get_kernel,
-    register_kernel,
-)
+from .kernels import KernelBackend, get_kernel
 from .machine import (
     Machine,
     MemoryAccountant,
@@ -77,11 +70,7 @@ __all__ = [
     "MemoryLease",
     "observe_machines",
     "KernelBackend",
-    "KERNEL_ENV",
-    "DEFAULT_KERNEL",
-    "available_kernels",
     "get_kernel",
-    "register_kernel",
     "Disk",
     "IOCounters",
     "EMFile",

@@ -267,11 +267,13 @@ class Disk:
 
         Phases nest: I/Os are charged to the joined stack path
         (``"outer/inner"``), so a composed algorithm's cost can be
-        rolled up to any ancestor.  ``label`` must not contain ``"/"``
-        (it would corrupt the path structure).
+        rolled up to any ancestor.  ``label`` must be a non-blank ``str``
+        without ``"/"`` (that would corrupt the path structure).
         """
-        if "/" in label:
-            raise ValueError(f"phase label {label!r} must not contain '/'")
+        if not isinstance(label, str) or not label.strip() or "/" in label:
+            raise ValueError(
+                f"phase label {label!r} must be a non-blank str without '/'"
+            )
         self._phase_stack.append(label)
         self._phase_path = "/".join(self._phase_stack)
         path = self._phase_path

@@ -1,89 +1,38 @@
-"""Versioned kernel backends for the simulator's data-movement paths.
+"""Kernel backends for the simulator's data-movement paths.
 
-The registry separates *what the model charges* (accounting — owned by
+A backend separates *what the model charges* (accounting — owned by
 :class:`~repro.em.disk.Disk` / :class:`~repro.em.machine.Machine`,
 guarded by emlint and the sanitizer) from *how record bytes move*
-(movement — a :class:`~repro.em.kernels.base.KernelBackend`).  Two
-backends ship:
+(movement — a :class:`~repro.em.kernels.base.KernelBackend`).
 
-* :class:`~repro.em.kernels.numpy_v1.NumpyV1Kernel` — the per-block
-  reference strategy, audit-friendly, one copy per block;
-* :class:`~repro.em.kernels.vectorized_v2.VectorizedV2Kernel` — the
-  default: arena-run coalescing, single-arena scatters, preallocated
-  concatenation, fused distribute grouping.
-
-Selection happens at :class:`~repro.em.machine.Machine` construction:
-``Machine(kernel="numpy_v1")`` wins over the ``EM_KERNEL`` environment
-variable, which wins over :data:`DEFAULT_KERNEL`.  The chosen backend
-is recorded in trace metadata and ``results.json``, and every backend
-must be byte-identical and counter/phase/trace-identical to every other
-(proven by the differential tests; ``repro bench-kernels`` measures the
-wall-clock gap).
+Production code gets exactly one backend from :func:`get_kernel`:
+:class:`~repro.em.kernels.vectorized_v2.VectorizedV2Kernel`, with
+arena-run coalescing, single-arena scatters, preallocated
+concatenation, and fused distribute grouping.
+:class:`~repro.em.kernels.numpy_v1.NumpyV1Kernel` is the per-block
+reference it is proven byte-identical and counter/phase/trace-identical
+to: the differential tests hand an instance to
+``Machine(kernel=NumpyV1Kernel())``, and ``repro bench-kernels``
+measures the wall-clock gap.
 """
 
 from __future__ import annotations
-
-import os
 
 from .base import KernelBackend
 from .numpy_v1 import NumpyV1Kernel
 from .vectorized_v2 import VectorizedV2Kernel
 
-__all__ = [
-    "KernelBackend",
-    "NumpyV1Kernel",
-    "VectorizedV2Kernel",
-    "KERNEL_ENV",
-    "DEFAULT_KERNEL",
-    "register_kernel",
-    "available_kernels",
-    "get_kernel",
-]
+__all__ = ["KernelBackend", "NumpyV1Kernel", "VectorizedV2Kernel", "get_kernel"]
 
-#: Environment variable naming the backend new machines default to.
-KERNEL_ENV = "EM_KERNEL"
-
-#: Backend used when neither ``Machine(kernel=...)`` nor ``EM_KERNEL``
-#: says otherwise.
-DEFAULT_KERNEL = "vectorized_v2"
-
-_REGISTRY: dict[str, KernelBackend] = {}
+#: The production backend.  Backends are stateless, so one instance
+#: serves every machine.
+_PRODUCTION = VectorizedV2Kernel()
 
 
-def register_kernel(cls: type[KernelBackend]) -> type[KernelBackend]:
-    """Register a backend class under its :attr:`KernelBackend.name`.
-
-    Backends are stateless, so one shared instance serves every machine.
-    Usable as a class decorator for out-of-tree backends.
-    """
-    if not cls.name:
-        raise ValueError(f"{cls.__name__} has no kernel name")
-    if cls.name in _REGISTRY:
-        raise ValueError(f"duplicate kernel backend {cls.name!r}")
-    _REGISTRY[cls.name] = cls()
-    return cls
-
-
-def available_kernels() -> tuple[str, ...]:
-    """Names of every registered backend, sorted."""
-    return tuple(sorted(_REGISTRY))
-
-
-def get_kernel(kernel: str | KernelBackend | None = None) -> KernelBackend:
-    """Resolve a backend: instance passthrough, name lookup, or the
-    ``EM_KERNEL``-environment / :data:`DEFAULT_KERNEL` default."""
-    if isinstance(kernel, KernelBackend):
-        return kernel
+def get_kernel(kernel: KernelBackend | None = None) -> KernelBackend:
+    """``kernel`` itself, or the production backend when it is ``None``."""
     if kernel is None:
-        kernel = os.environ.get(KERNEL_ENV, "").strip() or DEFAULT_KERNEL
-    try:
-        return _REGISTRY[kernel]
-    except KeyError:
-        known = ", ".join(available_kernels())
-        raise KeyError(
-            f"unknown kernel backend {kernel!r}; registered: {known}"
-        ) from None
-
-
-register_kernel(NumpyV1Kernel)
-register_kernel(VectorizedV2Kernel)
+        return _PRODUCTION
+    if not isinstance(kernel, KernelBackend):
+        raise TypeError(f"kernel must be a KernelBackend instance, not {kernel!r}")
+    return kernel

@@ -43,12 +43,12 @@ __all__ = ["KernelBackend"]
 class KernelBackend:
     """Interface + canonical semantics for the movement operations.
 
-    Subclasses set :attr:`name` (the registry key, recorded in trace
-    metadata and ``results.json``) and may override any operation, as
-    long as outputs stay byte-identical to these definitions.
+    Subclasses set :attr:`name` (recorded in trace metadata and
+    ``results.json``) and may override any operation, as long as
+    outputs stay byte-identical to these definitions.
     """
 
-    #: Registry key; also stamped into traces and results.
+    #: Backend name, stamped into traces and results.
     name: str = ""
 
     # ------------------------------------------------------------------

@@ -25,7 +25,8 @@ import numpy as np
 
 from ..disk import Disk
 from ..records import make_records
-from . import available_kernels, get_kernel
+from .numpy_v1 import NumpyV1Kernel
+from .vectorized_v2 import VectorizedV2Kernel
 
 __all__ = ["KernelBenchResult", "bench_kernels", "render_bench"]
 
@@ -58,9 +59,9 @@ def bench_kernels(
     block: int = 64,
     n_buckets: int = 2000,
     reps: int = 3,
-    kernels: tuple[str, ...] | None = None,
 ) -> KernelBenchResult:
-    """Time every registered backend on the primitive suite.
+    """Time the reference and the production backend on the primitive
+    suite.
 
     The instance: ``n_blocks`` full blocks staged contiguously on a
     disk (one arena, the layout ``write_many`` produces), a same-sized
@@ -68,7 +69,6 @@ def bench_kernels(
     500-part concatenation.  Each primitive runs ``reps`` times; the
     recorded figure is the total.
     """
-    names = kernels or available_kernels()
     n = n_blocks * block
 
     disk = Disk(block)
@@ -83,8 +83,7 @@ def bench_kernels(
         n_blocks=n_blocks, block=block, n_buckets=n_buckets, reps=reps
     )
     reference: dict[str, bytes] = {}
-    for name in names:
-        kern = get_kernel(name)
+    for kern in (NumpyV1Kernel(), VectorizedV2Kernel()):
         tasks = {
             "gather": lambda: kern.gather_blocks(
                 disk._blocks, disk._origin, ids
@@ -106,7 +105,7 @@ def bench_kernels(
                 reference[op] = digest
             elif digest != reference[op]:
                 result.identical = False
-        result.timings[name] = timings
+        result.timings[kern.name] = timings
     return result
 
 

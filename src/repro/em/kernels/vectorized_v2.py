@@ -1,4 +1,4 @@
-"""``vectorized_v2`` — arena-aware bulk movement (the default backend).
+"""``vectorized_v2`` — arena-aware bulk movement (the production backend).
 
 Three strategies distinguish it from the ``numpy_v1`` reference; all
 produce byte-identical outputs:

@@ -18,7 +18,7 @@ from contextlib import contextmanager
 from typing import Callable, Iterator
 
 from .disk import Disk, IOCounters
-from .kernels import KernelBackend, get_kernel
+from .kernels import KernelBackend
 from .errors import (
     DoubleReleaseError,
     LeaseError,
@@ -244,14 +244,12 @@ class Machine:
         default) inherits the process-wide :func:`sanitize_default`
         (the ``EM_SANITIZE`` environment variable).
     kernel:
-        Data-movement backend for the hot paths: a registered backend
-        name (``"numpy_v1"``, ``"vectorized_v2"``), a
-        :class:`~repro.em.kernels.KernelBackend` instance, or ``None``
-        (the default) to resolve the ``EM_KERNEL`` environment variable
-        and fall back to :data:`~repro.em.kernels.DEFAULT_KERNEL`.
-        Backends are byte- and counter-identical by contract; the choice
-        only affects wall-clock speed and is recorded in trace metadata
-        and ``results.json``.
+        Data-movement backend for the hot paths.  ``None`` (the default)
+        is the production backend; tests pass a
+        :class:`~repro.em.kernels.KernelBackend` instance such as the
+        ``NumpyV1Kernel`` reference.  Backends are byte- and
+        counter-identical by contract; the backend is recorded in trace
+        metadata.
 
     Examples
     --------
@@ -267,7 +265,7 @@ class Machine:
         block: int,
         *,
         sanitize: bool | None = None,
-        kernel: "str | KernelBackend | None" = None,
+        kernel: KernelBackend | None = None,
         label: str = "",
     ) -> None:
         if block < 1:
@@ -280,7 +278,7 @@ class Machine:
         if sanitize is None:
             sanitize = sanitize_default()
         self._sanitize = bool(sanitize)
-        self.disk = Disk(block, sanitize=self._sanitize, kernel=get_kernel(kernel))
+        self.disk = Disk(block, sanitize=self._sanitize, kernel=kernel)
         self.memory = MemoryAccountant(memory, sanitize=self._sanitize)
         self._comparisons = 0
         self._lifetime_comparisons = 0

@@ -203,18 +203,8 @@ def default_out_dir() -> Path:
     return Path("benchmarks") / "out"
 
 
-def _active_kernel_name() -> str:
-    """The kernel backend a fresh Machine would select right now."""
-    from ..em.kernels import get_kernel
-
-    return get_kernel(None).name
-
-
 def _cache_key(exp_id: str, quick: bool, src_hash: str) -> str:
-    # The kernel backend is part of the key: backends are byte-identical
-    # by contract, but the record is *stamped* with the backend that
-    # produced it, and a cache hit must not mislabel the provenance.
-    raw = f"{exp_id}\0{int(quick)}\0{src_hash}\0{_active_kernel_name()}".encode()
+    raw = f"{exp_id}\0{int(quick)}\0{src_hash}".encode()
     return hashlib.sha256(raw).hexdigest()[:32]
 
 
@@ -330,16 +320,18 @@ def write_results_json(
 
     Schema (version :data:`RESULTS_SCHEMA_VERSION`): a top-level object
     with ``schema``, ``src_hash`` (cache key component), ``kernel`` (the
-    active kernel backend), ``jobs``, ``quick``, ``total_wall_s``,
+    production kernel backend), ``jobs``, ``quick``, ``total_wall_s``,
     ``passed``, and ``experiments`` — one
     :meth:`RunRecord.to_dict` per experiment, in document order.
     """
+    from ..em.kernels import get_kernel
+
     out = Path(path)
     out.parent.mkdir(parents=True, exist_ok=True)
     payload = {
         "schema": RESULTS_SCHEMA_VERSION,
         "src_hash": source_tree_hash(),
-        "kernel": _active_kernel_name(),
+        "kernel": get_kernel().name,
         "jobs": jobs,
         "quick": all(r.quick for r in records),
         "total_wall_s": round(sum(r.wall_s for r in records), 6),

@@ -23,11 +23,11 @@ Aggarwal–Vitter cost accounting:
   or ``benchmarks/``;
 * **R5** — leases are provably released on all paths, across functions;
 * **R6** — hot-path record ops route through the kernel backend;
-* **R7** — shard code never touches another shard's state;
-* **R8** — the shard request/reply protocol is closed (sends ⇔
-  handlers ⇔ docstring table);
-* **R9** — solver registry, budget envelopes, bound formulas, and phase
-  labels agree.
+* **R7** — shard code never touches another shard's state.
+
+The shard protocol, the solver registry and phase labels are not
+linted: they are declared (``repro.shard.worker.PROTOCOL``), tested
+(``tests/test_budgets.py``) and checked at runtime (``Disk.phase``).
 
 Run it with ``repro lint [--json] [--rule R2 ...] [--diff REF]
 [--baseline FILE] [--no-cache]``; silence an intentional exception with

@@ -7,7 +7,7 @@ module-local findings (rules that need only one AST) and the
 stage consumes) — are pure functions of the module *source text* and the
 engine itself, so they are cached under ``sha256(source)`` plus an
 engine-version salt.  The whole-program stage (call graph, dataflow,
-R3/R5/R8/R9) is recomputed from summaries every run: it is global, cheap
+R3/R5) is recomputed from summaries every run: it is global, cheap
 relative to parsing, and caching it per-module would be unsound — a
 change in one module can flip verdicts in another.
 

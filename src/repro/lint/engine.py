@@ -277,8 +277,6 @@ def _ensure_loaded() -> None:
         rules_cpu,
         rules_kernel,
         rules_lease,
-        rules_protocol,
-        rules_registry,
         rules_rng,
         rules_shard,
     )

@@ -8,11 +8,10 @@ the interprocedural rules need:
 * :func:`summarize_module` — one pass over a module's AST producing a
   :class:`ModuleSummary`: defined functions/classes, import aliases,
   every call site (with a coarse result-use classification), comparison
-  sinks, lease sites, phase labels, and — for the shard protocol and
-  solver registry — the message kinds and ``Solver(...)`` entries.  A
-  summary is a plain JSON-serializable dict payload, which is what makes
-  the content-addressed analysis cache (:mod:`repro.lint.cache`)
-  possible: the expensive parse+walk runs once per content hash.
+  sinks, and lease sites.  A summary is a plain JSON-serializable dict
+  payload, which is what makes the content-addressed analysis cache
+  (:mod:`repro.lint.cache`) possible: the expensive parse+walk runs once
+  per content hash.
 * :class:`ProjectIndex` — the collection of summaries for every module
   under analysis, with symbol lookup tables (top-level functions,
   classes, methods, a method-name index, and the class hierarchy) that
@@ -38,7 +37,7 @@ __all__ = [
 ]
 
 #: Bump when the summary layout changes — invalidates every cache entry.
-SUMMARY_SCHEMA = 3
+SUMMARY_SCHEMA = 4
 
 #: Call names that register comparisons with the machine.  Shared with
 #: the dataflow pass; an *unresolved* call to one of these names is
@@ -137,12 +136,6 @@ class ModuleSummary:
     attr_releases: dict = field(default_factory=dict)
     #: local qualname -> param names released on all paths
     releases_params: dict = field(default_factory=dict)
-    #: ``.phase("label")`` sites: {"line","col","label" (None if dynamic)}
-    phase_labels: list = field(default_factory=list)
-    #: protocol facts (shard router/worker modules only)
-    proto: dict = field(default_factory=dict)
-    #: ``Solver(name=..., formula_name=...)`` entries (obs/solvers.py)
-    solver_entries: list = field(default_factory=list)
 
     def to_dict(self) -> dict:
         return {
@@ -160,9 +153,6 @@ class ModuleSummary:
             "lease_sites": self.lease_sites,
             "attr_releases": self.attr_releases,
             "releases_params": self.releases_params,
-            "phase_labels": self.phase_labels,
-            "proto": self.proto,
-            "solver_entries": self.solver_entries,
         }
 
     @classmethod
@@ -292,9 +282,6 @@ def summarize_module(ctx: ModuleContext) -> ModuleSummary:
         },
     )
     tree = ctx.tree
-
-    # -- module docstring (shard protocol tables live there) ----------
-    docstring = ast.get_docstring(tree) or ""
 
     # -- imports -------------------------------------------------------
     pkg_parts = summary.module_name.split(".")[:-1]
@@ -485,14 +472,6 @@ def summarize_module(ctx: ModuleContext) -> ModuleSummary:
                 "attr": attr,
                 "disp": disp,
                 "ann": ann,
-                "nargs": len(node.args),
-                "str1": (
-                    node.args[1].value
-                    if len(node.args) > 1
-                    and isinstance(node.args[1], ast.Constant)
-                    and isinstance(node.args[1].value, str)
-                    else None
-                ),
             }
         )
 
@@ -540,50 +519,6 @@ def summarize_module(ctx: ModuleContext) -> ModuleSummary:
                 _classify_lease_site(ctx, node, _qualname_of_scope(node),
                                      class_of_fn, scope_infos)
             )
-
-    # -- phase labels --------------------------------------------------
-    for node in ast.walk(tree):
-        if not (
-            isinstance(node, ast.Call)
-            and (
-                (isinstance(node.func, ast.Attribute) and node.func.attr == "phase")
-                or (isinstance(node.func, ast.Name) and node.func.id == "phase")
-            )
-            and node.args
-        ):
-            continue
-        arg = node.args[0]
-        label = (
-            arg.value
-            if isinstance(arg, ast.Constant) and isinstance(arg.value, str)
-            else None
-        )
-        summary.phase_labels.append(
-            {"line": node.lineno, "col": node.col_offset, "label": label,
-             "dynamic": not isinstance(arg, ast.Constant)}
-        )
-
-    # -- shard protocol facts -----------------------------------------
-    relnorm = ctx.relpath.replace("\\", "/")
-    if relnorm.endswith("shard/worker.py") or relnorm.endswith("shard/router.py"):
-        summary.proto = _extract_protocol(tree, docstring, summary.calls)
-
-    # -- solver registry entries --------------------------------------
-    if relnorm.endswith("obs/solvers.py"):
-        for node in ast.walk(tree):
-            if not (
-                isinstance(node, ast.Call)
-                and isinstance(node.func, ast.Name)
-                and node.func.id == "Solver"
-            ):
-                continue
-            entry = {"line": node.lineno, "name": None, "formula_name": None}
-            for kw in node.keywords:
-                if kw.arg in ("name", "formula_name") and isinstance(
-                    kw.value, ast.Constant
-                ):
-                    entry[kw.arg] = kw.value.value
-            summary.solver_entries.append(entry)
 
     return summary
 
@@ -712,87 +647,6 @@ def _classify_lease_site(
         return site
     site["disposition"] = "bare" if use == "discarded" else "other"
     return site
-
-
-def _extract_protocol(tree: ast.Module, docstring: str, calls: list) -> dict:
-    """Shard message-protocol facts out of a router/worker module.
-
-    * ``sends`` — ``{kind: [lines]}`` for every ``*request(_, "kind")``
-      call with a constant kind;
-    * ``handles`` — ``{kind: line}`` for every ``kind == "..."`` test
-      inside a function named ``_handle``;
-    * ``replies`` — ``{kind: [reply kinds]}`` extracted from the return
-      statements of each handler branch;
-    * ``doc_table`` — ``{kind: reply}`` parsed from the module
-      docstring's protocol table (rows between ``====`` rules).
-    """
-    proto: dict = {"sends": {}, "handles": {}, "replies": {}, "doc_table": {}}
-    for call in calls:
-        if not call["name"].endswith("request"):
-            continue
-        kind = call.get("str1")
-        if kind is None:
-            continue
-        proto["sends"].setdefault(kind, []).append(call["line"])
-
-    handle_fn = None
-    for node in ast.walk(tree):
-        if (
-            isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
-            and node.name == "_handle"
-        ):
-            handle_fn = node
-            break
-    if handle_fn is not None:
-        def _branch_replies(body: list) -> list[str]:
-            out = []
-            for stmt in body:
-                for sub in ast.walk(stmt):
-                    if isinstance(sub, ast.Return) and isinstance(
-                        sub.value, ast.Tuple
-                    ) and sub.value.elts:
-                        first = sub.value.elts[0]
-                        if isinstance(first, ast.Constant) and isinstance(
-                            first.value, str
-                        ):
-                            out.append(first.value)
-            return out
-
-        for node in ast.walk(handle_fn):
-            if not isinstance(node, ast.If):
-                continue
-            test = node.test
-            if (
-                isinstance(test, ast.Compare)
-                and len(test.ops) == 1
-                and isinstance(test.ops[0], ast.Eq)
-                and isinstance(test.left, ast.Name)
-                and test.left.id == "kind"
-                and isinstance(test.comparators[0], ast.Constant)
-                and isinstance(test.comparators[0].value, str)
-            ):
-                kind = test.comparators[0].value
-                proto["handles"][kind] = node.lineno
-                proto["replies"][kind] = _branch_replies(node.body)
-
-    # docstring table: a reST simple table (``====`` rule, header row,
-    # ``====`` rule, body rows, closing ``====`` rule); the reply column
-    # is "kind: detail".
-    import re as _re
-
-    rules_seen = 0
-    for line in docstring.splitlines():
-        if _re.match(r"^=+(\s+=+)+$", line.strip()):
-            rules_seen += 1
-            continue
-        if rules_seen != 2:  # body rows sit between the 2nd and 3rd rule
-            continue
-        cols = _re.split(r"\s{2,}", line.strip())
-        if len(cols) != 3 or cols[0] == "kind":
-            continue
-        kind, _, reply = cols
-        proto["doc_table"][kind] = reply.split(":")[0].strip()
-    return proto
 
 
 class ProjectIndex:

@@ -6,9 +6,9 @@ pluggable kernel backend (:mod:`repro.em.kernels`): algorithm code calls
 ``.partition_at`` / ``.rank_order`` instead of inlining the numpy
 equivalent.  A direct ``sort_records``/``concat_records`` call — or a
 record-bearing ``np.argpartition``/``np.partition`` — in algorithm code
-bypasses the selected backend, so an ``EM_KERNEL`` override silently
-stops covering that call site and the backend differential tests lose
-their guarantee.
+bypasses the machine's backend, so a test that runs the algorithm on
+the ``NumpyV1Kernel`` reference silently stops covering that call site
+and the backend differential tests lose their guarantee.
 
 The em layer itself (and the kernels package in particular) is exempt:
 that is where the primitives live.  Tests are exempt for the usual
@@ -50,9 +50,9 @@ class KernelBypassRule(LintRule):
     title = "record movement/comparison must dispatch through the kernel"
     rationale = (
         "Block movement, concatenation, batch sort/partition and bucket "
-        "distribution are backend-swappable (`EM_KERNEL`, "
-        "`Machine(kernel=...)`), and the backends are proven "
-        "byte-identical by the differential suite.  A direct "
+        "distribution go through the machine's backend "
+        "(`Machine(kernel=...)`), and the differential suite proves the "
+        "production backend byte-identical to the reference.  A direct "
         "`sort_records`/`concat_records` call — or a record-bearing "
         "`np.argpartition`/`np.partition` — in algorithm code pins that "
         "site to one implementation, outside the backend contract and "

@@ -14,7 +14,7 @@
    :class:`~repro.lint.project.ProjectIndex`, resolve the
    :class:`~repro.lint.callgraph.CallGraph`, compute the
    :class:`~repro.lint.dataflow.DataflowFacts`, and run the
-   project-scoped rules (R3/R5/R8/R9).  This stage is recomputed every
+   project-scoped rules (R3/R5).  This stage is recomputed every
    run — it is global by construction and cheap next to parsing.
 
 Even when ``paths`` selects a subset of files, the whole-program stage

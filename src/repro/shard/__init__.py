@@ -24,6 +24,7 @@ from .transport import (
     TRANSPORTS,
 )
 from .worker import (
+    PROTOCOL,
     InProcessWorkerPool,
     ProcessWorkerPool,
     ShardWorker,
@@ -42,6 +43,7 @@ __all__ = [
     "PipeTransport",
     "TRANSPORTS",
     "ShardError",
+    "PROTOCOL",
     "ShardWorker",
     "InProcessWorkerPool",
     "ProcessWorkerPool",

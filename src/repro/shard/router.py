@@ -275,7 +275,6 @@ def build_sharded_service(
         shard_memory=shard_memory,
         shard_block=shard_block,
         transport=transport,
-        kernel=machine.kernel.name,
         sanitize=machine.sanitize,
     )
     sent = [0] * shards

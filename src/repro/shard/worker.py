@@ -9,21 +9,11 @@ its own.  The same worker runs in-process today and inside a real
 child process behind the same message protocol, mirroring the
 experiment runner's serial/parallel split.
 
-Request kinds (coordinator → worker), with reply kinds in parentheses:
-
-============ =============================== ==========================
-kind         payload                         reply
-============ =============================== ==========================
-ingest       record array chunk              ok: records so far
-seal         leaf-target ``k``               sealed: shard size ``n``
-select       local 1-based rank array        records: record array
-range_count  ``(lo_key, hi_key)``            count: int
-part         key                             leaf: local leaf index
-nleaves      --                              nleaves: current leaf count
-pivots       ``n_pivots``                    pivots: candidate records
-io_stats     --                              io_stats: counter dict
-shutdown     --                              bye
-============ =============================== ==========================
+The request protocol is declared once, in :data:`PROTOCOL`: each
+request kind maps to its handler and its reply kind.  The worker
+dispatches through that table and stamps the reply kind from it, and
+both pools reject a kind that is not in it before anything is sent or
+charged, so a misspelled kind fails at the coordinator call site.
 
 Every reply carries the worker's measured ``(reads, writes,
 comparisons)`` delta for receiving and handling the request (the
@@ -41,6 +31,7 @@ import multiprocessing
 import numpy as np
 
 from ..alg.sampling import approx_quantile_pivots
+from ..em.kernels import KernelBackend
 from ..em.machine import Machine
 from ..em.records import empty_records
 from ..em.streams import BlockWriter
@@ -54,6 +45,7 @@ from .transport import (
 )
 
 __all__ = [
+    "PROTOCOL",
     "ShardWorker",
     "InProcessWorkerPool",
     "ProcessWorkerPool",
@@ -72,7 +64,7 @@ class ShardWorker:
         *,
         memory: int,
         block: int,
-        kernel: str | None = None,
+        kernel: KernelBackend | None = None,
         sanitize: bool | None = None,
     ) -> None:
         self.shard = int(shard)
@@ -102,7 +94,8 @@ class ShardWorker:
         with self._machine.measure() as cost:
             message = self._endpoint.recv()
             try:
-                kind, payload = self._handle(message)
+                handler, kind = _route(message.kind)
+                payload = handler(self, message.payload)
             except Exception as exc:  # noqa: BLE001 - protocol boundary
                 kind, payload = "error", f"{type(exc).__name__}: {exc}"
         self._endpoint.send(
@@ -116,54 +109,52 @@ class ShardWorker:
             pass
 
     # ------------------------------------------------------------------
-    # Handlers
+    # Handlers (one per PROTOCOL entry; each returns the reply payload)
     # ------------------------------------------------------------------
-    def _handle(self, message: Message) -> tuple[str, object]:
-        kind = message.kind
-        payload = message.payload
-        if kind == "ingest":
-            if self._writer is None:
-                self._writer = BlockWriter(self._machine, "shard-ingest")
-            self._writer.write(payload)
-            return "ok", self._writer.records_written
-        if kind == "seal":
-            if self._writer is None:
-                self._writer = BlockWriter(self._machine, "shard-ingest")
-            self._file = self._writer.close()
-            self._writer = None
-            self._engine = LazyPartitionIndex(
-                self._machine, self._file, k=max(1, int(payload))
-            )
-            return "sealed", len(self._file)
-        if kind == "io_stats":
-            return "io_stats", self._io_stats()
-        if kind == "shutdown":
-            self._done = True
-            self._teardown()
-            return "bye", None
-        engine = self._engine
-        if engine is None:
-            raise ShardError(f"shard {self.shard}: {kind!r} before seal")
-        if kind == "select":
-            ranks = np.asarray(payload, dtype=np.int64)
-            return "records", engine.batch_select(ranks)
-        if kind == "range_count":
-            lo, hi = payload
-            return "count", engine.range_count(int(lo), int(hi))
-        if kind == "part":
-            return "leaf", engine.partition_of(int(payload))
-        if kind == "nleaves":
-            return "nleaves", engine.n_leaves
-        if kind == "pivots":
-            n_pivots = int(payload)
-            if n_pivots < 1 or len(self._file) == 0:
-                return "pivots", empty_records(0)
-            return "pivots", approx_quantile_pivots(
-                self._machine, self._file, n_pivots
-            )
-        raise ShardError(f"shard {self.shard}: unknown request kind {kind!r}")
+    def _ingest(self, chunk) -> int:
+        if self._writer is None:
+            self._writer = BlockWriter(self._machine, "shard-ingest")
+        self._writer.write(chunk)
+        return self._writer.records_written
 
-    def _io_stats(self) -> dict:
+    def _seal(self, k) -> int:
+        if self._writer is None:
+            self._writer = BlockWriter(self._machine, "shard-ingest")
+        self._file = self._writer.close()
+        self._writer = None
+        self._engine = LazyPartitionIndex(self._machine, self._file, k=max(1, int(k)))
+        return len(self._file)
+
+    def _sealed(self) -> LazyPartitionIndex:
+        if self._engine is None:
+            raise ShardError(f"shard {self.shard}: query before seal")
+        return self._engine
+
+    def _select(self, ranks) -> np.ndarray:
+        return self._sealed().batch_select(np.asarray(ranks, dtype=np.int64))
+
+    def _range_count(self, bounds) -> int:
+        lo, hi = bounds
+        return self._sealed().range_count(int(lo), int(hi))
+
+    def _part(self, key) -> int:
+        return self._sealed().partition_of(int(key))
+
+    def _nleaves(self, _) -> int:
+        return self._sealed().n_leaves
+
+    def _pivots(self, n_pivots) -> np.ndarray:
+        self._sealed()
+        n_pivots = int(n_pivots)
+        if n_pivots < 1 or len(self._file) == 0:
+            return empty_records(0)
+        return approx_quantile_pivots(self._machine, self._file, n_pivots)
+
+    def _shutdown(self, _) -> None:
+        self._done = True
+        self._teardown()
+
+    def _io_stats(self, _) -> dict:
         m = self._machine
         return {
             "shard": self.shard,
@@ -195,6 +186,31 @@ class ShardWorker:
         self._machine.close()
 
 
+#: The shard request protocol: request kind -> (handler, reply kind).
+#: The comments give each request's payload and its reply's payload.
+PROTOCOL: dict[str, tuple] = {
+    "ingest": (ShardWorker._ingest, "ok"),  # record chunk -> records so far
+    "seal": (ShardWorker._seal, "sealed"),  # leaf target k -> shard size n
+    "select": (ShardWorker._select, "records"),  # local ranks -> records
+    "range_count": (ShardWorker._range_count, "count"),  # (lo, hi) -> count
+    "part": (ShardWorker._part, "leaf"),  # key -> local leaf index
+    "nleaves": (ShardWorker._nleaves, "nleaves"),  # -> current leaf count
+    "pivots": (ShardWorker._pivots, "pivots"),  # n_pivots -> candidates
+    "io_stats": (ShardWorker._io_stats, "io_stats"),  # -> counter dict
+    "shutdown": (ShardWorker._shutdown, "bye"),  # -> None
+}
+
+
+def _route(kind: str) -> tuple:
+    """The ``(handler, reply kind)`` entry for a request ``kind``;
+    :class:`ShardError` for a kind the protocol does not declare."""
+    try:
+        return PROTOCOL[kind]
+    except KeyError:
+        known = ", ".join(PROTOCOL)
+        raise ShardError(f"unknown request kind {kind!r}; known: {known}") from None
+
+
 # ----------------------------------------------------------------------
 # Worker pools
 # ----------------------------------------------------------------------
@@ -213,7 +229,6 @@ class InProcessWorkerPool:
         shard_memory: int,
         shard_block: int,
         transport: str = "inproc",
-        kernel: str | None = None,
         sanitize: bool | None = None,
     ) -> None:
         if nshards < 1:
@@ -228,7 +243,7 @@ class InProcessWorkerPool:
                 link,
                 memory=shard_memory,
                 block=shard_block,
-                kernel=kernel,
+                kernel=coordinator.kernel,
                 sanitize=sanitize,
             )
             self._ends.append(link.coordinator_end(coordinator))
@@ -239,6 +254,7 @@ class InProcessWorkerPool:
         return len(self._workers)
 
     def request(self, shard: int, kind: str, payload: object = None) -> Message:
+        _route(kind)
         worker = self._workers[shard]
         if worker is None:
             raise ShardError(f"shard {shard} worker is dead")
@@ -267,7 +283,7 @@ def _process_worker_main(
     shard: int,
     memory: int,
     block: int,
-    kernel: str | None,
+    kernel: KernelBackend,
     sanitize: bool | None,
 ) -> None:  # pragma: no cover - runs in the child process
     worker = ShardWorker(
@@ -306,7 +322,6 @@ class ProcessWorkerPool:
         shard_memory: int,
         shard_block: int,
         transport: str = "pipe",  # accepted for interface symmetry
-        kernel: str | None = None,
         sanitize: bool | None = None,
     ) -> None:
         if nshards < 1:
@@ -318,7 +333,14 @@ class ProcessWorkerPool:
             parent_conn, child_conn = ctx.Pipe(duplex=True)
             proc = ctx.Process(
                 target=_process_worker_main,
-                args=(child_conn, shard, shard_memory, shard_block, kernel, sanitize),
+                args=(
+                    child_conn,
+                    shard,
+                    shard_memory,
+                    shard_block,
+                    coordinator.kernel,
+                    sanitize,
+                ),
                 daemon=True,
             )
             proc.start()
@@ -333,6 +355,7 @@ class ProcessWorkerPool:
         return len(self._procs)
 
     def request(self, shard: int, kind: str, payload: object = None) -> Message:
+        _route(kind)
         if self._procs[shard] is None:
             raise ShardError(f"shard {shard} worker is dead")
         try:

@@ -20,16 +20,17 @@ from repro.em import (
     Machine,
     composite,
 )
-from repro.em import available_kernels
 from repro.em.records import make_records
+from tests.test_kernels import KERNELS
 
 
-@pytest.fixture(autouse=True, params=available_kernels())
+@pytest.fixture(autouse=True, params=KERNELS, ids=lambda k: k.name)
 def each_kernel(request, monkeypatch):
-    """Run every test in this module under every registered kernel
-    backend (the Disk constructor resolves ``EM_KERNEL`` at build time),
-    so the batched-vs-single identity is proven per backend."""
-    monkeypatch.setenv("EM_KERNEL", request.param)
+    """Run every test in this module on the reference and on the
+    production backend (the Disk constructor picks up the patched
+    default at build time), so the batched-vs-single identity is proven
+    per backend."""
+    monkeypatch.setattr("repro.em.kernels._PRODUCTION", request.param)
     return request.param
 
 

@@ -187,6 +187,14 @@ class TestCounting:
             with d.phase("bad/label"):
                 pass
 
+    @pytest.mark.parametrize("label", ["", " ", "a/b", 3, None])
+    def test_phase_rejects_malformed_labels(self, label):
+        d = Disk(8)
+        with pytest.raises(ValueError, match="phase label"):
+            with d.phase(label):
+                pass
+        assert d.phase_path == ""
+
     def test_reset_counters(self):
         d = Disk(8)
         (bid,) = d.allocate(1)

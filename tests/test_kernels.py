@@ -1,8 +1,9 @@
-"""Kernel backend registry + cross-backend identity proofs.
+"""Kernel backend selection + cross-backend identity proofs.
 
 The kernel layer (:mod:`repro.em.kernels`) owns block movement and batch
 record comparisons; the accounting layer (counters, leases, phases,
-traces) stays in ``Disk``/``Machine``.  Swapping the backend must
+traces) stays in ``Disk``/``Machine``.  Running on the ``numpy_v1``
+reference instead of the production ``vectorized_v2`` backend must
 therefore be *unobservable* in the model: byte-identical answers and
 identical counters, per-phase breakdowns, read-id sets, and access
 traces.  These tests prove that identity at three levels — primitives,
@@ -13,21 +14,14 @@ registered experiment in quick mode.
 import numpy as np
 import pytest
 
-from repro.em import (
-    DEFAULT_KERNEL,
-    KERNEL_ENV,
-    KernelBackend,
-    Machine,
-    available_kernels,
-    composite,
-    get_kernel,
-)
-from repro.em.kernels import _REGISTRY, register_kernel
+from repro.em import Machine, composite, get_kernel
+from repro.em.kernels import NumpyV1Kernel, VectorizedV2Kernel
 from repro.em.records import RECORD_DTYPE, make_records
 from repro.workloads import load_input, random_permutation, zipf_like
 from repro.workloads.queries import zipfian_trace
 
-KERNELS = available_kernels()
+#: The reference first, then the production backend.
+KERNELS = (NumpyV1Kernel(), VectorizedV2Kernel())
 
 
 def _records(n, seed=0):
@@ -40,59 +34,28 @@ def _records(n, seed=0):
 
 
 # ----------------------------------------------------------------------
-# Registry
+# Selection: one production backend, an instance is the only override
 # ----------------------------------------------------------------------
 class TestRegistry:
-    def test_both_builtins_registered(self):
-        assert set(KERNELS) >= {"numpy_v1", "vectorized_v2"}
-        assert DEFAULT_KERNEL in KERNELS
-
-    def test_get_kernel_by_name_and_default(self, monkeypatch):
-        monkeypatch.delenv(KERNEL_ENV, raising=False)
-        assert get_kernel("numpy_v1").name == "numpy_v1"
-        assert get_kernel(None).name == DEFAULT_KERNEL
-
-    def test_env_selection(self, monkeypatch):
-        monkeypatch.setenv(KERNEL_ENV, "numpy_v1")
-        assert get_kernel(None).name == "numpy_v1"
-        assert Machine(memory=64, block=8).kernel.name == "numpy_v1"
-
-    def test_explicit_arg_beats_env(self, monkeypatch):
-        monkeypatch.setenv(KERNEL_ENV, "numpy_v1")
-        assert Machine(
-            memory=64, block=8, kernel="vectorized_v2"
-        ).kernel.name == "vectorized_v2"
+    def test_get_kernel_default_is_production(self):
+        assert type(get_kernel()) is VectorizedV2Kernel
+        assert Machine(memory=64, block=8).kernel is get_kernel()
 
     def test_instance_passthrough(self):
-        inst = get_kernel("numpy_v1")
+        inst = NumpyV1Kernel()
         assert get_kernel(inst) is inst
         assert Machine(memory=64, block=8, kernel=inst).kernel is inst
 
-    def test_unknown_kernel_raises_with_known_names(self):
-        with pytest.raises(KeyError, match="numpy_v1"):
-            get_kernel("no_such_backend")
-
-    def test_duplicate_registration_rejected(self):
-        class Dup(KernelBackend):
-            name = "numpy_v1"
-
-        with pytest.raises(ValueError, match="duplicate kernel"):
-            register_kernel(Dup)
-        assert type(_REGISTRY["numpy_v1"]).__name__ == "NumpyV1Kernel"
-
-    def test_unnamed_registration_rejected(self):
-        class NoName(KernelBackend):
-            pass
-
-        with pytest.raises(ValueError, match="name"):
-            register_kernel(NoName)
+    def test_kernel_names_rejected(self):
+        with pytest.raises(TypeError, match="KernelBackend instance"):
+            Machine(memory=64, block=8, kernel="numpy_v1")
 
     def test_trace_metadata_records_kernel(self):
         from repro.obs import Tracer
 
         tracer = Tracer()
         with tracer.install():
-            m = Machine(memory=64, block=8, kernel="numpy_v1")
+            m = Machine(memory=64, block=8, kernel=NumpyV1Kernel())
             m.close()
         (trace,) = tracer.traces
         assert trace.kernel == "numpy_v1"
@@ -108,7 +71,7 @@ class TestPrimitiveIdentity:
     @pytest.mark.parametrize("n", [0, 1, 7, 256, 1000])
     def test_sort_by_composite(self, n):
         recs = _records(n, seed=n)
-        outs = [get_kernel(k).sort_by_composite(recs) for k in KERNELS]
+        outs = [k.sort_by_composite(recs) for k in KERNELS]
         for o in outs[1:]:
             assert np.array_equal(outs[0], o)
         if n:
@@ -120,11 +83,11 @@ class TestPrimitiveIdentity:
         pivots = np.sort(
             np.random.default_rng(5).integers(0, 2**40, size=7)
         )
-        idxs = [get_kernel(k).bucket_of(recs, pivots) for k in KERNELS]
+        idxs = [k.bucket_of(recs, pivots) for k in KERNELS]
         for i in idxs[1:]:
             assert np.array_equal(idxs[0], i)
         groups = [
-            list(get_kernel(k).group_by_bucket(recs, idxs[0]))
+            list(k.group_by_bucket(recs, idxs[0]))
             for k in KERNELS
         ]
         for g in groups[1:]:
@@ -141,8 +104,8 @@ class TestPrimitiveIdentity:
     def test_partition_and_rank_order(self):
         recs = _records(512, seed=3)
         kth = np.array([10, 100, 400])
-        parts = [get_kernel(k).partition_at(recs, kth) for k in KERNELS]
-        orders = [get_kernel(k).rank_order(recs, kth) for k in KERNELS]
+        parts = [k.partition_at(recs, kth) for k in KERNELS]
+        orders = [k.rank_order(recs, kth) for k in KERNELS]
         for p in parts[1:]:
             assert np.array_equal(parts[0], p)
         for o in orders[1:]:
@@ -153,11 +116,11 @@ class TestPrimitiveIdentity:
 
     def test_concat(self):
         parts = [_records(n, seed=n) for n in (0, 3, 64, 1)]
-        outs = [get_kernel(k).concat(parts) for k in KERNELS]
+        outs = [k.concat(parts) for k in KERNELS]
         for o in outs[1:]:
             assert np.array_equal(outs[0], o)
         assert len(outs[0]) == 68
-        empty = [get_kernel(k).concat([]) for k in KERNELS]
+        empty = [k.concat([]) for k in KERNELS]
         for e in empty:
             assert len(e) == 0 and e.dtype == RECORD_DTYPE
 
@@ -165,13 +128,13 @@ class TestPrimitiveIdentity:
 # ----------------------------------------------------------------------
 # Whole-algorithm identity: counters, phases, traces, bytes
 # ----------------------------------------------------------------------
-def _run_traced(kernel_name, scenario, **mach_kw):
+def _run_traced(kernel, scenario, **mach_kw):
     """Run ``scenario(machine)`` under one backend; return the full
     observable state: (reads, writes, per-phase, comparisons, mem peak,
     read-id set, access trace, output bytes)."""
     mach_kw.setdefault("memory", 512)
     mach_kw.setdefault("block", 16)
-    mach = Machine(kernel=kernel_name, **mach_kw)
+    mach = Machine(kernel=kernel, **mach_kw)
     mach.disk.start_trace()
     out = scenario(mach)
     c = mach.snapshot()
@@ -189,11 +152,11 @@ def _run_traced(kernel_name, scenario, **mach_kw):
 
 def _assert_identical(scenario, **mach_kw):
     ref_state, ref_out = _run_traced(KERNELS[0], scenario, **mach_kw)
-    for name in KERNELS[1:]:
-        state, out = _run_traced(name, scenario, **mach_kw)
-        assert state[:6] == ref_state[:6], f"counters diverge on {name}"
-        assert state[6] == ref_state[6], f"trace diverges on {name}"
-        assert out.tobytes() == ref_out.tobytes(), f"bytes diverge on {name}"
+    for kernel in KERNELS[1:]:
+        state, out = _run_traced(kernel, scenario, **mach_kw)
+        assert state[:6] == ref_state[:6], f"counters diverge on {kernel.name}"
+        assert state[6] == ref_state[6], f"trace diverges on {kernel.name}"
+        assert out.tobytes() == ref_out.tobytes(), f"bytes diverge on {kernel.name}"
 
 
 class TestAlgorithmIdentity:
@@ -312,8 +275,8 @@ def test_experiment_identity_across_kernels(exp_id, monkeypatch):
     from repro.experiments import get_experiment
 
     outcomes = []
-    for name in KERNELS:
-        monkeypatch.setenv(KERNEL_ENV, name)
+    for kernel in KERNELS:
+        monkeypatch.setattr("repro.em.kernels._PRODUCTION", kernel)
         machines = []
         with observe_machines(machines.append):
             result = get_experiment(exp_id)(quick=True)
@@ -328,5 +291,5 @@ def test_experiment_identity_across_kernels(exp_id, monkeypatch):
             )
         )
     ref = outcomes[0]
-    for name, other in zip(KERNELS[1:], outcomes[1:]):
-        assert other == ref, f"{exp_id} diverges under kernel {name}"
+    for kernel, other in zip(KERNELS[1:], outcomes[1:]):
+        assert other == ref, f"{exp_id} diverges under kernel {kernel.name}"

@@ -24,7 +24,6 @@ from repro.lint import (
     ProjectIndex,
     all_rules,
     baseline_delta,
-    compute_facts,
     get_rules,
     git_changed_files,
     lint_paths,
@@ -47,24 +46,10 @@ def _rule_ids(findings):
     return [f.rule for f in findings]
 
 
-def _project_findings(files: dict, rule_id: str):
-    """Run one project rule over a multi-module fixture corpus."""
-    summaries = [
-        summarize_module(
-            ModuleContext.from_source(textwrap.dedent(src), rel)
-        )
-        for rel, src in files.items()
-    ]
-    project = ProjectIndex(summaries)
-    facts = compute_facts(project, CallGraph(project))
-    (rule,) = get_rules([rule_id])
-    return sorted(rule.check_project(facts))
-
-
 class TestRegistry:
-    def test_all_nine_rules_registered(self):
+    def test_all_seven_rules_registered(self):
         assert [r.rule_id for r in all_rules()] == [
-            "R1", "R2", "R3", "R4", "R5", "R6", "R7", "R8", "R9",
+            "R1", "R2", "R3", "R4", "R5", "R6", "R7",
         ]
 
     def test_get_rules_subset_and_case(self):
@@ -81,7 +66,6 @@ class TestRegistry:
     def test_project_rules_are_marked(self):
         scopes = {r.rule_id: r.scope for r in all_rules()}
         assert scopes["R3"] == scopes["R5"] == "project"
-        assert scopes["R8"] == scopes["R9"] == "project"
         assert scopes["R1"] == scopes["R4"] == "module"
 
     def test_layer_constants(self):
@@ -484,212 +468,6 @@ class TestR6KernelBypass:
         assert not _active(src, "tests/test_x.py", rules=get_rules(["R6"]))
 
 
-ROUTER_OK = """
-    class Router:
-        def _request(self, shard, kind, payload=None):
-            return send(shard, kind, payload)
-
-        def ingest(self, recs):
-            return self._request(0, "ingest", recs)
-    """
-
-WORKER_OK = """
-    class ShardWorker:
-        def _handle(self, kind, payload):
-            if kind == "ingest":
-                return ("ok", 1)
-            return ("error", "unknown")
-    """
-
-
-class TestR8ShardProtocol:
-    def test_conforming_protocol_is_clean(self):
-        assert not _project_findings(
-            {
-                "repro/shard/router.py": ROUTER_OK,
-                "repro/shard/worker.py": WORKER_OK,
-            },
-            "R8",
-        )
-
-    def test_seeded_defect_router_only_kind(self):
-        router = """
-            class Router:
-                def _request(self, shard, kind, payload=None):
-                    return send(shard, kind, payload)
-
-                def ingest(self, recs):
-                    return self._request(0, "ingest", recs)
-
-                def splitz(self):
-                    return self._request(0, "splitz", None)
-            """
-        findings = _project_findings(
-            {
-                "repro/shard/router.py": router,
-                "repro/shard/worker.py": WORKER_OK,
-            },
-            "R8",
-        )
-        assert len(findings) == 1
-        assert findings[0].rule == "R8"
-        assert '"splitz"' in findings[0].message
-        assert findings[0].path == "repro/shard/router.py"
-
-    def test_dead_handler_arm_flagged(self):
-        worker = """
-            class ShardWorker:
-                def _handle(self, kind, payload):
-                    if kind == "ingest":
-                        return ("ok", 1)
-                    if kind == "ghost":
-                        return ("gone", None)
-                    return ("error", "unknown")
-            """
-        findings = _project_findings(
-            {
-                "repro/shard/router.py": ROUTER_OK,
-                "repro/shard/worker.py": worker,
-            },
-            "R8",
-        )
-        assert len(findings) == 1
-        assert '"ghost"' in findings[0].message
-        assert "dead protocol arm" in findings[0].message
-
-    def test_doc_table_reply_mismatch_flagged(self):
-        worker = '''
-            """Worker.
-
-            ========  ========  ==========
-            kind      payload   reply
-            ========  ========  ==========
-            ingest    recs      done: n
-            ========  ========  ==========
-            """
-
-            class ShardWorker:
-                def _handle(self, kind, payload):
-                    if kind == "ingest":
-                        return ("ok", 1)
-                    return ("error", "unknown")
-            '''
-        findings = _project_findings(
-            {
-                "repro/shard/router.py": ROUTER_OK,
-                "repro/shard/worker.py": worker,
-            },
-            "R8",
-        )
-        assert any(
-            'says "ingest" replies "done"' in f.message for f in findings
-        )
-
-    def test_documented_but_unhandled_kind_flagged(self):
-        worker = '''
-            """Worker.
-
-            ========  ========  ==========
-            kind      payload   reply
-            ========  ========  ==========
-            ingest    recs      ok: n
-            seal      k         sealed: n
-            ========  ========  ==========
-            """
-
-            class ShardWorker:
-                def _handle(self, kind, payload):
-                    if kind == "ingest":
-                        return ("ok", 1)
-                    return ("error", "unknown")
-            '''
-        findings = _project_findings(
-            {
-                "repro/shard/router.py": ROUTER_OK,
-                "repro/shard/worker.py": worker,
-            },
-            "R8",
-        )
-        assert any(
-            'documents request kind "seal"' in f.message for f in findings
-        )
-
-    def test_inert_without_shard_modules(self):
-        assert not _project_findings({ALG_PATH: "x = 1\n"}, "R8")
-
-
-class TestR9RegistryConsistency:
-    def test_phase_label_with_slash_flagged(self):
-        src = """
-            def f(machine):
-                with machine.phase("partition/distribute"):
-                    pass
-            """
-        (finding,) = _active(src)
-        assert finding.rule == "R9" and "'/'" in finding.message
-
-    def test_phase_label_plain_is_clean(self):
-        src = """
-            def f(machine):
-                with machine.phase("distribute"):
-                    pass
-            """
-        assert not _active(src)
-
-    def test_dynamic_phase_label_skipped(self):
-        src = """
-            def f(machine, label):
-                with machine.phase(label):
-                    pass
-            """
-        assert not _active(src)
-
-    def test_unknown_formula_reference_flagged(self):
-        findings = _project_findings(
-            {
-                "repro/obs/solvers.py": """
-                    SOLVERS = {
-                        "sort": Solver(name="sort", formula_name="missing_fn"),
-                    }
-                    """,
-                "repro/bounds/formulas.py": """
-                    def sort_io(n, m, b):
-                        return n
-                    """,
-            },
-            "R9",
-        )
-        assert len(findings) == 1
-        assert "missing_fn" in findings[0].message
-        assert findings[0].path == "repro/obs/solvers.py"
-
-    def test_composite_formula_expressions_resolve_per_identifier(self):
-        assert not _project_findings(
-            {
-                "repro/obs/solvers.py": """
-                    SOLVERS = {
-                        "p": Solver(name="p", formula_name="a_io + b_io"),
-                    }
-                    """,
-                "repro/bounds/formulas.py": """
-                    def a_io(n):
-                        return n
-
-                    def b_io(n):
-                        return n
-                    """,
-            },
-            "R9",
-        )
-
-    def test_repo_triangle_holds(self):
-        # The real registry: every solver has a budget envelope and a
-        # formula; every budget entry has a solver (R9 on the repo is
-        # part of the repo gate, this pins it directly).
-        report = lint_paths(rule_ids=["R9"])
-        assert report.findings == [], "\n" + report.render()
-
-
 class TestCallGraphGolden:
     def test_resolution_rate_at_least_95_percent(self):
         report = lint_paths()
@@ -752,10 +530,9 @@ class TestSuppression:
     def test_project_rule_findings_respect_suppressions(self):
         active, suppressed = _lint(
             "def f(machine):\n"
-            '    with machine.phase("a/b"):  # emlint: disable=R9\n'
-            "        pass\n"
+            '    lease = machine.memory.lease(4, "x")  # emlint: disable=R5\n'
         )
-        assert not active and _rule_ids(suppressed) == ["R9"]
+        assert not active and _rule_ids(suppressed) == ["R5"]
 
 
 class TestSuppressionEdgeCases:

@@ -10,8 +10,8 @@ Three groups:
 * **Differential identity** — running the full service stack (lazy
   engine + frontend, updates, durability) inside a ``metrics_scope``
   must change *nothing* in the EM model: byte-identical answers and
-  identical I/O, comparison, and peak-memory counters, across every
-  registered kernel backend.
+  identical I/O, comparison, and peak-memory counters, on the reference
+  and on the production kernel backend.
 """
 
 import json
@@ -19,7 +19,7 @@ import json
 import numpy as np
 import pytest
 
-from repro.em import Machine, available_kernels
+from repro.em import Machine
 from repro.em.records import composite
 from repro.obs import (
     DEFAULT_IO_BUCKETS,
@@ -38,8 +38,7 @@ from repro.obs import (
 from repro.service import LazyPartitionIndex, Query, QueryFrontend
 from repro.workloads import load_input, random_permutation
 from repro.workloads.queries import zipfian_trace
-
-KERNELS = available_kernels()
+from tests.test_kernels import KERNELS
 
 
 # ---------------------------------------------------------------------
@@ -356,7 +355,7 @@ def _run_service(kernel, with_metrics):
     return fingerprint, registry
 
 
-@pytest.mark.parametrize("kernel", KERNELS)
+@pytest.mark.parametrize("kernel", KERNELS, ids=lambda k: k.name)
 def test_metrics_change_no_em_counters(kernel):
     bare, _ = _run_service(kernel, with_metrics=False)
     instrumented, registry = _run_service(kernel, with_metrics=True)
