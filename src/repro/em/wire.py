@@ -9,14 +9,16 @@ of ``w`` payload words occupies ``message_blocks(w, B)`` blocks, and
 * the **receiver** pays that many block *reads* (deserializing it into
   memory), attributed to ``"shard-recv"``.
 
-Both charges are realized as *real* :class:`~repro.em.disk.Disk`
-operations on scratch blocks — allocate, transfer, free — rather than
-counter pokes, so they flow through every observer hook exactly like
-algorithm I/O: span tracers attribute them, sanitize-mode counter
-conservation holds, and per-phase rollups show communication next to
-computation.  On the receive side the scratch blocks are first
-initialized *uncounted* (the network delivered the bytes; the endpoint
-did not pay a write for them) and then read back counted.
+Both charges go straight to the disk's counters (``Disk._charge``) under
+the phase, exactly as a counted transfer would: span tracers attribute
+them, sanitize-mode counter conservation holds, and per-phase rollups
+show communication next to computation.  No bytes move: a message gets
+no scratch blocks (charges were once realized by allocating, writing,
+reading and freeing them), so a charge leaves ``live_blocks``,
+``peak_blocks``, ``read_block_ids``, the access trace and the
+sanitizer's block-id sets untouched.  Only ``em`` (and ``obs``) may call
+``_charge`` (emlint R1), so algorithm code still cannot write a bare
+charge.
 
 Payload sizes are computed by :func:`payload_words` from the abstract
 message value, **not** from any serialized byte string, so every
@@ -90,33 +92,17 @@ def message_blocks(words: int, block: int) -> int:
     return max(1, -(-words // (WORDS_PER_RECORD * block)))
 
 
-def _scratch(machine: "Machine", nblocks: int) -> tuple[list[int], np.ndarray]:
-    ids = machine.disk.allocate(nblocks)
-    payload = np.zeros(nblocks * machine.B, dtype=RECORD_DTYPE)
-    return ids, payload
-
-
 def charge_send(machine: "Machine", nblocks: int, phase: str = SEND_PHASE) -> None:
     """Charge ``machine`` ``nblocks`` block writes for sending a message."""
-    ids, payload = _scratch(machine, nblocks)
-    try:
-        with machine.phase(phase):
-            machine.disk.write_many(ids, payload)
-    finally:
-        machine.disk.free(ids)
+    with machine.phase(phase):
+        machine.disk._charge(read=False, count=nblocks)
 
 
 def charge_recv(machine: "Machine", nblocks: int, phase: str = RECV_PHASE) -> None:
     """Charge ``machine`` ``nblocks`` block reads for receiving a message.
 
-    The scratch blocks are initialized uncounted first — the bytes
-    arrived over the wire, the endpoint only pays to read them in.
+    The bytes arrived over the wire, so the endpoint pays only to read
+    them in: no write is charged, counted or not.
     """
-    ids, payload = _scratch(machine, nblocks)
-    try:
-        with machine.uncounted():
-            machine.disk.write_many(ids, payload)
-        with machine.phase(phase):
-            machine.disk.read_many(ids)
-    finally:
-        machine.disk.free(ids)
+    with machine.phase(phase):
+        machine.disk._charge(read=True, count=nblocks)

@@ -90,9 +90,23 @@ class TestWire:
         charge_recv(m, 2, RECV_PHASE)
         assert m.io.reads == r0 + 2
         assert m.io.writes == w0
-        # The arrival write is uncounted — invisible even to lifetime
+        # No arrival write is charged — not even to the lifetime
         # counters, so tracer conservation holds.
         assert m.disk.lifetime.writes == lw0
+
+    def test_charges_move_no_blocks(self, small_machine):
+        # A charge is a counter update: no scratch block is allocated,
+        # written or read, so live/peak block counts, the read-id set
+        # and the next block id all stay put.
+        d = small_machine.disk
+        (before,) = d.allocate(1)
+        live0, peak0 = d.live_blocks, d.peak_blocks
+        charge_send(small_machine, 3)
+        charge_recv(small_machine, 2)
+        assert (d.live_blocks, d.peak_blocks) == (live0, peak0)
+        assert d.read_block_ids == frozenset()
+        (after,) = d.allocate(1)
+        assert after == before + 1
 
     def test_charges_conserve_under_sanitize_tracer(self):
         m = Machine(memory=256, block=8, sanitize=True)
