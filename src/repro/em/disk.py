@@ -34,12 +34,15 @@ from .errors import (
     UninitializedReadError,
     UseAfterFreeError,
 )
-from .records import RECORD_DTYPE
+from .records import RAW_DTYPE, RECORD_DTYPE, as_records
 
 if TYPE_CHECKING:  # pragma: no cover
     from .kernels import KernelBackend
 
 __all__ = ["Disk", "IOCounters"]
+
+#: Extent of an allocated, never-written block: no bytes.
+_EMPTY_EXTENT = (np.empty(0, dtype=RAW_DTYPE), 0, 0)
 
 
 @dataclass
@@ -99,6 +102,15 @@ class Disk:
     Blocks are allocated with :meth:`allocate` and addressed by integer ids.
     A block read returns a *copy* of the stored records so algorithms cannot
     mutate disk state without paying a write.
+
+    Storage is raw: stored bytes live in :data:`~repro.em.records.RAW_DTYPE`
+    *arenas*, and one map sends each block id to its extent
+    ``(arena, record offset, length)``.  A :meth:`write` stores a
+    one-block arena; a :meth:`write_many` batch stores one arena whose
+    blocks sit at consecutive offsets, so the kernel can gather a run of
+    them with one memory move.  Records cross the disk boundary as
+    :data:`~repro.em.records.RECORD_DTYPE` arrays, converted once per
+    returned array.
     """
 
     def __init__(
@@ -125,13 +137,10 @@ class Disk:
         self._sanitize = bool(sanitize)
         self._freed_ids: set[int] = set()
         self._written_ids: set[int] = set()
-        self._blocks: dict[int, np.ndarray] = {}
-        # Physical layout hints for the batched fast path: block id ->
-        # (arena array, record offset).  Blocks written in one
-        # write_many batch share an arena and sit at consecutive
-        # offsets, so read_many can move whole runs with a single numpy
-        # slice copy.  Purely an optimization — never affects counters.
-        self._origin: dict[int, tuple[np.ndarray, int]] = {}
+        # Block id -> (raw arena, record offset, length): where the
+        # block's bytes live (see the class docstring).  Never affects
+        # counters.
+        self._blocks: dict[int, tuple[np.ndarray, int, int]] = {}
         self._next_id = 0
         self._counters = IOCounters()
         # Cumulative reads/writes over the disk's whole life, *never*
@@ -357,9 +366,8 @@ class Disk:
             raise ValueError("nblocks must be >= 0")
         ids = list(range(self._next_id, self._next_id + nblocks))
         self._next_id += nblocks
-        empty = np.empty(0, dtype=RECORD_DTYPE)
         for bid in ids:
-            self._blocks[bid] = empty
+            self._blocks[bid] = _EMPTY_EXTENT
         self._peak_blocks = max(self._peak_blocks, len(self._blocks))
         for obs in self._observers:
             obs.on_blocks(len(self._blocks))
@@ -384,7 +392,6 @@ class Disk:
             seen.add(bid)
         for bid in block_ids:
             del self._blocks[bid]
-            self._origin.pop(bid, None)
         if self._sanitize:
             self._freed_ids.update(seen)
             self._written_ids.difference_update(seen)
@@ -396,7 +403,7 @@ class Disk:
         if self._sanitize:
             self._check_block(block_id, for_read=True)
         try:
-            data = self._blocks[block_id]
+            arena, off, n = self._blocks[block_id]
         except KeyError:
             raise BadBlockError(f"block {block_id} is not allocated") from None
         self._charge(read=True)
@@ -404,7 +411,7 @@ class Disk:
             self._read_ids.add(block_id)
             if self._trace is not None:
                 self._trace.append(("r", block_id))
-        return data.copy()
+        return as_records(arena[off : off + n].copy())
 
     def write(self, block_id: int, data: np.ndarray) -> None:
         """Write one block; counts one write I/O.  Stores a copy."""
@@ -421,9 +428,8 @@ class Disk:
         self._charge(read=False)
         if self._counting and self._trace is not None:
             self._trace.append(("w", block_id))
-        stored = data.copy()
-        self._blocks[block_id] = stored
-        self._origin[block_id] = (stored, 0)
+        stored = data.view(RAW_DTYPE).copy()
+        self._blocks[block_id] = (stored, 0, len(stored))
         if self._sanitize:
             self._written_ids.add(block_id)
 
@@ -462,7 +468,7 @@ class Disk:
             self._read_ids.update(int(bid) for bid in block_ids)
             if self._trace is not None:
                 self._trace.extend(("r", int(bid)) for bid in block_ids)
-        return self._kernel.gather_blocks(bmap, self._origin, block_ids)
+        return self._kernel.gather_blocks(bmap, block_ids)
 
     def write_many(self, block_ids: Sequence[int], data: np.ndarray) -> None:
         """Write ``k`` blocks in one call; counts ``k`` write I/Os.
@@ -506,9 +512,7 @@ class Disk:
         self._charge(read=False, count=k)
         if self._counting and self._trace is not None:
             self._trace.extend(("w", int(bid)) for bid in block_ids)
-        self._kernel.scatter_blocks(
-            self._blocks, self._origin, block_ids, data, B
-        )
+        self._kernel.scatter_blocks(self._blocks, block_ids, data, B)
         if self._sanitize:
             self._written_ids.update(seen)
 
@@ -525,6 +529,7 @@ class Disk:
                 f"block {block_id} was freed and must not be peeked"
             )
         try:
-            return self._blocks[block_id].copy()
+            arena, off, n = self._blocks[block_id]
         except KeyError:
             raise BadBlockError(f"block {block_id} is not allocated") from None
+        return as_records(arena[off : off + n].copy())

@@ -57,37 +57,40 @@ class KernelBackend:
     # ------------------------------------------------------------------
     def gather_blocks(
         self,
-        blocks: dict[int, np.ndarray],
-        origin: dict[int, tuple[np.ndarray, int]],
+        blocks: dict[int, tuple[np.ndarray, int, int]],
         block_ids: Sequence[int],
     ) -> np.ndarray:
         """Concatenate the stored blocks ``block_ids`` (non-empty, all
-        validated by the caller) into one fresh array.
+        validated by the caller) into one fresh record array.
 
-        ``origin`` maps a block id to its ``(arena, record_offset)``
-        physical layout hint — blocks written in one batch share an
-        arena at consecutive offsets.  Backends may exploit it or ignore
-        it; the output must equal the blocks' records concatenated in
+        ``blocks`` is the disk's block map: block id ->
+        ``(arena, offset, length)``, the block's ``length`` records at
+        record ``offset`` of a :data:`~repro.em.records.RAW_DTYPE`
+        arena.  Blocks written in one batch share an arena at
+        consecutive offsets; an allocated, never-written block has
+        length 0.  Backends may exploit the shared arenas or ignore
+        them; the output must equal the blocks' records concatenated in
         the given order.
         """
         raise NotImplementedError
 
     def scatter_blocks(
         self,
-        blocks: dict[int, np.ndarray],
-        origin: dict[int, tuple[np.ndarray, int]],
+        blocks: dict[int, tuple[np.ndarray, int, int]],
         block_ids: Sequence[int],
         data: np.ndarray,
         block_size: int,
     ) -> None:
-        """Store the concatenated payload ``data`` into ``block_ids``
-        (block ``i`` receives ``data[i*B:(i+1)*B]``; the last block the
-        remainder), updating ``origin`` for each stored block.
+        """Store the concatenated record payload ``data`` into
+        ``block_ids`` (block ``i`` receives ``data[i*B:(i+1)*B]``; the
+        last block the remainder) by setting each id's
+        ``(arena, offset, length)`` entry in the block map ``blocks``.
 
         The caller has validated ids and payload shape and charged the
-        writes; the kernel must copy ``data`` (stored blocks never alias
-        caller memory) and must leave ``blocks[bid]`` readable
-        independently of the others.
+        writes; the kernel must copy ``data`` into
+        :data:`~repro.em.records.RAW_DTYPE` arenas (stored blocks never
+        alias caller memory), and a stored arena is never written
+        again, so blocks may share one.
         """
         raise NotImplementedError
 

@@ -1,14 +1,18 @@
 """Wall-clock benchmark of the kernel backends.
 
-Times the four backend-differing primitives — arena gather, arena
-scatter, concatenation, and bucket grouping — on a scaled-up hot-path
-instance (a multi-thousand-block disk image and a multi-thousand-bucket
-distribution pass, the shapes the experiment suite actually produces),
-and cross-checks byte identity of every output against the reference
-backend while doing so.
+Times the five backend-differing primitives — arena gather, arena
+scatter, concatenation, bucket grouping, and composite sort — on a
+scaled-up hot-path instance (a multi-thousand-block disk image and a
+multi-thousand-bucket distribution pass, the shapes the experiment
+suite actually produces), and cross-checks byte identity of every
+output against the reference backend while doing so.
 
-``sort_by_composite`` / ``bucket_of`` / ``partition_at`` are *not*
-timed: they are canonical implementations shared via
+``sort`` times ``sort_by_composite``: the reference takes the sorted
+permutation field by field, the production backend raw.
+``partition_at`` differs from it only in the permutation it takes
+(``np.argpartition`` instead of a stable argsort), so it is not timed
+separately.  ``bucket_of`` / ``rank_order`` are *not* timed: they are
+canonical implementations shared via
 :class:`~repro.em.kernels.base.KernelBackend`, identical by
 construction, so their ratio is 1.0 by definition.
 
@@ -31,7 +35,7 @@ from .vectorized_v2 import VectorizedV2Kernel
 __all__ = ["KernelBenchResult", "bench_kernels", "render_bench"]
 
 #: Primitive names in report order.
-OPS = ("gather", "scatter", "concat", "group")
+OPS = ("gather", "scatter", "concat", "group", "sort")
 
 
 @dataclass
@@ -65,9 +69,9 @@ def bench_kernels(
 
     The instance: ``n_blocks`` full blocks staged contiguously on a
     disk (one arena, the layout ``write_many`` produces), a same-sized
-    record payload, a ``n_buckets``-way bucket assignment, and a
-    500-part concatenation.  Each primitive runs ``reps`` times; the
-    recorded figure is the total.
+    record payload, a ``n_buckets``-way bucket assignment, a 500-part
+    concatenation, and a shuffled copy of the payload to sort.  Each
+    primitive runs ``reps`` times; the recorded figure is the total.
     """
     n = n_blocks * block
 
@@ -76,8 +80,10 @@ def bench_kernels(
     payload = make_records(np.arange(n))
     with disk.uncounted():
         disk.write_many(ids, payload)
-    bucket_idx = np.random.default_rng(0).integers(0, n_buckets, size=n)
+    rng = np.random.default_rng(0)
+    bucket_idx = rng.integers(0, n_buckets, size=n)
     parts = np.array_split(payload, 500)
+    shuffled = payload[rng.permutation(n)]
 
     result = KernelBenchResult(
         n_blocks=n_blocks, block=block, n_buckets=n_buckets, reps=reps
@@ -85,14 +91,13 @@ def bench_kernels(
     reference: dict[str, bytes] = {}
     for kern in (NumpyV1Kernel(), VectorizedV2Kernel()):
         tasks = {
-            "gather": lambda: kern.gather_blocks(
-                disk._blocks, disk._origin, ids
-            ),
+            "gather": lambda: kern.gather_blocks(disk._blocks, ids),
             "scatter": lambda: _scatter_roundtrip(
                 kern, disk, ids, payload, block
             ),
             "concat": lambda: kern.concat(parts),
             "group": lambda: _group_digest(kern, payload, bucket_idx),
+            "sort": lambda: kern.sort_by_composite(shuffled),
         }
         timings: dict[str, float] = {}
         for op in OPS:
@@ -110,8 +115,8 @@ def bench_kernels(
 
 
 def _scatter_roundtrip(kern, disk, ids, payload, block):
-    kern.scatter_blocks(disk._blocks, disk._origin, ids, payload, block)
-    return disk._blocks[ids[0]]
+    kern.scatter_blocks(disk._blocks, ids, payload, block)
+    return disk.peek(ids[0])
 
 
 def _group_digest(kern, payload, bucket_idx):

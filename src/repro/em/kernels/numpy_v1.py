@@ -2,12 +2,16 @@
 
 This is the straightforward numpy strategy the simulator's hot paths
 used before batching landed, preserved verbatim as the *reference*
-backend: one copy per block on gather/scatter (exactly what ``k``
-successive :meth:`Disk.read <repro.em.disk.Disk.read>` /
-:meth:`Disk.write <repro.em.disk.Disk.write>` calls do),
+backend: one structured (field-by-field) copy per block on
+gather/scatter (the bytes ``k`` successive
+:meth:`Disk.read <repro.em.disk.Disk.read>` /
+:meth:`Disk.write <repro.em.disk.Disk.write>` calls move),
 ``np.concatenate`` for record concatenation (which re-promotes the
-structured field dtypes per input part), and one boolean-mask pass per
-bucket when grouping a chunk for distribution.
+structured field dtypes per input part), one boolean-mask pass per
+bucket when grouping a chunk for distribution, and the base class's
+structured takes for sorting and rank partitioning.  It adapts to the
+disk's raw block map only at the boundary: each gathered block is
+viewed as records before its copy, and each stored copy is viewed raw.
 
 Every operation is simple enough to audit at a glance, which is the
 point: the differential harness proves ``vectorized_v2`` byte-identical
@@ -20,7 +24,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from ..records import RECORD_DTYPE
+from ..records import RAW_DTYPE, RECORD_DTYPE
 from .base import KernelBackend
 
 __all__ = ["NumpyV1Kernel"]
@@ -33,30 +37,31 @@ class NumpyV1Kernel(KernelBackend):
 
     def gather_blocks(
         self,
-        blocks: dict[int, np.ndarray],
-        origin: dict[int, tuple[np.ndarray, int]],
+        blocks: dict[int, tuple[np.ndarray, int, int]],
         block_ids: Sequence[int],
     ) -> np.ndarray:
-        # One copy per block, then one concatenation — what k successive
-        # Disk.read calls produce.  The origin layout hints are ignored.
-        parts = [blocks[bid].copy() for bid in block_ids]
+        # One structured copy per block, then one concatenation — what
+        # k successive Disk.read calls produce.  Shared arenas are
+        # ignored.
+        parts = []
+        for bid in block_ids:
+            arena, off, n = blocks[bid]
+            parts.append(arena[off : off + n].view(RECORD_DTYPE).copy())
         return np.concatenate(parts)
 
     def scatter_blocks(
         self,
-        blocks: dict[int, np.ndarray],
-        origin: dict[int, tuple[np.ndarray, int]],
+        blocks: dict[int, tuple[np.ndarray, int, int]],
         block_ids: Sequence[int],
         data: np.ndarray,
         block_size: int,
     ) -> None:
-        # One stored copy per block — what k successive Disk.write calls
-        # do; each block becomes its own single-block arena.
+        # One stored structured copy per block — what k successive
+        # Disk.write calls do; each block becomes its own arena.
         B = block_size
         for i, bid in enumerate(block_ids):
             stored = data[i * B : (i + 1) * B].copy()
-            blocks[bid] = stored
-            origin[bid] = (stored, 0)
+            blocks[bid] = (stored.view(RAW_DTYPE), 0, len(stored))
 
     def concat(self, parts: list[np.ndarray]) -> np.ndarray:
         if not parts:

@@ -1,23 +1,26 @@
-"""``vectorized_v2`` — arena-aware bulk movement (the production backend).
+"""``vectorized_v2`` — arena-aware raw movement (the production backend).
 
-Three strategies distinguish it from the ``numpy_v1`` reference; all
+Four strategies distinguish it from the ``numpy_v1`` reference; all
 produce byte-identical outputs:
 
 * **Arena-run gather** — blocks written in one ``write_many`` batch
-  share a physical arena at consecutive offsets (the ``origin`` hints
-  kept by the disk).  A gather coalesces maximal runs of adjacent
-  blocks and moves each run with a single numpy slice copy instead of
-  one copy per block, turning a ``k``-block read into ``O(#runs)``
-  memcpys.
-* **Single-arena scatter** — a batch write copies its payload once and
-  stores per-block *views* into that arena, so the blocks it creates
-  are themselves a coalescible run for later gathers.
-* **Preallocate-and-assign concat + fused grouping** —
-  ``np.concatenate`` re-promotes the structured field dtypes per input
-  part, which dominates many-small-part concatenations; v2 preallocates
-  and slice-assigns instead.  Bucket grouping applies one stable
-  argsort take (a single fused gather) and slices group boundaries out
-  of the result, rather than one mask pass per bucket.
+  share a physical arena at consecutive offsets (the disk's block map
+  records each block's ``(arena, offset, length)``).  A gather
+  coalesces maximal runs of adjacent blocks and moves each run with a
+  single slice copy instead of one copy per block, turning a ``k``-block
+  read into ``O(#runs)`` memcpys.
+* **Single-arena scatter** — a batch write copies its payload once into
+  one arena and maps every block to its extent there, so the blocks it
+  creates are themselves a coalescible run for later gathers.
+* **One-call concat + fused grouping** — concatenation is one
+  ``np.concatenate`` over the parts' raw views; bucket grouping applies
+  one stable argsort take (a single fused gather) and slices group
+  boundaries out of the result, rather than one mask pass per bucket.
+* **Raw moves** — every copy and take above, and the takes of
+  ``sort_by_composite`` and ``partition_at``, move records as
+  :data:`~repro.em.records.RAW_DTYPE` items: one memory move per run
+  instead of numpy's field-by-field structured copy.  Arenas stay raw;
+  each returned array is converted back to records once.
 """
 
 from __future__ import annotations
@@ -26,21 +29,20 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from ..records import RECORD_DTYPE, concat_records
+from ..records import RAW_DTYPE, as_records, composite, concat_records, take_records
 from .base import KernelBackend
 
 __all__ = ["VectorizedV2Kernel"]
 
 
 class VectorizedV2Kernel(KernelBackend):
-    """Arena-coalescing, fused-pass backend (default)."""
+    """Arena-coalescing, fused-pass, raw-moving backend (default)."""
 
     name = "vectorized_v2"
 
     def gather_blocks(
         self,
-        blocks: dict[int, np.ndarray],
-        origin: dict[int, tuple[np.ndarray, int]],
+        blocks: dict[int, tuple[np.ndarray, int, int]],
         block_ids: Sequence[int],
     ) -> np.ndarray:
         # Coalesce maximal runs of blocks physically adjacent in one
@@ -51,13 +53,7 @@ class VectorizedV2Kernel(KernelBackend):
         run_off = 0  # record offset of the run's start in its arena
         run_len = 0  # records accumulated in the current run
         for bid in block_ids:
-            b = blocks[bid]
-            o = origin.get(bid)
-            if o is None:
-                arena, off = b, 0
-            else:
-                arena, off = o
-            nb = len(b)
+            arena, off, nb = blocks[bid]
             if run_arena is arena and off == run_off + run_len:
                 run_len += nb
             else:
@@ -66,30 +62,36 @@ class VectorizedV2Kernel(KernelBackend):
                 run_arena, run_off, run_len = arena, off, nb
             total += nb
         runs.append((run_arena, run_off, run_len))
-        out = np.empty(total, dtype=RECORD_DTYPE)
+        out = np.empty(total, dtype=RAW_DTYPE)
         pos = 0
         for arena, off, n in runs:
             out[pos : pos + n] = arena[off : off + n]
             pos += n
-        return out
+        return as_records(out)
 
     def scatter_blocks(
         self,
-        blocks: dict[int, np.ndarray],
-        origin: dict[int, tuple[np.ndarray, int]],
+        blocks: dict[int, tuple[np.ndarray, int, int]],
         block_ids: Sequence[int],
         data: np.ndarray,
         block_size: int,
     ) -> None:
         B = block_size
-        buf = data.copy()  # one copy for the whole batch — the arena
+        # One copy for the whole batch: the arena.
+        buf = data.view(RAW_DTYPE).copy()
+        n = len(buf)
         for i, bid in enumerate(block_ids):
             off = i * B
-            blocks[bid] = buf[off : off + B]
-            origin[bid] = (buf, off)
+            blocks[bid] = (buf, off, min(B, n - off))
 
     def concat(self, parts: list[np.ndarray]) -> np.ndarray:
         return concat_records(parts)
+
+    def sort_by_composite(self, records: np.ndarray) -> np.ndarray:
+        return take_records(records, np.argsort(composite(records), kind="stable"))
+
+    def partition_at(self, records: np.ndarray, kth0: np.ndarray) -> np.ndarray:
+        return take_records(records, np.argpartition(composite(records), kth0))
 
     def group_by_bucket(
         self, records: np.ndarray, bucket_idx: np.ndarray
@@ -101,7 +103,7 @@ class VectorizedV2Kernel(KernelBackend):
             return
         order = np.argsort(bucket_idx, kind="stable")
         sorted_idx = bucket_idx[order]
-        grouped = records[order]
+        grouped = take_records(records, order)
         boundaries = np.flatnonzero(np.diff(sorted_idx)) + 1
         starts = np.concatenate(([0], boundaries))
         ends = np.concatenate((boundaries, [len(records)]))

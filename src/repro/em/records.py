@@ -26,6 +26,19 @@ still care about wall-clock time of the *simulation*) we combine
 ``composite = key * 2**UID_BITS + uid``.  To make this injective and
 overflow-free, keys must lie in ``[KEY_MIN, KEY_MAX]`` and uids in
 ``[0, UID_MAX]``; :func:`make_records` validates the ranges.
+
+Raw moves
+---------
+Moving a structured array makes numpy copy it field by field.  The
+simulator's data paths instead move records as :data:`RAW_DTYPE` items
+— each record's 24 bytes as one opaque ``np.void`` — so a copy or a
+permutation take is one contiguous memory move per run.  That is
+byte-identical to the structured move only because every byte of a
+record belongs to exactly one field; :func:`check_record_layout` proves
+it for :data:`RECORD_DTYPE` at import.  ``records.view(RAW_DTYPE)`` and
+:func:`as_records` convert between the two views without copying, and
+:func:`copy_records` / :func:`take_records` are ``records.copy()`` /
+``records[index]`` done raw.
 """
 
 from __future__ import annotations
@@ -34,6 +47,7 @@ import numpy as np
 
 __all__ = [
     "RECORD_DTYPE",
+    "RAW_DTYPE",
     "KEY_MIN",
     "KEY_MAX",
     "UID_BITS",
@@ -44,10 +58,17 @@ __all__ = [
     "composite_of",
     "sort_records",
     "concat_records",
+    "check_record_layout",
+    "as_records",
+    "copy_records",
+    "take_records",
 ]
 
 #: Structured dtype of one record (one "word" of the EM model).
 RECORD_DTYPE = np.dtype([("key", np.int64), ("uid", np.int64), ("grp", np.int64)])
+
+#: One record's bytes as a single opaque item: the unit of raw moves.
+RAW_DTYPE = np.dtype((np.void, RECORD_DTYPE.itemsize))
 
 #: Number of low-order bits of the composite reserved for the uid.
 UID_BITS = 31
@@ -57,6 +78,64 @@ UID_MAX = (1 << UID_BITS) - 1
 KEY_MIN = -(1 << 31)
 #: Largest permitted key (inclusive).
 KEY_MAX = (1 << 31) - 1
+
+
+def check_record_layout(dtype: np.dtype) -> None:
+    """Raise ``TypeError`` unless ``dtype``'s fields tile its bytes.
+
+    A raw move copies whole items, bytes the fields do not cover
+    included; it equals numpy's field-by-field structured copy only
+    when the fields sit back to back from offset 0 to ``itemsize``, with
+    no padding, no overlap and no Python objects.  Run on
+    :data:`RECORD_DTYPE` at import, so a field change that breaks this
+    fails loudly instead of silently changing moved bytes.
+    """
+    dtype = np.dtype(dtype)
+    if dtype.names is None:
+        raise TypeError(f"{dtype} is not a structured record dtype")
+    end = 0
+    for name in dtype.names:
+        field, offset = dtype.fields[name][:2]
+        if offset != end or field.hasobject:
+            raise TypeError(
+                f"field {name!r} of {dtype} is at offset {offset}, expected "
+                f"{end}: records with padding, overlap or objects cannot "
+                f"move raw"
+            )
+        end += field.itemsize
+    if end != dtype.itemsize:
+        raise TypeError(
+            f"{dtype} has {dtype.itemsize - end} trailing padding bytes: "
+            f"records with padding cannot move raw"
+        )
+
+
+check_record_layout(RECORD_DTYPE)
+
+
+def as_records(raw: np.ndarray) -> np.ndarray:
+    """A C-contiguous :data:`RAW_DTYPE` array viewed as records (no copy).
+
+    Builds the view on ``raw``'s buffer rather than with
+    ``raw.view(RECORD_DTYPE)``, which runs numpy's Python-level
+    field-safety check on every call; :func:`check_record_layout`
+    settles that question once, at import.
+    """
+    return np.ndarray(len(raw), RECORD_DTYPE, raw)
+
+
+def copy_records(records: np.ndarray) -> np.ndarray:
+    """``records.copy()``, moved raw: a fresh, writeable record array."""
+    return as_records(records.view(RAW_DTYPE).copy())
+
+
+def take_records(records: np.ndarray, index: np.ndarray) -> np.ndarray:
+    """``records[index]`` for a 1-D integer or boolean ``index``, moved
+    raw: a fresh, writeable record array."""
+    raw = records.view(RAW_DTYPE)
+    index = np.asarray(index)
+    picked = raw[index] if index.dtype == np.bool_ else raw.take(index)
+    return as_records(picked)
 
 
 def make_records(
@@ -137,10 +216,10 @@ def sort_records(records: np.ndarray) -> np.ndarray:
 def concat_records(parts: list[np.ndarray]) -> np.ndarray:
     """Concatenate record arrays (handles the empty list).
 
-    Preallocates and slice-assigns instead of ``np.concatenate``: for
-    structured dtypes numpy re-promotes the field dtypes per input
-    array, which dominates the runtime of many-small-block
-    concatenations on the batched I/O path.
+    Moves raw: one ``np.concatenate`` over the parts' :data:`RAW_DTYPE`
+    views, so each part is a single memory move instead of numpy's
+    per-field structured copy (which also re-promotes the field dtypes
+    per part).
 
     Reference primitive: algorithm code should dispatch through
     ``machine.kernel.concat`` instead (emlint rule R6).
@@ -148,10 +227,5 @@ def concat_records(parts: list[np.ndarray]) -> np.ndarray:
     if not parts:
         return empty_records(0)
     if len(parts) == 1:
-        return parts[0].copy()
-    out = np.empty(sum(len(p) for p in parts), dtype=RECORD_DTYPE)
-    pos = 0
-    for p in parts:
-        out[pos : pos + len(p)] = p
-        pos += len(p)
-    return out
+        return copy_records(parts[0])
+    return as_records(np.concatenate([p.view(RAW_DTYPE) for p in parts]))

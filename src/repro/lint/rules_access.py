@@ -24,7 +24,7 @@ __all__ = ["PrivateInternalsRule", "UncountedEscapeRule", "EM_PRIVATE_ATTRS"]
 EM_PRIVATE_ATTRS = frozenset(
     {
         # Disk
-        "_blocks", "_origin", "_arena", "_freelist", "_next_id",
+        "_blocks", "_arena", "_freelist", "_next_id",
         "_counters", "_lifetime", "_phase_stack", "_phase_path",
         "_counting", "_read_ids", "_peak_blocks", "_charge",
         "_freed_ids", "_written_ids", "_check_block",

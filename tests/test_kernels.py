@@ -14,7 +14,7 @@ registered experiment in quick mode.
 import numpy as np
 import pytest
 
-from repro.em import Machine, composite, get_kernel
+from repro.em import Disk, Machine, composite, get_kernel
 from repro.em.kernels import NumpyV1Kernel, VectorizedV2Kernel
 from repro.em.records import RECORD_DTYPE, make_records
 from repro.workloads import load_input, random_permutation, zipf_like
@@ -113,6 +113,41 @@ class TestPrimitiveIdentity:
         comp = composite(parts[0])
         for b in kth:
             assert comp[:b].max() < comp[b]
+
+    def test_gather_over_mixed_layouts(self):
+        # One lenient disk, three layouts: two write_many arenas (the
+        # second ends in a partial block), a single-block write that
+        # overwrites a block inside the first arena, and allocated
+        # blocks never written (empty).  Both backends gather the same
+        # physical layout through the disk's block map.
+        B = 8
+        disk = Disk(B)
+        ids = disk.allocate(12)
+        first, second, single = (
+            _records(5 * B, seed=1), _records(2 * B + 3, seed=2), _records(B, seed=3)
+        )
+        disk.write_many(ids[0:5], first)
+        disk.write_many(ids[5:8], second)
+        disk.write(ids[2], single)
+        stored = {b: first[i * B : (i + 1) * B] for i, b in enumerate(ids[0:5])}
+        stored.update({b: second[i * B : (i + 1) * B] for i, b in enumerate(ids[5:8])})
+        stored[ids[2]] = single
+        blank = ids[8:12]
+        stored.update({b: single[:0] for b in blank})
+        orders = [
+            ids,
+            ids[::-1],
+            [ids[0], ids[3], ids[1], ids[4], ids[2]],  # skips the overwrite
+            [blank[0], ids[6], ids[7], blank[1], ids[5], ids[5]],
+            [ids[1], ids[3], ids[4], ids[5], ids[6], ids[7], ids[0]],
+            blank,
+        ]
+        for order in orders:
+            want = np.concatenate([stored[b] for b in order]).tobytes()
+            for k in KERNELS:
+                out = k.gather_blocks(disk._blocks, order)
+                assert out.dtype == RECORD_DTYPE
+                assert out.tobytes() == want, f"{k.name} gathers {order}"
 
     def test_concat(self):
         parts = [_records(n, seed=n) for n in (0, 3, 64, 1)]

@@ -8,14 +8,18 @@ from hypothesis import strategies as st
 from repro.em.records import (
     KEY_MAX,
     KEY_MIN,
+    RAW_DTYPE,
     RECORD_DTYPE,
     UID_MAX,
+    check_record_layout,
     composite,
     composite_of,
     concat_records,
+    copy_records,
     empty_records,
     make_records,
     sort_records,
+    take_records,
 )
 
 
@@ -125,3 +129,94 @@ class TestSortConcat:
     def test_empty_records(self):
         assert len(empty_records()) == 0
         assert empty_records(5).dtype == RECORD_DTYPE
+
+
+class TestRawMoves:
+    """The raw copy/take helpers equal their structured counterparts
+    byte for byte, on any layout of input."""
+
+    @staticmethod
+    def _inputs():
+        rng = np.random.default_rng(7)
+        r = make_records(
+            rng.integers(KEY_MIN, KEY_MAX, size=41),
+            rng.permutation(41),
+            rng.integers(0, 5, size=41),
+        )
+        return {
+            "contiguous": r,
+            "strided": r[::2],
+            "reversed": r[::-1],
+            "empty": r[:0],
+        }
+
+    @staticmethod
+    def _assert_fresh_equal(got, want, source):
+        assert got.dtype == RECORD_DTYPE
+        assert got.tobytes() == want.tobytes()
+        assert got.flags.writeable
+        assert not np.shares_memory(got, source)
+
+    @pytest.mark.parametrize("layout", ["contiguous", "strided", "reversed", "empty"])
+    def test_copy_records(self, layout):
+        recs = self._inputs()[layout]
+        self._assert_fresh_equal(copy_records(recs), recs.copy(), recs)
+
+    @pytest.mark.parametrize("layout", ["contiguous", "strided", "reversed", "empty"])
+    def test_take_records_int_and_bool(self, layout):
+        recs = self._inputs()[layout]
+        n = len(recs)
+        rng = np.random.default_rng(n)
+        indexes = [
+            rng.permutation(n),
+            rng.integers(0, max(n, 1), size=2 * n) if n else np.arange(0),
+            np.arange(n)[::-1],
+            np.arange(0),
+            rng.random(n) < 0.5,
+            np.ones(n, dtype=bool),
+            np.zeros(n, dtype=bool),
+        ]
+        for idx in indexes:
+            self._assert_fresh_equal(take_records(recs, idx), recs[idx], recs)
+
+    def test_raw_dtype_is_one_record(self):
+        assert RAW_DTYPE.itemsize == RECORD_DTYPE.itemsize
+        assert RAW_DTYPE.names is None
+
+
+class TestRecordLayout:
+    def test_record_dtype_passes(self):
+        check_record_layout(RECORD_DTYPE)
+
+    def test_rejects_padded_dtype(self):
+        aligned = np.dtype([("key", np.int64), ("tag", np.int8)], align=True)
+        with pytest.raises(TypeError, match="padding"):
+            check_record_layout(aligned)
+
+    def test_rejects_trailing_padding(self):
+        padded = np.dtype(
+            {
+                "names": ["key", "uid", "grp"],
+                "formats": [np.int64] * 3,
+                "offsets": [0, 8, 16],
+                "itemsize": 32,
+            }
+        )
+        with pytest.raises(TypeError, match="padding"):
+            check_record_layout(padded)
+
+    def test_rejects_overlap_and_non_structured(self):
+        # Field sizes sum to the itemsize, but uid overlaps key and
+        # bytes 8..16 belong to no field.
+        overlap = np.dtype(
+            {
+                "names": ["key", "uid", "grp"],
+                "formats": [np.int64] * 3,
+                "offsets": [0, 0, 16],
+                "itemsize": 24,
+            }
+        )
+        with pytest.raises(TypeError, match="offset"):
+            check_record_layout(overlap)
+        with pytest.raises(TypeError):
+            check_record_layout(np.dtype(np.int64))
