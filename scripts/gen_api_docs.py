@@ -81,7 +81,6 @@ MODULES = [
     "repro.apps.order_stats",
     "repro.service.index",
     "repro.service.online",
-    "repro.service.updates",
     "repro.service.frontend",
     "repro.service.durability",
     "repro.shard.transport",

@@ -7,14 +7,13 @@ it:
 * :mod:`repro.service.index` — :class:`~repro.service.index.PartitionIndex`,
   an eagerly built approximate-K-partition index answering selection,
   quantile, range-count, and partition-lookup queries with ``O(log K)``
-  in-memory comparisons plus at most one partition scan each;
+  in-memory comparisons plus at most one partition scan each, and
+  taking buffered appends/deletes with local split/merge rebalancing
+  and a drift-triggered full rebuild;
 * :mod:`repro.service.online` —
   :class:`~repro.service.online.LazyPartitionIndex`, Barbay–Gupta-style
   lazy refinement: the pivot tree grows only where queries land, so
   skewed traces pay far less than building the full index;
-* :mod:`repro.service.updates` —
-  :class:`~repro.service.updates.DeltaBuffer`, appends/deletes with
-  local split/merge rebalancing and a drift-triggered full rebuild;
 * :mod:`repro.service.frontend` —
   :class:`~repro.service.frontend.QueryFrontend`, batching mixed queries
   into one deduplicated multiselection per flush, with per-query
@@ -28,14 +27,12 @@ it:
 
 from .index import PartitionIndex
 from .online import LazyPartitionIndex
-from .updates import DeltaBuffer
 from .frontend import Query, QueryFrontend, FlushStats
 from .durability import DurablePartitionIndex, DurableStore, recover
 
 __all__ = [
     "PartitionIndex",
     "LazyPartitionIndex",
-    "DeltaBuffer",
     "Query",
     "QueryFrontend",
     "FlushStats",

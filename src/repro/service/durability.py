@@ -11,14 +11,15 @@ consecutive blocks.  Each block stores up to ``B`` records: record 0 is
 a header ``(MAGIC_WAL, epoch, used)``; the remaining ``B - 1`` slots
 hold log entries packed one per record — ``APPEND(key, uid)``,
 ``DELETE(key, victim_uid)``, ``COMMIT(seq, n_ops)``.  Each
-:meth:`DeltaBuffer.flush <repro.service.updates.DeltaBuffer.flush>`
-group-commits its *applied* operations as one group whose trailing
-``COMMIT`` entry is the durability point: the tail block is rewritten
-in place (block writes are atomic), so a crash mid-append leaves the
-previous committed prefix intact and the torn group invisible.  Logging
-happens *after* application (a redo log of work that definitely
-happened), and never after a crash-like exception — so recovery can
-replay groups blindly without double-applying a torn flush.
+:meth:`~repro.service.index.PartitionIndex.flush_updates` (and each
+automatic flush) group-commits its *applied* operations as one group
+whose trailing ``COMMIT`` entry is the durability point: the tail block
+is rewritten in place (block writes are atomic), so a crash mid-append
+leaves the previous committed prefix intact and the torn group
+invisible.  Logging happens *after* application (a redo log of work
+that definitely happened), and never after a crash-like exception — so
+recovery can replay groups blindly without double-applying a torn
+flush.
 
 **Snapshots.**  A snapshot serializes the index's control state —
 splitters, partition descriptors (segment block ids and lengths),
@@ -34,12 +35,13 @@ references them.
 
 **Recovery.**  :func:`recover` reads the manifest, adopts the snapshot
 run, decodes the index, scans the WAL for committed groups of the
-manifest's epoch, replays them in order (appends carry their original
-uids; deletes name the exact victim, so replay is deterministic even if
-the rebuilt partition layout diverges), and finally snapshots the
-recovered state.  The answers of the recovered index are
-element-identical to the uncrashed one because its *live record
-multiset* is identical — layout may differ, query answers cannot.
+manifest's epoch, replays them in order through the live flush loop
+(appends carry their original uids; deletes name the exact victim, so
+replay is deterministic even if the rebuilt partition layout diverges),
+and finally snapshots the recovered state.  The answers of the
+recovered index are element-identical to the uncrashed one because its
+*live record multiset* is identical — layout may differ, query answers
+cannot.
 
 Cost model: logging a flush of ``g`` operations costs
 ``O(1 + g / (B-1))`` write I/Os; a snapshot costs ``O(K + S/B)`` writes
@@ -229,7 +231,7 @@ class DurableStore:
     def log_group(self, seq: int, entries: list[tuple]) -> bool:
         """Append one flush group, commit included; False when full.
 
-        ``entries`` is the delta buffer's applied-operation list:
+        ``entries`` is a flush's applied-operation list:
         ``("append", records)`` / ``("delete", (key, uid))``.  The group
         becomes durable exactly when the block holding its trailing
         ``COMMIT`` entry lands; a crash at any earlier write leaves a
@@ -569,7 +571,7 @@ class DurablePartitionIndex(PartitionIndex):
         }
 
     # ------------------------------------------------------------------
-    # Durability hooks (called by the delta buffer)
+    # Durability hooks (called by the flush) and WAL replay
     # ------------------------------------------------------------------
     def _log_applied(self, entries: list[tuple]) -> None:
         seq = self._store.seq + 1
@@ -585,6 +587,25 @@ class DurablePartitionIndex(PartitionIndex):
 
     def _discard_segment(self, seg: EMFile) -> None:
         self._store.retire(seg)
+
+    def _replay(self, ops: list[tuple]) -> None:
+        """Re-apply one committed WAL group during :func:`recover`.
+
+        Runs the flush's apply loop on ``ops`` — appends carry the uids
+        the original run assigned, deletes name their exact victim — and
+        its accounting (drift, rebalance, rebuild threshold), so the
+        recovered index keeps the same maintenance cadence.  Unlike a
+        flush it puts nothing back, logs nothing and emits no telemetry:
+        a failure aborts recovery, and ``recover`` snapshots once at the
+        end.
+        """
+        touched: set[int] = set()
+        applied: list[tuple] = []
+        with self._machine.phase("svc-update"):
+            self._apply(ops, touched, applied)
+            self._account(applied, touched)
+        self._end_flush()
+        self._sync_resident()
 
     def _resident_total(self) -> int:
         # The deferred-free list is honest resident state: one word per
@@ -613,8 +634,7 @@ class DurablePartitionIndex(PartitionIndex):
         """
         if self._closed:
             return
-        if self._delta is not None and len(self._delta):
-            self._delta.flush()
+        self._flush()
         self.snapshot()
         self.abandon()
 
@@ -673,10 +693,11 @@ def recover(machine: "Machine", manifest_bid: int) -> DurablePartitionIndex:
             raise
         try:
             groups = _scan_wal(machine, store)
-            buf = index._buffer()
+            # Counted up front: replay consumes each group's list.
+            n_ops = sum(len(entries) for _, entries in groups)
             for gseq, entries in groups:
                 with machine.memory.lease(len(entries), "svc-replay-buf"):
-                    buf.replay_group(_coalesce_entries(entries))
+                    index._replay(entries)
                 store.seq = gseq
             index.snapshot()
         except BaseException:
@@ -688,11 +709,11 @@ def recover(machine: "Machine", manifest_bid: int) -> DurablePartitionIndex:
     ).inc(len(groups))
     metrics.counter(
         "svc_recovery_ops", "WAL entries replayed during recovery"
-    ).inc(sum(len(entries) for _, entries in groups))
+    ).inc(n_ops)
     current_recorder().record(
         "recover",
         groups=len(groups),
-        ops=sum(len(entries) for _, entries in groups),
+        ops=n_ops,
         n_live=index._n_live,
         wal_seq=store.seq,
     )
@@ -706,7 +727,10 @@ def _scan_wal(
 
     Scans blocks front to back; stops at the first stale header (older
     epoch) or the first non-full block (the tail).  Entries after the
-    last ``COMMIT`` belong to a torn group and are discarded.
+    last ``COMMIT`` belong to a torn group and are discarded.  Each
+    group is a list of flush-loop operations: ``("append", records)``
+    with one record per logged append (the loop coalesces runs) and
+    ``("delete", (key, uid))``.
     """
     groups: list[tuple[int, list[tuple]]] = []
     pending: list[tuple] = []
@@ -727,7 +751,7 @@ def _scan_wal(
                 a = int(blk["uid"][t])
                 b = int(blk["grp"][t])
                 if tag == _T_APPEND:
-                    pending.append(("append", (a, b)))
+                    pending.append(("append", make_records([a], uids=[b])))
                 elif tag == _T_DELETE:
                     pending.append(("delete", (a, b)))
                 elif tag == _T_COMMIT:
@@ -742,33 +766,3 @@ def _scan_wal(
                 break
     return groups
 
-
-def _coalesce_entries(entries: list[tuple]) -> list[tuple]:
-    """Convert scanned ``(key, uid)`` appends into record-array runs."""
-    out: list[tuple] = []
-    keys: list[int] = []
-    uids: list[int] = []
-
-    def close_run() -> None:
-        if keys:
-            out.append(
-                (
-                    "append",
-                    make_records(
-                        np.array(keys, dtype=np.int64),
-                        uids=np.array(uids, dtype=np.int64),
-                    ),
-                )
-            )
-            keys.clear()
-            uids.clear()
-
-    for e in entries:
-        if e[0] == "append":
-            keys.append(e[1][0])
-            uids.append(e[1][1])
-        else:
-            close_run()
-            out.append(e)
-    close_run()
-    return out

@@ -107,14 +107,9 @@ class FlushStats:
 class QueryFrontend:
     """Batching frontend over a partition-service engine."""
 
-    def __init__(
-        self, machine: "Machine", engine, checkpoint_every: int | None = None
-    ) -> None:
-        if checkpoint_every is not None and checkpoint_every < 1:
-            raise SpecError("checkpoint_every must be >= 1")
+    def __init__(self, machine: "Machine", engine) -> None:
         self._machine = machine
         self.engine = engine
-        self.checkpoint_every = checkpoint_every
         self._queue: list[Query] = []
         self.flushes: list[FlushStats] = []
         self.total_queries = 0
@@ -234,18 +229,7 @@ class QueryFrontend:
         self._recorder.record(
             "query-flush", queries=stats.queries, io=stats.io
         )
-        self._maybe_checkpoint()
         return answers
-
-    def _maybe_checkpoint(self) -> None:
-        """Durable mode: snapshot the engine every ``checkpoint_every``
-        query flushes (on top of the engine's own commit-count cadence),
-        so read-mostly services still bound their replay tail."""
-        if self.checkpoint_every is None:
-            return
-        snap = getattr(self.engine, "snapshot", None)
-        if snap is not None and len(self.flushes) % self.checkpoint_every == 0:
-            snap()
 
     def run(self, queries, batch: int = 64) -> list:
         """Submit and flush ``queries`` in batches of ``batch``;

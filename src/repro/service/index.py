@@ -16,10 +16,41 @@
 The resident control state (splitter composites, partition sizes,
 tombstones, pending updates) is held under a machine memory lease, so
 the simulator's budget accounting covers the service like any other
-algorithm.  Updates arrive through :class:`repro.service.updates.DeltaBuffer`
-(see :meth:`PartitionIndex.append` / :meth:`PartitionIndex.delete`) and
-are flushed automatically before any query, so answers always reflect
-every prior update.
+algorithm.
+
+**Write path.**  :meth:`~PartitionIndex.append` and
+:meth:`~PartitionIndex.delete` buffer operations in memory; the buffer
+flushes once it holds ``max(B, M/8)`` of them, on
+:meth:`~PartitionIndex.flush_updates`, and before any query, so every
+answer reflects every prior update.  A flush applies the buffer with the
+same loop a WAL replay (:func:`repro.service.durability.recover`) runs:
+
+* operations are applied **in submission order** — runs of consecutive
+  appends coalesce into one routed batch, but a delete submitted before
+  an append never sees the appended record;
+* **appends** are routed by one batched binary search over the splitter
+  composites and written as new *overflow segments* of their target
+  partitions — ``O(#touched + |batch|/B)`` write I/Os, no rewriting;
+* **deletes** resolve the victim record by scanning the (at most two,
+  for duplicate boundary keys) candidate partitions and tombstone its
+  composite — the record dies logically at once and physically at the
+  partition's next compaction.  A flush names the victim by key (the
+  first live element with it), a replay by ``(key, uid)``;
+* after a batch, every touched partition that drifted outside the
+  ``[a, b]`` window is **locally** split (via in-memory splitters when
+  it fits, external multi-partition otherwise) or merged with a
+  neighbour (pure metadata);
+* cumulative drift — updates applied since the last full build — above
+  ``rebuild_threshold · N₀`` triggers one **full repartitioning**
+  (traced as the ``svc-rebuild`` phase).
+
+A flush is **exception-safe**: whatever interrupts it — a delete with no
+live victim (:class:`SpecError`) or a simulated crash mid-I/O — the work
+already applied is accounted (drift, rebalance), every unapplied
+operation goes back to the front of the buffer (the victimless delete
+alone is dropped: retrying it can never succeed), and a durable index
+logs exactly the applied subset to its write-ahead log (never after a
+crash, so a torn flush is invisible to recovery).
 
 The partition convention matches the paper throughout: partition ``j``
 holds the composites in ``(s_{j-1}, s_j]``, where ``s_j`` is the largest
@@ -41,6 +72,7 @@ from ..em.records import (
     composite,
     composite_of,
     empty_records,
+    make_records,
 )
 from ..em.streams import BlockReader, BlockWriter
 from ..alg.inmemory import select_at_ranks
@@ -49,10 +81,10 @@ from ..core.partitioning import approximate_partition
 from ..core.spec import validate_params
 from ..apps.order_stats import rank_of_fraction
 from ..obs.metrics import current_registry
+from ..obs.recorder import current_recorder
 
 if TYPE_CHECKING:  # pragma: no cover
     from ..em.machine import Machine
-    from .updates import DeltaBuffer
 
 __all__ = ["PartitionIndex"]
 
@@ -115,7 +147,13 @@ class PartitionIndex:
         self._n0 = 0
         self._drift = 0
         self._next_uid = 0
-        self._delta: "DeltaBuffer | None" = None
+        #: Buffered updates in submission order: ``("append", records)``
+        #: carries pre-assigned uids, ``("delete", (key, None))`` resolves
+        #: its victim at flush time.
+        self._ops: list[tuple] = []
+        self._n_appends = 0
+        self._n_deletes = 0
+        self._m_pending = None  # write-path telemetry, bound on first update
         self._resident = machine.memory.lease(0, "svc-resident")
         self._closed = False
         self.stats = {
@@ -223,8 +261,7 @@ class PartitionIndex:
     @property
     def n_live(self) -> int:
         """Logical number of records (pending updates included)."""
-        pending = self._delta.net_delta if self._delta is not None else 0
-        return self._n_live + pending
+        return self._n_live + self._n_appends - self._n_deletes
 
     @property
     def num_partitions(self) -> int:
@@ -248,7 +285,7 @@ class PartitionIndex:
 
     def quantile(self, q: float):
         """The record at the ``q``-quantile (nearest rank)."""
-        self._flush_updates()
+        self._flush()
         if self._n_live == 0:
             raise SpecError("quantile of an empty index")
         return self.select(rank_of_fraction(self._n_live, q))
@@ -260,7 +297,7 @@ class PartitionIndex:
         loaded (or scanned) exactly once per call, however many ranks
         land in it.
         """
-        self._flush_updates()
+        self._flush()
         m = self._machine
         ranks = np.asarray(ranks, dtype=np.int64)
         if ranks.size == 0:
@@ -300,7 +337,7 @@ class PartitionIndex:
         """
         if hi_key < lo_key:
             raise SpecError("empty range: hi_key < lo_key")
-        self._flush_updates()
+        self._flush()
         if self._n_live == 0:
             return 0
         with self._machine.phase("svc-range"):
@@ -311,7 +348,7 @@ class PartitionIndex:
     def partition_of(self, key: int) -> int:
         """Index of the first partition that may contain ``key`` —
         ``O(log K)`` comparisons, zero I/O."""
-        self._flush_updates()
+        self._flush()
         if not self._parts:
             raise SpecError("partition_of on a closed index")
         j = int(
@@ -321,32 +358,241 @@ class PartitionIndex:
         return j
 
     # ------------------------------------------------------------------
-    # Updates (delegated to the delta buffer)
+    # Updates: buffered, then applied by the loop WAL replay shares
     # ------------------------------------------------------------------
     def append(self, keys) -> None:
         """Buffer new elements with the given keys (fresh uids assigned)."""
-        self._buffer().append_keys(keys)
+        self._bind_update_metrics()
+        keys = np.atleast_1d(np.asarray(keys, dtype=np.int64))
+        if keys.size == 0:
+            return
+        recs = make_records(keys, uids=self._fresh_uids(len(keys)))
+        self._ops.append(("append", recs))
+        self._n_appends += len(recs)
+        self._buffered()
 
     def delete(self, key: int) -> None:
-        """Buffer the deletion of one live element with key ``key``."""
-        self._buffer().delete_key(key)
+        """Buffer the deletion of one live element with key ``key``.
+
+        The delete targets the state as of its position in the batch: a
+        record appended *later* in the same batch is not a candidate.
+        """
+        self._bind_update_metrics()
+        self._ops.append(("delete", (int(key), None)))
+        self._n_deletes += 1
+        self._buffered()
 
     def flush_updates(self) -> dict | None:
         """Apply all buffered updates now; returns flush stats (or None)."""
-        if self._delta is not None and len(self._delta):
-            return self._delta.flush()
-        return None
+        return self._flush()
 
-    def _buffer(self) -> "DeltaBuffer":
-        if self._delta is None:
-            from .updates import DeltaBuffer
+    def _bind_update_metrics(self) -> None:
+        """Bind the write path's telemetry on the first update, so an
+        index that never updates registers none of it."""
+        if self._m_pending is not None:
+            return
+        metrics = self._metrics
+        self._recorder = current_recorder()
+        self._m_pending = metrics.gauge(
+            "svc_pending_deltas", "buffered update operations awaiting flush"
+        )
+        self._m_flush_io = metrics.histogram(
+            "svc_flush_io",
+            "simulated I/O per flush by kind",
+            labels=("kind",),
+        ).labels(kind="update")
+        updates = metrics.counter(
+            "svc_updates", "applied update operations by kind", labels=("op",)
+        )
+        self._m_app = updates.labels(op="append")
+        self._m_del = updates.labels(op="delete")
 
-            self._delta = DeltaBuffer(self)
-        return self._delta
+    def _buffered(self) -> None:
+        """Charge a newly buffered operation; flush at ``max(B, M/8)``."""
+        m = self._machine
+        pending = self._n_appends + self._n_deletes
+        self._sync_resident()
+        self._m_pending.set(pending)
+        if pending >= max(m.B, m.M // 8):
+            self._flush()
 
-    def _flush_updates(self) -> None:
-        if self._delta is not None and len(self._delta):
-            self._delta.flush()
+    def _recount(self) -> None:
+        """Recompute the pending counts from the buffer."""
+        self._n_appends = sum(
+            len(op[1]) for op in self._ops if op[0] == "append"
+        )
+        self._n_deletes = sum(1 for op in self._ops if op[0] == "delete")
+
+    def _flush(self) -> dict | None:
+        """Apply every buffered update in order; returns flush statistics
+        (``None`` when nothing is buffered).
+
+        Queries call this directly.  The buffer leaves the resident lease
+        before it is applied.  On any exception the applied prefix is
+        accounted and every unapplied operation goes back to the front
+        of the buffer, except a delete with no live victim
+        (:class:`SpecError`), which is dropped.  The applied prefix is
+        logged to a durable index's WAL unless the flush crashed.
+        """
+        if not self._ops:
+            return None
+        m = self._machine
+        ops, self._ops = self._ops, []
+        self._n_appends = self._n_deletes = 0
+        self._sync_resident()
+        touched: set[int] = set()
+        applied: list[tuple] = []
+        crashed = completed = rebuilt = False
+        n_app = n_del = 0
+        io_base = self._life_io()
+        try:
+            try:
+                with m.phase("svc-update"):
+                    try:
+                        self._apply(ops, touched, applied)
+                    except SpecError:
+                        del ops[0]  # the victimless delete
+                        raise
+                    except BaseException:
+                        crashed = True
+                        raise
+                    finally:
+                        n_app, n_del = self._account(applied, touched)
+                        if not crashed and applied:
+                            self._log_applied(applied)
+            finally:
+                self._ops[:0] = ops
+                self._recount()
+                self._sync_resident()
+            rebuilt = self._end_flush()
+            self._maybe_checkpoint()
+            self._sync_resident()
+            completed = True
+            return {
+                "appended": n_app,
+                "deleted": n_del,
+                "touched_partitions": len(touched),
+                "rebuilt": rebuilt,
+            }
+        finally:
+            # Telemetry only — plain bookkeeping that cannot raise or
+            # mask the in-flight exception; runs on crashed flushes too
+            # so the flight recorder keeps the last pre-crash event.
+            self._m_pending.set(self._n_appends + self._n_deletes)
+            self._m_app.inc(n_app)
+            self._m_del.inc(n_del)
+            self._m_drift.set(self._drift)
+            self._m_flush_io.observe(self._life_io() - io_base)
+            self._recorder.record(
+                "update-flush",
+                appended=n_app,
+                deleted=n_del,
+                touched=len(touched),
+                rebuilt=rebuilt,
+                completed=completed,
+            )
+
+    def _apply(self, ops: list[tuple], touched: set, applied: list) -> None:
+        """Apply ``ops`` in order: the one loop a flush and a WAL replay run.
+
+        Consecutive appends coalesce into one batch, routed to overflow
+        segments by one binary search over the splitters; a delete
+        ``(key, uid)`` tombstones its victim through :meth:`_tombstone`.
+        Progress is recorded as it happens — ``touched`` gains every
+        partition written, ``applied`` every operation done (a delete
+        with its victim's uid) — and ``ops`` is consumed from the front,
+        so whatever interrupts the loop leaves in ``ops`` exactly the
+        operations not applied, in order.
+        """
+        m = self._machine
+        while ops:
+            kind, arg = ops[0]
+            if kind == "delete":
+                key, uid = arg
+                j, uid = self._tombstone(key, uid)
+                del ops[0]
+                touched.add(j)
+                applied.append(("delete", (key, uid)))
+                continue
+            n = 1
+            while n < len(ops) and ops[n][0] == "append":
+                n += 1
+            run = [op[1] for op in ops[:n]]
+            batch = run[0] if n == 1 else m.kernel.concat(run)
+            ops[:n] = [("append", batch)]
+            # Replayed appends carry the uids their original run assigned.
+            self._next_uid = max(self._next_uid, int(batch["uid"].max()) + 1)
+            j_of = np.searchsorted(self._splitters, composite(batch), "left")
+            cmp_search(m, len(batch), max(1, len(self._splitters)))
+            done = np.zeros(len(batch), dtype=bool)
+            try:
+                for j in np.unique(j_of).tolist():
+                    sel = j_of == j
+                    recs = batch[sel]
+                    seg = self._write_segment(recs, "svc-append")
+                    part = self._parts[j]
+                    part.segments.append(seg)
+                    part.stored += len(recs)
+                    self._n_live += len(recs)
+                    touched.add(j)
+                    applied.append(("append", recs))
+                    done |= sel
+            except BaseException:
+                ops[0] = ("append", batch[~done])
+                raise
+            del ops[0]
+
+    def _tombstone(self, key: int, uid: int | None) -> tuple[int, int]:
+        """Tombstone one live record; returns its ``(partition, uid)``.
+
+        With ``uid=None`` (a flush) the victim is the first live element
+        with ``key``, and its uid is what a durable index logs; with a
+        uid (a WAL replay) it is exactly that element, so recovery kills
+        the same one even when its partition layout differs.  Duplicate
+        keys equal to a splitter key can straddle a partition boundary,
+        so every candidate partition between the key's lowest and
+        highest possible composite is scanned until the victim is found.
+        """
+        m = self._machine
+        splitters = self._splitters
+        j_lo = int(np.searchsorted(splitters, composite_of(key, 0), "left"))
+        j_hi = int(
+            np.searchsorted(splitters, composite_of(key, UID_MAX), "left")
+        )
+        cmp_search(m, 2, max(1, len(splitters)))
+        for j in range(j_lo, min(j_hi, len(self._parts) - 1) + 1):
+            part = self._parts[j]
+            for seg in part.segments:
+                with BlockReader(seg, "svc-delete-scan") as reader:
+                    for block in reader:
+                        cmp_linear(m, len(block))
+                        for hit in block["uid"][block["key"] == key].tolist():
+                            c = composite_of(key, hit)
+                            if uid in (None, hit) and c not in part.tombstones:
+                                part.tombstones.add(c)
+                                self._n_live -= 1
+                                self._sync_resident()
+                                return j, hit
+        victim = f"with key {key}" if uid is None else f"({key}, {uid})"
+        raise SpecError(f"delete: no live element {victim}")
+
+    def _account(self, applied: list, touched: set) -> tuple[int, int]:
+        """Add applied operations to drift and rebalance what they
+        touched; returns ``(appended, deleted)`` record counts."""
+        n_app = sum(len(op[1]) for op in applied if op[0] == "append")
+        n_del = sum(1 for op in applied if op[0] == "delete")
+        self._drift += n_app + n_del
+        self._rebalance(touched)
+        return n_app, n_del
+
+    def _end_flush(self) -> bool:
+        """Count a flush; rebuild (returns True) once drift exceeds
+        ``rebuild_threshold · N₀``."""
+        self.stats["update_flushes"] += 1
+        if self._drift <= self.rebuild_threshold * max(1, self._n0):
+            return False
+        self._rebuild()
+        return True
 
     def _fresh_uids(self, count: int) -> np.ndarray:
         start = self._next_uid
@@ -359,8 +605,8 @@ class PartitionIndex:
     # Durability hooks (no-ops on the volatile base index)
     # ------------------------------------------------------------------
     def _log_applied(self, entries: list[tuple]) -> None:
-        """Called by the delta buffer with the applied operations of a
-        successful (non-crashed) flush.  The base index is volatile."""
+        """Called with the applied operations of a flush that did not
+        crash.  The base index is volatile."""
 
     def _maybe_checkpoint(self) -> None:
         """Called after every completed flush; a durable index may take
@@ -393,7 +639,7 @@ class PartitionIndex:
         if footprint <= m.load_limit:
             with m.memory.lease(footprint, "svc-partition-load"):
                 recs = self._read_segments(part.segments)
-                recs = self._drop_tombstoned(part, recs)
+                recs = self._drop_tombstoned(recs, self._tomb_array(part))
                 return select_at_ranks(m, recs, local_ranks)
         # Oversized even when compacted (only possible for b >> M):
         # fall back to external multi-selection on the single segment.
@@ -415,16 +661,16 @@ class PartitionIndex:
             off += len(p)
         return out
 
-    def _drop_tombstoned(self, part: _Partition, recs: np.ndarray) -> np.ndarray:
-        if not part.tombstones:
+    def _drop_tombstoned(self, recs: np.ndarray, tomb: np.ndarray):
+        """``recs`` minus the records whose composites are in ``tomb`` (a
+        partition's sorted tombstones); partition loads and compaction
+        streams share this filter."""
+        if not len(tomb):
             return recs
-        tomb = self._tomb_array(part)
         comps = composite(recs)
         cmp_search(self._machine, len(recs), len(tomb))
-        pos = np.searchsorted(tomb, comps)
-        pos_c = np.minimum(pos, len(tomb) - 1)
-        dead = tomb[pos_c] == comps
-        return recs[~dead]
+        pos = np.minimum(np.searchsorted(tomb, comps), len(tomb) - 1)
+        return recs[tomb[pos] != comps]
 
     @staticmethod
     def _tomb_array(part: _Partition) -> np.ndarray:
@@ -460,19 +706,21 @@ class PartitionIndex:
     # ------------------------------------------------------------------
     def _write_live(self, writer: BlockWriter, part: _Partition) -> None:
         """Stream a partition's live records into ``writer``."""
-        m = self._machine
-        tomb = self._tomb_array(part) if part.tombstones else None
+        tomb = self._tomb_array(part)
         for seg in part.segments:
             with BlockReader(seg, "svc-compact-in") as reader:
                 for block in reader:
-                    if tomb is not None and len(tomb):
-                        comps = composite(block)
-                        cmp_search(m, len(block), len(tomb))
-                        pos = np.minimum(
-                            np.searchsorted(tomb, comps), len(tomb) - 1
-                        )
-                        block = block[tomb[pos] != comps]
-                    writer.write(block)
+                    writer.write(self._drop_tombstoned(block, tomb))
+
+    def _write_segment(self, recs: np.ndarray, label: str) -> EMFile:
+        """Write ``recs`` to a fresh segment; a failure leaks nothing."""
+        writer = BlockWriter(self._machine, label)
+        try:
+            writer.write(recs)
+            return writer.close()
+        except BaseException:
+            writer.abort()
+            raise
 
     def _compact(self, j: int) -> None:
         """Rewrite partition ``j`` as one segment, applying tombstones."""
@@ -556,13 +804,7 @@ class PartitionIndex:
             for s in sizes:
                 piece = recs[off : off + s]
                 off += s
-                writer = BlockWriter(m, "svc-split-out")
-                try:
-                    writer.write(piece)
-                    f = writer.close()
-                except BaseException:
-                    writer.abort()
-                    raise
+                f = self._write_segment(piece, "svc-split-out")
                 new_parts.append(_Partition([f], s))
                 maxima.append(int(composite(piece[-1:])[0]))
         return new_parts, maxima
@@ -652,9 +894,7 @@ class PartitionIndex:
         """Records of control state held resident (lease size)."""
         total = len(self._splitters) + len(self._parts)
         total += sum(len(p.tombstones) for p in self._parts)
-        if self._delta is not None:
-            total += self._delta.resident_records
-        return total
+        return total + self._n_appends + self._n_deletes
 
     def _sync_resident(self) -> None:
         """Size the resident lease to the control state actually held."""
@@ -706,25 +946,19 @@ class PartitionIndex:
         self._parts = []
         self._splitters = np.empty(0, dtype=np.int64)
         self._n_live = 0
-        self._delta = None
+        self._ops = []
+        self._n_appends = self._n_deletes = 0
         if not self._resident.released:
             self._resident.release()
         self._closed = True
 
     def close(self) -> None:
         """Free every partition segment and release the resident lease."""
-        if self._closed:
-            return
-        for part in self._parts:
-            for seg in part.segments:
-                seg.free()
-        self._parts = []
-        self._splitters = np.empty(0, dtype=np.int64)
-        self._n_live = 0
-        self._delta = None
-        if not self._resident.released:
-            self._resident.release()
-        self._closed = True
+        if not self._closed:
+            for part in self._parts:
+                for seg in part.segments:
+                    seg.free()
+        PartitionIndex.abandon(self)
 
     def __enter__(self) -> "PartitionIndex":
         return self

@@ -78,9 +78,9 @@ class LazyPartitionIndex:
         Target resolution: leaves aim at ``~N/k`` records (like a
         K-partition index built fully).  Defaults to whatever fits one
         in-memory load.
-    cache_answers:
-        Memoize answered ranks (bounded, charged to the resident lease)
-        so repeats cost zero I/O.
+
+    Answered ranks are memoized (bounded, charged to the resident
+    lease), so repeats cost zero I/O.
     """
 
     def __init__(
@@ -88,7 +88,6 @@ class LazyPartitionIndex:
         machine: "Machine",
         file: EMFile,
         k: int | None = None,
-        cache_answers: bool = True,
     ) -> None:
         n = len(file)
         self._machine = machine
@@ -101,7 +100,7 @@ class LazyPartitionIndex:
                 raise SpecError("need k >= 1")
             leaf = max(machine.B, -(-n // int(k)))
         self._leaf_target = max(machine.B, leaf)
-        self._cache: dict[int, np.void] | None = {} if cache_answers else None
+        self._cache: dict[int, np.void] = {}
         self._cache_cap = max(machine.B, machine.M // 8)
         self._resident = machine.memory.lease(0, "svc-lazy-resident")
         self._resident_records = 0
@@ -180,7 +179,7 @@ class LazyPartitionIndex:
         out = empty_records(len(unique))
         pending: list[tuple[int, int]] = []
         for pos, rank in enumerate(unique):
-            if self._cache is not None and int(rank) in self._cache:
+            if int(rank) in self._cache:
                 out[pos] = self._cache[int(rank)]
                 self.stats["cache_hits"] += 1
                 self._m_cache_hit.inc(int(dup[pos]))
@@ -208,10 +207,7 @@ class LazyPartitionIndex:
             answers = self._leaf_select(leaf, np.array(locals_, dtype=np.int64))
             for p, rec in zip(positions, answers):
                 out[p] = rec
-                if (
-                    self._cache is not None
-                    and len(self._cache) < self._cache_cap
-                ):
+                if len(self._cache) < self._cache_cap:
                     self._cache[int(unique[p])] = rec.copy()
             self._sync_resident()
             # Attribute this group's I/O evenly across the queries it
@@ -293,7 +289,7 @@ class LazyPartitionIndex:
         return max(m.B, min(self._leaf_target, headroom))
 
     def _evictable(self) -> int:
-        return len(self._cache) if self._cache else 0
+        return len(self._cache)
 
     def _make_room(self, needed: int) -> None:
         """Evict cached answers (oldest first) until ``needed`` records
@@ -416,10 +412,7 @@ class LazyPartitionIndex:
         return life.reads + life.writes
 
     def _sync_resident(self) -> None:
-        total = self._resident_records
-        if self._cache is not None:
-            total += len(self._cache)
-        self._resident.resize(total)
+        self._resident.resize(self._resident_records + len(self._cache))
 
     def abandon(self) -> None:
         """Drop the tree without freeing disk (simulated process death).
@@ -433,7 +426,7 @@ class LazyPartitionIndex:
         if self._closed:
             return
         self._root = _LazyNode(None, owned=False, size=0)
-        self._cache = None
+        self._cache = {}
         if not self._resident.released:
             self._resident.release()
         self._closed = True
@@ -453,7 +446,7 @@ class LazyPartitionIndex:
             node.children = None
 
         _free(self._root)
-        self._cache = None
+        self._cache = {}
         if not self._resident.released:
             self._resident.release()
         self._closed = True

@@ -184,8 +184,9 @@ def update_batches(
     such that every delete targets a key that is live at its position in
     the plan (tracking appends and deletes across batches), so applying
     the plan in order through
-    :class:`repro.service.updates.DeltaBuffer` never raises.  Appended
-    keys are fresh (disjoint from ``initial_keys``).  The same
+    :meth:`repro.service.index.PartitionIndex.append` /
+    :meth:`~repro.service.index.PartitionIndex.delete` never raises.
+    Appended keys are fresh (disjoint from ``initial_keys``).  The same
     ``(initial_keys, batches, appends, deletes, seed)`` always produces
     the same plan — crash tests replay it on a shadow index and compare
     answers, and the durability solver replays it for the budget gate.

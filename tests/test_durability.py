@@ -2,12 +2,12 @@
 
 Three layers of coverage:
 
-* **Flush semantics** — regression tests for the two ``DeltaBuffer``
-  bugs fixed alongside the durability work: a ``SpecError`` from a
-  missing-key delete no longer discards the remaining buffered
-  operations or skips drift/rebalance accounting, and operations are
-  applied in submission order (``delete k`` then ``append k`` no longer
-  kills the new record).
+* **Flush semantics** — regression tests for three update-buffer bugs:
+  a ``SpecError`` from a missing-key delete no longer discards the
+  remaining buffered operations or skips drift/rebalance accounting;
+  operations are applied in submission order (``delete k`` then
+  ``append k`` no longer kills the new record); and a delete whose
+  victim scan is interrupted goes back into the buffer.
 * **Durable roundtrip** — a ``DurablePartitionIndex`` survives a clean
   process death (``abandon`` drops memory, keeps disk) and ``recover``
   rebuilds an index whose answers are element-identical.
@@ -23,9 +23,9 @@ import numpy as np
 import pytest
 
 from repro.em import Machine, SpecError
-from repro.em.records import composite
+from repro.em.records import UID_MAX, composite, composite_of
 from repro.service import DurablePartitionIndex, PartitionIndex, recover
-from repro.workloads import load_input, random_permutation
+from repro.workloads import few_distinct, load_input, random_permutation
 from repro.workloads.queries import update_batches, zipfian_trace
 from tests.test_failure_injection import InjectedFault, arm_fault
 
@@ -142,6 +142,23 @@ class TestFlushExceptionSafety:
         assert 777_777 in set(_live_keys(index).tolist())
         index.close()
 
+    def test_interrupted_delete_is_put_back(self):
+        mach = _machine()
+        recs = random_permutation(4096, seed=8)
+        victim = int(recs["key"][0])
+        index = _build_volatile(mach, recs)
+        index.delete(victim)
+        arm_fault(mach, 1)  # the first I/O is the delete's victim scan
+        with pytest.raises(InjectedFault):
+            index.flush_updates()
+        # The interrupted delete is still buffered, and a retry applies it.
+        assert index.n_live == 4095
+        index.flush_updates()
+        assert index.n_live == 4095
+        assert victim not in set(_live_keys(index).tolist())
+        index.check_invariants()
+        index.close()
+
     def test_interleaved_plan_matches_key_multiset_oracle(self):
         mach = _machine()
         recs = random_permutation(4096, seed=7)
@@ -217,6 +234,38 @@ class TestDurableRoundtrip:
         rec = recover(mach, manifest)
         assert rec.applied_seq == 1
         assert rec.n_live == 4160
+        rec.destroy()
+        mach.close()
+
+    def test_duplicate_key_deletes_across_a_boundary_replay_identically(self):
+        # Eight distinct keys over 16 partitions: the deleted key's
+        # duplicates straddle a partition boundary (asserted below), so
+        # deleting all its copies needs every candidate partition, live
+        # and in replay.
+        mach = _machine(sanitize=True)
+        recs = few_distinct(4096, seed=11, n_distinct=8)
+        index = _build_durable(mach, recs, k=16)
+        key = 3
+        splitters = index._splitters
+        j_lo, j_hi = np.searchsorted(
+            splitters, [composite_of(key, 0), composite_of(key, UID_MAX)]
+        )
+        assert j_hi > j_lo
+        copies = int((recs["key"] == key).sum())
+        for start in range(0, copies, 100):
+            for _ in range(min(100, copies - start)):
+                index.delete(key)
+            index.flush_updates()
+        assert key not in set(_live_keys(index).tolist())
+        index.check_invariants()
+        want = composite(index.batch_select(np.arange(1, index.n_live + 1)))
+        manifest = index.manifest_block
+        index.abandon()
+        rec = recover(mach, manifest)
+        assert rec.applied_seq == -(-copies // 100)
+        got = composite(rec.batch_select(np.arange(1, rec.n_live + 1)))
+        assert np.array_equal(got, want)
+        rec.check_invariants()
         rec.destroy()
         mach.close()
 

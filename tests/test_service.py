@@ -15,7 +15,6 @@ import pytest
 from repro.em import Machine, SpecError, make_records
 from repro.em.records import composite
 from repro.service import (
-    DeltaBuffer,
     LazyPartitionIndex,
     PartitionIndex,
     Query,
@@ -230,11 +229,13 @@ class TestUpdates:
         index.close()
 
     def test_delta_buffer_capacity_autoflush(self):
+        # The buffer flushes itself at max(B, M/8) = 512 pending ops.
         mach, recs, index = _build_eager(n=2000, k=8)
-        index._delta = DeltaBuffer(index, capacity=10)
-        index.append(np.arange(25))
-        assert len(index._delta) < 10  # flushed at least once
-        assert index.n_live == 2025
+        for i in range(30):
+            index.append(np.arange(25) + 25 * i)
+        assert index.stats["update_flushes"] == 1  # at 21 x 25 = 525
+        assert index._n_appends == 9 * 25
+        assert index.n_live == 2750
         index.close()
 
 
