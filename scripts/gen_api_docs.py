@@ -65,9 +65,6 @@ MODULES = [
     "repro.obs.recorder",
     "repro.lint.findings",
     "repro.lint.engine",
-    "repro.lint.project",
-    "repro.lint.callgraph",
-    "repro.lint.dataflow",
     "repro.lint.cache",
     "repro.lint.rules_access",
     "repro.lint.rules_cpu",
@@ -123,14 +120,13 @@ see ``repro <command> --help`` for every flag.
   change.
 - `repro lint [PATH ...] [--json] [--rule RULE ...] [--diff REF]
   [--baseline FILE] [--no-cache]` — run the emlint EM-conformance
-  rules (`repro.lint`, rules R1–R7) with whole-program call-graph and
-  dataflow analysis over the package plus `scripts/` and
-  `benchmarks/`; exits non-zero on any active error-severity finding.
-  `--diff` reports only files changed versus a git ref (analysis stays
-  whole-tree), `--baseline` reports only findings absent from a prior
-  `--json` report, and per-module results are cached in
-  `.emlint-cache/` (see `docs/LINTING.md` for the rule catalog and
-  suppression policy).
+  rules (`repro.lint`, rules R1–R7, each judging one module from its
+  own AST) over the package plus `scripts/` and `benchmarks/`; exits
+  non-zero on any active error-severity finding.  `--diff` lints only
+  the files changed versus a git ref, `--baseline` reports only
+  findings absent from a prior `--json` report, and per-module findings
+  are cached in `.emlint-cache/` (see `docs/LINTING.md` for the rule
+  catalog and suppression policy).
 - `repro sanitize-check [--solver NAME ...]` — arm the runtime
   sanitizer: deliberately fire every trap (use-after-free, double-free,
   uninitialized read, double release, lease leak), then run the

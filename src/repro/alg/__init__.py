@@ -6,7 +6,7 @@ linear-I/O single-rank selection (external BFPRT), and Aggarwal–Vitter
 exact multi-partition.
 """
 
-from .distribute import bucket_indices, distribute_by_pivots
+from .distribute import distribute_by_pivots
 from .inmemory import partition_at_ranks, select_at_ranks
 from .randomized import block_sample, randomized_splitters, reservoir_sample
 from .multipartition import multi_partition, multi_partition_at_ranks
@@ -23,7 +23,6 @@ from .selection import median_of_five_file, select_rank, select_rank_fast
 from .sort import external_sort, form_runs, merge_fanout, merge_runs
 
 __all__ = [
-    "bucket_indices",
     "distribute_by_pivots",
     "partition_at_ranks",
     "select_at_ranks",

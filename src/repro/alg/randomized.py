@@ -140,8 +140,8 @@ def randomized_splitters(
                     len(srt),
                 )
             )
+            # ascending ranks of a sorted sample: already in order
             candidates = select_at_ranks(machine, srt, positions)
-            candidates = machine.kernel.sort_by_composite(candidates)
             if len(candidates) != k - 1:
                 continue  # duplicate positions from a tiny sample
             # Verification scan: exact induced bucket sizes.

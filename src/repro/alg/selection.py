@@ -22,7 +22,7 @@ import numpy as np
 from ..em.comparisons import cmp_linear, cmp_median5
 from ..em.errors import SpecError
 from ..em.file import EMFile
-from ..em.records import composite, composite_of, sort_records
+from ..em.records import composite, composite_of
 from ..em.streams import BlockReader, BlockWriter, scan_chunks
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -31,19 +31,19 @@ if TYPE_CHECKING:  # pragma: no cover
 __all__ = ["select_rank", "select_rank_fast", "median_of_five_file"]
 
 
-def _group_medians(chunk: np.ndarray) -> np.ndarray:
+def _group_medians(machine: "Machine", chunk: np.ndarray) -> np.ndarray:
     """Medians of consecutive groups of 5 (lower median for the remainder)."""
+    cmp_median5(machine, len(chunk))
     full = (len(chunk) // 5) * 5
     parts = []
     if full:
         groups = chunk[:full].reshape(-1, 5)
-        # Pure helper: callers charge cmp_median5 (dataflow: callers-charge).
         order = np.argsort(composite(groups), axis=1)
         med = groups[np.arange(len(groups)), order[:, 2]]
         parts.append(med)
     rest = chunk[full:]
     if len(rest):
-        rest = sort_records(rest)  # emlint: disable=R6 — no machine in scope for a kernel call; ≤4 records (R3 cleared by dataflow: callers charge cmp_median5)
+        rest = machine.kernel.sort_by_composite(rest)
         parts.append(rest[(len(rest) - 1) // 2 : (len(rest) - 1) // 2 + 1])
     if not parts:
         return chunk[:0]
@@ -56,8 +56,7 @@ def median_of_five_file(machine: "Machine", file: EMFile) -> EMFile:
     with BlockWriter(machine, "sigma") as writer:
         with scan_chunks(file, chunk_records, "mo5-chunk") as chunks:
             for chunk in chunks:
-                cmp_median5(machine, len(chunk))
-                writer.write(_group_medians(chunk))
+                writer.write(_group_medians(machine, chunk))
         return writer.close()
 
 

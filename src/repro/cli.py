@@ -31,7 +31,7 @@ Subcommands:
 ``repro budgets [--check | --write] [--path FILE] [--headroom H]``
     Check every registered solver against its committed I/O envelope
     (the regression gate), or recalibrate and rewrite the envelopes.
-``repro lint [PATH ...] [--json] [--rule RULE ...]``
+``repro lint [PATH ...] [--json] [--rule RULE ...] [--diff REF] ...``
     Run the emlint EM-conformance rules (R1–R7) over the source tree;
     non-zero exit on any active error-severity finding.
 ``repro sanitize-check [--solver NAME ...] [--n N] ...``
@@ -1471,8 +1471,7 @@ def main(argv: list[str] | None = None) -> int:
     )
     lint_p.add_argument(
         "--diff", metavar="REF", default=None,
-        help="report findings only for files changed against this git "
-        "ref (analysis still covers the whole tree)",
+        help="lint only the files changed against this git ref",
     )
     lint_p.add_argument(
         "--baseline", metavar="FILE", default=None,

@@ -2,13 +2,9 @@
 
 Static layer of the correctness-analysis suite (the dynamic layer is
 the em sanitizer, ``Machine(sanitize=True)`` / ``EM_SANITIZE=1``).
-Since v2 the engine is *whole-program*: every module is summarized
-(:mod:`repro.lint.project`), the summaries are resolved into a project
-call graph (:mod:`repro.lint.callgraph`), and interprocedural dataflow
-facts (:mod:`repro.lint.dataflow`) feed the rules, so a charge in a
-caller clears a sink in a helper and a lease can be followed across
-functions.  Per-module work is served from a content-addressed cache
-(:mod:`repro.lint.cache`) on warm runs.
+Every rule judges one module from its own AST, so a module's findings
+depend on that module alone and are served from a content-addressed
+cache (:mod:`repro.lint.cache`) on warm runs.
 
 The rules check that algorithm code cannot silently bypass the
 Aggarwal–Vitter cost accounting:
@@ -17,11 +13,11 @@ Aggarwal–Vitter cost accounting:
   outside ``em/`` and ``obs/``;
 * **R2** — no ``peek``/``uncounted()``/uncounted ``to_numpy`` escape
   hatches in algorithm code;
-* **R3** — record comparisons must reach the comparison counter on some
-  call path (or every resolved caller must);
+* **R3** — record comparisons must be charged to the comparison counter
+  by the same function;
 * **R4** — no unseeded / global-state RNG in the package, ``scripts/``
   or ``benchmarks/``;
-* **R5** — leases are provably released on all paths, across functions;
+* **R5** — leases are released on all paths by the code that owns them;
 * **R6** — hot-path record ops route through the kernel backend;
 * **R7** — shard code never touches another shard's state.
 
@@ -37,8 +33,6 @@ never suppressable.
 """
 
 from .cache import AnalysisCache, ENGINE_VERSION, default_cache_path
-from .callgraph import CallGraph, CallStats
-from .dataflow import DataflowFacts, compute_facts
 from .engine import (
     ALGORITHM_SUBSYSTEMS,
     EM_LAYER_SUBSYSTEMS,
@@ -51,7 +45,6 @@ from .engine import (
     register,
 )
 from .findings import LintFinding
-from .project import ModuleSummary, ProjectIndex, summarize_module
 from .runner import (
     LintReport,
     baseline_delta,
@@ -64,21 +57,15 @@ from .runner import (
 
 __all__ = [
     "AnalysisCache",
-    "CallGraph",
-    "CallStats",
-    "DataflowFacts",
     "ENGINE_VERSION",
     "LintFinding",
     "LintRule",
     "LintReport",
     "ModuleContext",
-    "ModuleSummary",
-    "ProjectIndex",
     "ALGORITHM_SUBSYSTEMS",
     "EM_LAYER_SUBSYSTEMS",
     "all_rules",
     "baseline_delta",
-    "compute_facts",
     "default_cache_path",
     "default_lint_paths",
     "default_root",
@@ -89,5 +76,4 @@ __all__ = [
     "lint_paths",
     "lint_source",
     "register",
-    "summarize_module",
 ]

@@ -1,15 +1,10 @@
-"""Content-addressed per-module analysis cache.
+"""Content-addressed per-module findings cache.
 
 Parsing ~100 modules and walking their ASTs under every rule dominates a
-cold ``repro lint``.  Both products of the per-module stage — the
-module-local findings (rules that need only one AST) and the
-:class:`~repro.lint.project.ModuleSummary` (the facts the whole-program
-stage consumes) — are pure functions of the module *source text* and the
-engine itself, so they are cached under ``sha256(source)`` plus an
-engine-version salt.  The whole-program stage (call graph, dataflow,
-R3/R5) is recomputed from summaries every run: it is global, cheap
-relative to parsing, and caching it per-module would be unsound — a
-change in one module can flip verdicts in another.
+cold ``repro lint``.  Every rule judges one module from its own AST, so
+a module's findings are a pure function of its report path, its
+*source text* and the engine itself; they are cached under the sha256
+of the three.
 
 The cache is one JSON document (atomic replace on save) so a crashed or
 concurrent run can at worst lose cache hits, never corrupt results, and
@@ -25,12 +20,10 @@ import os
 import tempfile
 from pathlib import Path
 
-from .project import SUMMARY_SCHEMA
-
 __all__ = ["AnalysisCache", "ENGINE_VERSION", "default_cache_path"]
 
 #: Bump on any rule/engine change that can alter per-module results.
-ENGINE_VERSION = "emlint-2.0"
+ENGINE_VERSION = "emlint-3.0"
 
 
 def default_cache_path(root: Path) -> Path:
@@ -38,21 +31,22 @@ def default_cache_path(root: Path) -> Path:
     return Path(root).parent / ".emlint-cache" / "cache.json"
 
 
-def content_key(source: str) -> str:
+def content_key(relpath: str, source: str) -> str:
     h = hashlib.sha256()
-    h.update(f"{ENGINE_VERSION}:{SUMMARY_SCHEMA}:".encode())
+    h.update(f"{ENGINE_VERSION}:{relpath}:".encode())
     h.update(source.encode("utf-8", errors="replace"))
     return h.hexdigest()
 
 
 class AnalysisCache:
-    """Load/store per-module analysis results keyed by content hash."""
+    """Load/store per-module findings keyed by content hash."""
 
     def __init__(self, path: Path | None) -> None:
         self.path = Path(path) if path else None
         self.hits = 0
         self.misses = 0
         self._entries: dict[str, dict] = {}
+        self._live: set[str] = set()
         self._dirty = False
         if self.path is not None and self.path.exists():
             try:
@@ -63,28 +57,29 @@ class AnalysisCache:
                 self._entries = {}
 
     # ------------------------------------------------------------------
-    def get(self, source: str) -> dict | None:
-        """Cached ``{"summary": ..., "findings": ...}`` or None."""
-        entry = self._entries.get(content_key(source))
+    def get(self, relpath: str, source: str) -> dict | None:
+        """Cached ``{"active": ..., "suppressed": ...}`` or None."""
+        key = content_key(relpath, source)
+        self._live.add(key)
+        entry = self._entries.get(key)
         if entry is not None:
             self.hits += 1
         else:
             self.misses += 1
         return entry
 
-    def put(self, source: str, payload: dict) -> None:
-        self._entries[content_key(source)] = payload
+    def put(self, relpath: str, source: str, payload: dict) -> None:
+        self._entries[content_key(relpath, source)] = payload
         self._dirty = True
 
-    def save(self, live_sources: list[str] | None = None) -> None:
-        """Persist (atomically); keeps only entries for ``live_sources``
-        when given, so stale hashes don't accumulate forever."""
+    def save(self, prune: bool = False) -> None:
+        """Persist (atomically); with ``prune``, keep only the entries
+        this run looked up, so stale hashes don't accumulate forever."""
         if self.path is None or not self._dirty:
             return
         entries = self._entries
-        if live_sources is not None:
-            live = {content_key(s) for s in live_sources}
-            entries = {k: v for k, v in entries.items() if k in live}
+        if prune:
+            entries = {k: v for k, v in entries.items() if k in self._live}
         try:
             self.path.parent.mkdir(parents=True, exist_ok=True)
             fd, tmp = tempfile.mkstemp(

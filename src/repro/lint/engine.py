@@ -178,11 +178,8 @@ class ModuleContext:
 class LintRule:
     """Base class for emlint rules.
 
-    Module rules (``scope == "module"``) implement :meth:`check`,
-    yielding findings for one parsed module.  Whole-program rules
-    (``scope == "project"``) implement :meth:`check_project`, consuming
-    the interprocedural :class:`~repro.lint.dataflow.DataflowFacts` built
-    over every module in the run.  Registration happens via the
+    A rule implements :meth:`check`, yielding findings for one parsed
+    module from that module's AST alone.  Registration happens via the
     :func:`register` decorator, which keys the rule by ``rule_id``.
     """
 
@@ -192,21 +189,9 @@ class LintRule:
     #: catalog is generated from these).
     rationale: str = ""
     severity: str = "error"
-    #: "module" = per-AST rule (cacheable per content hash);
-    #: "project" = needs the call graph / dataflow facts.
-    scope: str = "module"
 
     def check(self, ctx: ModuleContext) -> Iterable[LintFinding]:
-        if self.scope == "module":
-            raise NotImplementedError
-        return ()
-
-    def check_project(self, facts) -> Iterable[LintFinding]:
-        """Whole-program pass (``facts``:
-        :class:`~repro.lint.dataflow.DataflowFacts`)."""
-        if self.scope == "project":
-            raise NotImplementedError
-        return ()
+        raise NotImplementedError
 
     def finding(
         self, ctx: ModuleContext, node: ast.AST, message: str
@@ -216,20 +201,6 @@ class LintRule:
             path=ctx.relpath,
             line=getattr(node, "lineno", 1),
             col=getattr(node, "col_offset", 0),
-            rule=self.rule_id,
-            message=message,
-            severity=self.severity,
-        )
-
-    def finding_at(
-        self, relpath: str, line: int, col: int, message: str
-    ) -> LintFinding:
-        """Build a finding from explicit coordinates (project rules
-        anchor on summary records, not live AST nodes)."""
-        return LintFinding(
-            path=relpath,
-            line=line,
-            col=col,
             rule=self.rule_id,
             message=message,
             severity=self.severity,
@@ -311,28 +282,10 @@ def lint_source(
     active: list[LintFinding] = []
     suppressed: list[LintFinding] = []
     for rule in rules:
-        if rule.scope != "module":
-            continue
         for finding in rule.check(ctx):
             (suppressed if ctx.is_suppressed(finding) else active).append(
                 finding
             )
-    project_rules = [r for r in rules if r.scope == "project"]
-    if project_rules:
-        # Whole-program rules over a one-module "project": unresolved
-        # calls fall back to name heuristics, which is what keeps
-        # single-module fixtures meaningful.
-        from .callgraph import CallGraph
-        from .dataflow import compute_facts
-        from .project import ProjectIndex, summarize_module
-
-        project = ProjectIndex([summarize_module(ctx)])
-        facts = compute_facts(project, CallGraph(project))
-        for rule in project_rules:
-            for finding in rule.check_project(facts):
-                (
-                    suppressed if ctx.is_suppressed(finding) else active
-                ).append(finding)
     return sorted(active), sorted(suppressed)
 
 

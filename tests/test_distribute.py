@@ -5,29 +5,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.alg.distribute import bucket_indices, distribute_by_pivots
+from repro.alg.distribute import distribute_by_pivots
 from repro.em import Machine, MemoryBudgetError, composite
 from repro.em.records import make_records, sort_records
 from repro.workloads import load_input, random_permutation
-
-
-class TestBucketIndices:
-    def test_half_open_convention(self):
-        # Pivots 10, 20: bucket0 = (-inf, 10], bucket1 = (10, 20], bucket2 = rest.
-        pivots = make_records(np.array([10, 20]), uids=np.array([100, 200]))
-        recs = make_records(
-            np.array([5, 10, 11, 20, 21]), uids=np.array([1, 100, 2, 200, 3])
-        )
-        idx = bucket_indices(recs, composite(pivots))
-        assert list(idx) == [0, 0, 1, 1, 2]
-
-    def test_tie_breaking_by_uid(self):
-        # Same key as pivot but different uid: uid below pivot's -> same
-        # bucket as pivot; uid above -> next bucket.
-        pivots = make_records(np.array([10]), uids=np.array([50]))
-        recs = make_records(np.array([10, 10]), uids=np.array([49, 51]))
-        idx = bucket_indices(recs, composite(pivots))
-        assert list(idx) == [0, 1]
 
 
 class TestDistribute:

@@ -101,6 +101,25 @@ class TestPrimitiveIdentity:
             src = recs[idxs[0] == b]
             assert np.array_equal(r, src)
 
+    @pytest.mark.parametrize("kernel", KERNELS, ids=lambda k: k.name)
+    def test_bucket_of_half_open_convention(self, kernel):
+        # Pivots 10, 20: bucket0 = (-inf, 10], bucket1 = (10, 20], bucket2 = rest.
+        pivots = make_records(np.array([10, 20]), uids=np.array([100, 200]))
+        recs = make_records(
+            np.array([5, 10, 11, 20, 21]), uids=np.array([1, 100, 2, 200, 3])
+        )
+        idx = kernel.bucket_of(recs, composite(pivots))
+        assert list(idx) == [0, 0, 1, 1, 2]
+
+    @pytest.mark.parametrize("kernel", KERNELS, ids=lambda k: k.name)
+    def test_bucket_of_tie_breaking_by_uid(self, kernel):
+        # Same key as pivot but different uid: uid below pivot's -> same
+        # bucket as pivot; uid above -> next bucket.
+        pivots = make_records(np.array([10]), uids=np.array([50]))
+        recs = make_records(np.array([10, 10]), uids=np.array([49, 51]))
+        idx = kernel.bucket_of(recs, composite(pivots))
+        assert list(idx) == [0, 1]
+
     def test_partition_and_rank_order(self):
         recs = _records(512, seed=3)
         kth = np.array([10, 100, 400])

@@ -1,13 +1,14 @@
 """AST lint engine tests: one positive and one negative fixture per
-rule, the v2 whole-program layer (call graph, dataflow, cache), seeded
-defects the v1 heuristics missed, suppression directives and their edge
-cases, rule selection, report output, and the repo-wide gate itself.
-R7 (shard isolation) fixtures live with the subsystem they guard, in
-``tests/test_shard.py``.
+rule, the cross-function cases R3 and R5 judge from one function or one
+class, charges stripped from the real modules, the findings cache,
+suppression directives and their edge cases, rule selection, report
+output, and the repo-wide gate itself.  R7 (shard isolation) fixtures
+live with the subsystem they guard, in ``tests/test_shard.py``.
 """
 
 from __future__ import annotations
 
+import ast
 import json
 import textwrap
 from collections import Counter
@@ -17,18 +18,15 @@ import pytest
 from repro.lint import (
     ALGORITHM_SUBSYSTEMS,
     EM_LAYER_SUBSYSTEMS,
-    CallGraph,
     LintFinding,
     LintReport,
-    ModuleContext,
-    ProjectIndex,
     all_rules,
     baseline_delta,
+    default_root,
     get_rules,
     git_changed_files,
     lint_paths,
     lint_source,
-    summarize_module,
 )
 
 ALG_PATH = "repro/alg/fixture.py"
@@ -62,11 +60,6 @@ class TestRegistry:
     def test_rules_carry_rationales(self):
         for rule in all_rules():
             assert rule.title and len(rule.rationale) > 40
-
-    def test_project_rules_are_marked(self):
-        scopes = {r.rule_id: r.scope for r in all_rules()}
-        assert scopes["R3"] == scopes["R5"] == "project"
-        assert scopes["R1"] == scopes["R4"] == "module"
 
     def test_layer_constants(self):
         assert "alg" in ALGORITHM_SUBSYSTEMS and "em" in EM_LAYER_SUBSYSTEMS
@@ -171,12 +164,56 @@ class TestR3RawComparisons:
         assert not _active(src, "repro/workloads/gen.py")
 
 
-class TestR3Interprocedural:
-    """The dataflow upgrades: what v1 could not see."""
+class TestR3KernelSinks:
+    """The kernel leaves charging to its caller, so its comparing
+    methods are sinks when called on ``kernel`` or ``<x>.kernel``."""
 
-    def test_helper_covered_by_charging_caller(self):
-        # v1 needed a suppression here; v2 clears the pure helper
-        # because its only caller charges.
+    def test_uncharged_kernel_call_flagged(self):
+        src = """
+            def f(machine, records):
+                return machine.kernel.sort_by_composite(records)
+            """
+        (finding,) = _active(src)
+        assert finding.rule == "R3"
+        assert "kernel.sort_by_composite" in finding.message
+
+    def test_local_kernel_alias_flagged(self):
+        src = """
+            def f(machine, records, pivots):
+                kernel = machine.kernel
+                return kernel.bucket_of(records, pivots)
+            """
+        (finding,) = _active(src)
+        assert finding.rule == "R3" and "kernel.bucket_of" in finding.message
+
+    def test_charged_kernel_call_clean(self):
+        src = """
+            def f(machine, records, kth):
+                cmp_search(machine, len(records), len(kth))
+                return machine.kernel.rank_order(records, kth)
+            """
+        assert not _active(src)
+
+    def test_histogram_method_is_not_a_kernel_call(self):
+        src = """
+            class Histogram:
+                def bucket_of(self, key):
+                    return 0
+
+                def count(self, key):
+                    return self.bucket_of(key)
+            """
+        assert not _active(src)
+
+
+class TestR3Interprocedural:
+    """Charges in another function do not count: R3 judges each
+    outermost function on its own."""
+
+    def test_helper_with_charging_caller_is_flagged(self):
+        # The charge belongs beside the comparisons it pays for; a
+        # caller that charges may stop charging without the helper
+        # changing.
         src = """
             def helper(records):
                 return np.sort(composite(records))
@@ -185,9 +222,11 @@ class TestR3Interprocedural:
                 cmp_sort(machine, len(records))
                 return helper(records)
             """
-        assert not _active(src)
+        (finding,) = _active(src)
+        assert finding.rule == "R3" and "`helper`" in finding.message
 
     def test_transitive_charge_through_callee(self):
+        # A charge behind a callee is not a charge of this function.
         src = """
             def charge(machine, n):
                 cmp_sort(machine, n)
@@ -196,12 +235,12 @@ class TestR3Interprocedural:
                 charge(machine, len(records))
                 return np.sort(composite(records))
             """
-        assert not _active(src)
+        (finding,) = _active(src)
+        assert finding.rule == "R3" and "`f`" in finding.message
 
     def test_seeded_defect_local_shadow_does_not_charge(self):
-        # v1 false negative: a local `cmp_sort` shadow excused the sink
-        # by name.  v2 resolves the call to the shadow, sees it never
-        # reaches the machine, and flags the sink.
+        # A `cmp_sort` the module defines itself is a shadow, not the
+        # em helper, so calling it excuses nothing.
         src = """
             def cmp_sort(machine, n):
                 return n  # never touches the machine
@@ -223,6 +262,90 @@ class TestR3Interprocedural:
             """
         findings = _active(src)
         assert _rule_ids(findings) == ["R3"]
+
+    def test_module_level_statements_are_one_scope(self):
+        src = """
+            def f(machine, n):
+                cmp_sort(machine, n)
+
+            ORDER = np.sort(composite(RECORDS))
+            """
+        (finding,) = _active(src)
+        assert finding.rule == "R3" and "module scope" in finding.message
+
+    def test_nested_def_shares_its_outer_function_scope(self):
+        src = """
+            def f(machine, records):
+                cmp_sort(machine, len(records))
+
+                def key_order():
+                    return np.sort(composite(records))
+
+                return key_order()
+            """
+        assert not _active(src)
+
+
+#: The functions whose sinks the former call-graph engine cleared as
+#: "reaches a charge".  Each calls a ``cmp_*`` helper itself; with those
+#: calls stripped, R3 must flag it.
+_CHARGING_FUNCTIONS = [
+    ("repro/alg/selection.py", "_select"),
+    ("repro/apps/histogram.py", "build_histogram"),
+    ("repro/core/intermixed.py", "_solve_in_memory"),
+    ("repro/core/intermixed.py", "_solve"),
+    ("repro/core/intermixed.py", "_median_pass"),
+    ("repro/core/splitters.py", "_split_at"),
+    ("repro/service/index.py", "PartitionIndex.partition_of"),
+    ("repro/service/index.py", "PartitionIndex._apply"),
+    ("repro/service/index.py", "PartitionIndex._tombstone"),
+    ("repro/service/index.py", "PartitionIndex._split_external"),
+    ("repro/service/index.py", "PartitionIndex._install"),
+    ("repro/service/index.py", "PartitionIndex._rank_of_composite"),
+]
+
+
+def _strip_charges(source: str, qualname: str) -> str:
+    """``source`` with every ``cmp_*(...)`` statement inside the function
+    ``qualname`` replaced by ``pass`` (line numbers kept)."""
+    node = ast.parse(source)
+    for part in qualname.split("."):
+        node = next(
+            n for n in node.body
+            if isinstance(n, (ast.ClassDef, ast.FunctionDef))
+            and n.name == part
+        )
+    lines = source.splitlines(keepends=True)
+    stripped = 0
+    for stmt in ast.walk(node):
+        if (
+            isinstance(stmt, ast.Expr)
+            and isinstance(stmt.value, ast.Call)
+            and isinstance(stmt.value.func, ast.Name)
+            and stmt.value.func.id.startswith("cmp_")
+        ):
+            first = lines[stmt.lineno - 1]
+            indent = first[: len(first) - len(first.lstrip())]
+            lines[stmt.lineno - 1] = indent + "pass\n"
+            for i in range(stmt.lineno, stmt.end_lineno):
+                lines[i] = "\n"
+            stripped += 1
+    assert stripped, f"{qualname} has no cmp_* statement"
+    return "".join(lines)
+
+
+class TestR3StrippedCharges:
+    @pytest.mark.parametrize(
+        "relpath,qualname", _CHARGING_FUNCTIONS,
+        ids=[q for _, q in _CHARGING_FUNCTIONS],
+    )
+    def test_dropping_a_functions_charges_is_flagged(self, relpath, qualname):
+        source = (default_root() / relpath).read_text()
+        r3 = get_rules(["R3"])
+        assert not lint_source(source, relpath, r3)[0]
+        active, _ = lint_source(_strip_charges(source, qualname), relpath, r3)
+        assert active
+        assert all(f"`{qualname}`" in f.message for f in active), active
 
 
 class TestR4UnseededRng:
@@ -336,11 +459,10 @@ class TestR5LeaseLifecycle:
 
 
 class TestR5Interprocedural:
-    """v2: the lease is followed across functions and classes."""
+    """A lease is judged where it is taken: its release must be visible
+    in the same function, or in the class that stores it on ``self``."""
 
     def test_seeded_defect_write_only_attribute_leaks(self):
-        # v1 exempted every attribute store; v2 demands the class (or a
-        # relative) provably release the attribute.
         src = """
             class Index:
                 def __init__(self, machine):
@@ -349,7 +471,22 @@ class TestR5Interprocedural:
         (finding,) = _active(src)
         assert finding.rule == "R5" and "write-only" in finding.message
 
-    def test_attribute_released_in_subclass_is_clean(self):
+    def test_attribute_stored_through_a_local_with_release_is_clean(self):
+        src = """
+            class Index:
+                def __init__(self, machine):
+                    lease = machine.memory.lease(8, "idx")
+                    self._lease = lease
+
+                def __exit__(self, *exc):
+                    with self._lease:
+                        pass
+            """
+        assert not _active(src)
+
+    def test_attribute_released_only_in_subclass_is_flagged(self):
+        # The owning class must release what it stores; a subclass that
+        # happens to release it can be replaced by one that does not.
         src = """
             class Base:
                 def __init__(self, machine):
@@ -359,7 +496,8 @@ class TestR5Interprocedural:
                 def close(self):
                     self._lease.release()
             """
-        assert not _active(src)
+        (finding,) = _active(src)
+        assert finding.rule == "R5" and "`Base`" in finding.message
 
     def test_lease_returner_call_site_discard_flagged(self):
         src = """
@@ -370,10 +508,10 @@ class TestR5Interprocedural:
                 make_lease(machine)
             """
         (finding,) = _active(src)
-        assert finding.rule == "R5"
+        assert finding.rule == "R5" and finding.line == 3
         assert "make_lease" in finding.message
 
-    def test_lease_returner_call_site_with_is_clean(self):
+    def test_lease_returner_flagged_even_when_callers_use_with(self):
         src = """
             def make_lease(machine):
                 return machine.memory.lease(8, "x")
@@ -382,24 +520,23 @@ class TestR5Interprocedural:
                 with make_lease(machine):
                     work()
             """
-        assert not _active(src)
+        (finding,) = _active(src)
+        assert finding.rule == "R5" and "returned" in finding.message
 
-    def test_wrapper_propagates_returner_obligation(self):
+    def test_wrapper_around_returner_flagged_once_at_the_return(self):
         src = """
             def make_lease(machine):
-                return machine.memory.lease(8, "x")
+                held = machine.memory.lease(8, "x")
+                return held
 
             def wrapper(machine):
                 return make_lease(machine)
-
-            def bad(machine):
-                lease = wrapper(machine)
-                work()
             """
         (finding,) = _active(src)
-        assert finding.rule == "R5" and "wrapper" in finding.message
+        assert finding.line == 3 and "make_lease" in finding.message
 
-    def test_passed_to_releasing_callee_is_clean(self):
+    def test_passed_to_releasing_callee_is_flagged(self):
+        # The release lives in another function, out of this one's view.
         src = """
             def consume(lease):
                 try:
@@ -411,7 +548,8 @@ class TestR5Interprocedural:
                 held = machine.memory.lease(8, "x")
                 consume(held)
             """
-        assert not _active(src)
+        (finding,) = _active(src)
+        assert finding.rule == "R5" and "consume" in finding.message
 
     def test_passed_to_non_releasing_callee_flagged(self):
         src = """
@@ -423,6 +561,12 @@ class TestR5Interprocedural:
                 consume(held)
             """
         (finding,) = _active(src)
+        assert finding.rule == "R5" and "consume" in finding.message
+
+    def test_lease_passed_directly_flagged(self):
+        (finding,) = _active(
+            "def f(m):\n    consume(m.memory.lease(8, 'x'))\n"
+        )
         assert finding.rule == "R5" and "consume" in finding.message
 
 
@@ -466,36 +610,6 @@ class TestR6KernelBypass:
         assert not _active(src, "repro/em/kernels/numpy_v1.py", rules=get_rules(["R6"]))
         assert not _active(src, "repro/em/records.py", rules=get_rules(["R6"]))
         assert not _active(src, "tests/test_x.py", rules=get_rules(["R6"]))
-
-
-class TestCallGraphGolden:
-    def test_resolution_rate_at_least_95_percent(self):
-        report = lint_paths()
-        assert report.callgraph["call_sites"] > 3000
-        assert report.callgraph["resolution_rate"] >= 0.95, report.callgraph
-
-    def test_known_edges_resolve(self):
-        from repro.lint import default_root, iter_python_files
-        from repro.lint.runner import _relpath, default_lint_paths
-
-        root = default_root()
-        summaries = []
-        for f in iter_python_files(default_lint_paths(root)):
-            summaries.append(
-                summarize_module(
-                    ModuleContext.from_source(f.read_text(), _relpath(f, root))
-                )
-            )
-        project = ProjectIndex(summaries, root=root)
-        graph = CallGraph(project)
-        # selection's helper is called by the mo5 pipeline
-        callers = graph.callers("repro.alg.selection._group_medians")
-        assert any("median_of_five_file" in c for c in callers)
-        # cmp_median5 resolves into the em comparisons module
-        callees = graph.callees(
-            "repro.alg.selection.median_of_five_file"
-        )
-        assert "repro.em.comparisons.cmp_median5" in callees
 
 
 class TestSuppression:
@@ -619,6 +733,19 @@ class TestAnalysisCache:
         assert r1.to_dict()["findings"] == r2.to_dict()["findings"]
         assert r2.cache_stats == {"hits": 1, "misses": 0}
 
+    def test_same_source_at_two_paths_keeps_its_own_findings(self, tmp_path):
+        # A finding carries its path and depends on the subsystem, so
+        # identical text under alg/ and obs/ must not share an entry.
+        src = "def f(m):\n    return m.disk.peek(0)\n"
+        f = self._tree(tmp_path, src)
+        g = tmp_path / "repro" / "obs" / "mod.py"
+        g.parent.mkdir(parents=True)
+        g.write_text(src)
+        cache = tmp_path / "cache.json"
+        for _ in range(2):
+            report = lint_paths([f, g], root=tmp_path, cache_path=cache)
+            assert [x.path for x in report.findings] == ["repro/alg/mod.py"]
+
     def test_edit_invalidates_by_content(self, tmp_path):
         f = self._tree(tmp_path, "def f(m):\n    return m.disk.peek(0)\n")
         cache = tmp_path / "cache.json"
@@ -683,11 +810,12 @@ class TestDiffAndBaseline:
         # while findings use lint-root-relative names ("repro/...");
         # both must select the file.
         for spelling in (
-            "src/repro/alg/distribute.py",
-            "repro/alg/distribute.py",
+            "src/repro/alg/partitioned.py",
+            "repro/alg/partitioned.py",
         ):
             report = lint_paths(only_paths=[spelling])
-            assert {f.rule for f in report.suppressed} == {"R3"}, spelling
+            assert report.files == 1, spelling
+            assert {f.rule for f in report.suppressed} == {"R2"}, spelling
 
     def test_only_paths_restricts_reporting(self, tmp_path):
         a = tmp_path / "repro" / "alg" / "a.py"
@@ -738,7 +866,7 @@ class TestFindingsAndReports:
         assert payload["ok"] is False
         assert payload["findings"][0]["rule"] == "R2"
         assert payload["findings"][0]["path"] == "repro/alg/bad.py"
-        assert "callgraph" in payload and "cache" in payload
+        assert "cache" in payload and "callgraph" not in payload
 
 
 class TestRepoGate:
@@ -753,16 +881,12 @@ class TestRepoGate:
     def test_repo_suppressions_are_justified(self):
         # Every committed suppression is one we placed deliberately;
         # this pins the per-rule budget so new ones show up in review.
-        # The v2 dataflow engine retired the R3 suppressions in
-        # selection.py (callers charge cmp_median5) — the budget must
-        # only ever shrink.
+        # The budget must only ever shrink.
         report = lint_paths()
         by_rule = Counter(f.rule for f in report.suppressed)
         assert dict(by_rule) == {
             "R2": 3,  # documented uncounted verification reads
-            "R3": 1,  # bucket_indices: exported API, callers charge
             "R5": 2,  # cli sanitize-check deliberate trap fixtures
-            "R6": 1,  # _group_medians remainder: no machine in scope
             "R7": 2,  # worker reading its own disk via a local alias
         }
-        assert len(report.suppressed) == 9
+        assert len(report.suppressed) == 7

@@ -119,6 +119,8 @@ class TestRandomizedSplitters:
             mach, f, k, a, b, delta=0.1, seed=seed
         )
         check_splitters(recs, splitters, a, b, k)
+        # check_splitters sorts first; the output itself must be ordered
+        assert np.all(np.diff(composite(splitters)) > 0)
         assert attempts >= 1
 
     def test_usually_one_attempt(self):
