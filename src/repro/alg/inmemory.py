@@ -68,7 +68,5 @@ def select_at_ranks(
     kth = np.unique(ranks) - 1
     order = machine.kernel.rank_order(records, kth)
     cmp_search(machine, n, len(kth))
-    # order[kth[i]] is the element of rank kth[i]+1; map back to inputs.
-    position = {int(r): int(order[r - 1]) for r in np.unique(ranks)}
-    idx = np.fromiter((position[int(r)] for r in ranks), dtype=np.int64)
-    return records[idx]
+    # Every rank r has r - 1 in kth, so order[r - 1] indexes its element.
+    return records[order[ranks - 1]]

@@ -7,8 +7,9 @@ guarded by emlint and the sanitizer) from *how record bytes move*
 
 Production code gets exactly one backend from :func:`get_kernel`:
 :class:`~repro.em.kernels.vectorized_v2.VectorizedV2Kernel`, with
-arena-run coalescing, single-arena scatters, preallocated
-concatenation, and fused distribute grouping.
+arena-run coalescing, single-arena scatters, one-call raw
+concatenation, fused distribute grouping, and sorts that do not pay
+for stability where the order is already unique.
 :class:`~repro.em.kernels.numpy_v1.NumpyV1Kernel` is the per-block
 reference it is proven byte-identical and counter/phase/trace-identical
 to: the differential tests hand an instance to

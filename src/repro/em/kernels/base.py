@@ -18,11 +18,12 @@ The EM layer splits every hot operation into two halves:
 A :class:`KernelBackend` implements the movement half.  Every backend
 must be **byte-identical** to every other: same inputs produce the same
 output arrays, bit for bit — ordering guarantees included (grouping
-preserves input order within a bucket, sorting is the stable argsort of
-the composite, rank partitions apply ``np.argpartition`` with the same
-``kth`` list).  The differential harness in ``tests/test_kernels.py``
-enforces this across all registered experiments and the service paths,
-alongside counter/phase/trace identity.
+preserves input order within a bucket, sorting orders by the composite
+and keeps equal composites in input order, rank partitions apply
+``np.argpartition`` with the same ``kth`` list).  The differential
+harness in ``tests/test_kernels.py`` enforces this across all registered
+experiments and the service paths, alongside counter/phase/trace
+identity.
 
 The base class carries the canonical (definitional) implementations of
 the batch-comparison operations; backends override the movement-heavy
@@ -107,8 +108,12 @@ class KernelBackend:
     # strategy; charging stays with the caller via em.comparisons)
     # ------------------------------------------------------------------
     def sort_by_composite(self, records: np.ndarray) -> np.ndarray:
-        """Records sorted by the ``(key, uid)`` total order — the stable
-        argsort of the composite (a fresh array)."""
+        """Records in composite (``(key, uid)``) order, equal composites
+        in input order (a fresh array).
+
+        That is the result of a stable argsort, which this definition
+        runs; a backend may reach the same permutation another way.
+        """
         order = np.argsort(composite(records), kind="stable")
         return records[order]
 

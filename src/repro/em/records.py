@@ -207,7 +207,7 @@ def sort_records(records: np.ndarray) -> np.ndarray:
 
     Reference primitive: algorithm code should dispatch through
     ``machine.kernel.sort_by_composite`` instead (emlint rule R6), so
-    the backend registry stays the single hot-path entry point.
+    the machine's kernel stays the single hot-path entry point.
     """
     order = np.argsort(composite(records), kind="stable")
     return records[order]
