@@ -12,7 +12,7 @@ margin is still comfortably above the gate).
 import os
 from pathlib import Path
 
-from repro.em.kernels.bench import bench_kernels, render_bench
+from repro.em.kernels.bench import CI_INSTANCE, bench_kernels, render_bench
 
 OUT_DIR = Path(__file__).parent / "out"
 MIN_SPEEDUP = 5.0
@@ -20,11 +20,7 @@ MIN_SPEEDUP = 5.0
 
 def test_kernel_backend_speedup_and_identity(benchmark):
     full = os.environ.get("REPRO_BENCH_FULL", "") == "1"
-    kwargs = (
-        dict(n_blocks=8192, n_buckets=2000, reps=3)
-        if full
-        else dict(n_blocks=4096, n_buckets=2000, reps=2)
-    )
+    kwargs = {} if full else CI_INSTANCE
     result = benchmark.pedantic(
         lambda: bench_kernels(**kwargs), rounds=1, iterations=1
     )
