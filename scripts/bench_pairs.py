@@ -34,9 +34,11 @@ ledger, which measures the method's own spread.
 recomputes each summary from the stored runs, under the ledger's own
 spec rather than today's ``BENCHMARK.json``, and exits 1 on a failed
 answer, on a ``sim_io`` or ``setup_io`` that differs between runs of
-one workload and seed, on a change median worse than the parent's by
-more than the metric's bound, or on a stored summary that differs from
-the recomputed one.  It runs no benchmark.
+one side on one workload and seed, on a change median worse than the
+parent's by more than the metric's bound, or on a stored summary that
+differs from the recomputed one.  A change may move block counts, as
+long as they repeat; the bound then judges the move.  It runs no
+benchmark.
 """
 
 from __future__ import annotations
@@ -52,7 +54,7 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 SCHEMA = 2
 SIDES = ("parent", "change")
-#: Block counts that must repeat exactly across every run of a group.
+#: Block counts that must repeat exactly across one side's runs of a group.
 EXACT = ("sim_io", "setup_io")
 
 
@@ -146,7 +148,9 @@ def problems(ledger: dict) -> list[str]:
         if run.get("exit") != 0 or result is None or not result["correct"]:
             out.append(f"{where}: failed run (exit {run.get('exit')})")
             continue
-        first = seen.setdefault(f"{run['workload']}/seed{run['seed']}", {})
+        first = seen.setdefault(
+            f"{run['workload']}/seed{run['seed']} {run['side']}", {}
+        )
         for name in EXACT:
             value = result["metrics"][name]["value"]
             if first.setdefault(name, value) != value:
