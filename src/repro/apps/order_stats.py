@@ -53,10 +53,6 @@ def rank_of_fraction(n: int, q: float) -> int:
     return min(n, max(1, int(np.ceil(q * n))))
 
 
-# Backwards-compatible private alias (pre-service name).
-_rank_of_fraction = rank_of_fraction
-
-
 def percentile(machine: "Machine", file: EMFile, q: float) -> int:
     """The key of the ``q``-quantile record (nearest rank), ``O(N/B)``."""
     n = len(file)
