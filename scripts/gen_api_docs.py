@@ -132,12 +132,10 @@ see ``repro <command> --help`` for every flag.
   uninitialized read, double release, lease leak), then run the
   registered solvers under `Machine(sanitize=True)` with the tracer's
   counter-conservation check.
-- `repro serve` / `repro query` / `repro bench-queries` — the online
-  partition service (`repro.service`): an interactive query loop over
-  stdin, a one-shot coalesced query batch, and the online-vs-offline
-  trace benchmark that records its acceptance check (now with
-  per-query I/O p50/p95/p99 and a `--json` document) under
-  `benchmarks/out/SERVICE_QUERIES.txt`.
+- `repro serve` / `repro query` — the online partition service
+  (`repro.service`): an interactive query loop over stdin, and a
+  one-shot coalesced query batch (`--shards W` answers it through `W`
+  shard workers, `repro.shard`).
 - `repro metrics ALGORITHM [--json] [--out DIR] ...` — run one
   registered solver inside a metrics scope (`repro.obs.metrics`) and a
   flight-recorder scope (`repro.obs.recorder`), then export the

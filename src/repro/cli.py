@@ -58,12 +58,6 @@ Subcommands:
     One-shot batch: coalesce the given queries (``select:R``,
     ``quantile:Q``, ``range:LO:HI``, ``part:KEY``) into one frontend
     flush and print the answers with the measured I/O.
-``repro bench-queries [--quick] [--json] [--trace T] [--queries Q] ...``
-    Benchmark the online service on a query trace against the offline
-    per-query and sort-everything baselines; reports per-query I/O
-    p50/p95/p99 from the service histograms, verifies answers, checks
-    the 25 % acceptance bar, and records the run under benchmarks/out/
-    (``--json`` prints the machine-readable document to stdout).
 """
 
 from __future__ import annotations
@@ -925,342 +919,6 @@ def _cmd_recover(args) -> int:
     return 0 if ok else 1
 
 
-def _cmd_bench_queries(args) -> int:
-    if args.shards:
-        return _bench_queries_sharded(args)
-    import json
-
-    from .analysis.report import render_kv
-    from .core import multi_select
-    from .em import Machine
-    from .experiments.runner import default_out_dir
-    from .em.records import composite
-    from .obs import MetricsRegistry, metrics_scope
-    from .service import LazyPartitionIndex, Query, QueryFrontend
-    from .workloads import load_input
-    from .workloads.generators import random_permutation
-    from .workloads.queries import QUERY_TRACES
-
-    n = args.n or (2**16 if args.quick else 2**20)
-    k = args.k or (64 if args.quick else 256)
-    q = args.queries or (128 if args.quick else 512)
-    trace_fn = QUERY_TRACES[args.trace]
-    if args.trace == "zipfian":
-        trace = trace_fn(q, n, seed=args.seed, alpha=args.alpha)
-    else:
-        trace = trace_fn(q, n, seed=args.seed)
-    records = random_permutation(n, seed=args.seed)
-
-    machine = Machine(memory=args.memory, block=args.block)
-    file = load_input(machine, records)
-    machine.reset_counters()
-    t0 = time.time()
-    registry = MetricsRegistry()
-    with metrics_scope(registry):
-        with LazyPartitionIndex(machine, file, k=k) as engine:
-            frontend = QueryFrontend(machine, engine)
-            answers = frontend.run(
-                [Query.select(int(r)) for r in trace], batch=args.batch
-            )
-            online_io = machine.io.total
-            stats = dict(engine.stats)
-    wall = time.time() - t0
-    file.free()
-    hist = registry.histogram("svc_query_io", labels=("engine",)).labels(
-        engine="lazy"
-    )
-    p50, p95, p99 = (hist.quantile(f) for f in (0.50, 0.95, 0.99))
-
-    # Differential identity plus the offline per-query estimate (the
-    # single-rank multi-selection cost is rank-independent to ~0.1%).
-    unique, inverse = np.unique(trace, return_inverse=True)
-    mach2 = Machine(memory=args.memory, block=args.block)
-    f2 = load_input(mach2, records)
-    mach2.reset_counters()
-    offline = multi_select(mach2, f2, unique)
-    per_query = []
-    for r in np.linspace(1, n, 3).astype(np.int64):
-        mach2.reset_counters()
-        multi_select(mach2, f2, np.array([r]))
-        per_query.append(mach2.io.total)
-    f2.free()
-    identical = bool(np.array_equal(
-        composite(np.array(answers, dtype=offline.dtype)),
-        composite(offline[inverse]),
-    ))
-    offline_est = float(np.mean(per_query)) * q
-    fraction = online_io / offline_est
-    passed = identical and fraction < 0.25
-
-    lines = [
-        f"service bench: {args.trace} trace, seed {args.seed}",
-        render_kv([
-            ("N / K / queries", f"{n} / {k} / {q}"),
-            ("distinct ranks", len(unique)),
-            ("machine", f"M={args.memory} B={args.block} "
-                        f"(flush batch {args.batch})"),
-            ("online total I/O", f"{online_io:,}"),
-            ("amortized I/O per query", f"{online_io / q:.1f}"),
-            ("per-query I/O p50 / p95 / p99",
-             f"{p50:.1f} / {p95:.1f} / {p99:.1f} "
-             f"(over {hist.count} queries)"),
-            ("refinements / leaf loads / cache hits",
-             f"{stats['refinements']} / {stats['leaf_loads']} / "
-             f"{stats['cache_hits']}"),
-            ("offline per-query baseline",
-             f"{offline_est:,.0f} ({np.mean(per_query):,.0f} I/Os x {q})"),
-            ("online / offline", f"{fraction:.4f}"),
-            ("answers identical to offline", "yes" if identical else "NO"),
-            ("acceptance (< 0.25 of offline)",
-             "PASS" if passed else "FAIL"),
-            ("wall time", f"{wall:.1f}s"),
-        ]),
-    ]
-    text = "\n".join(lines)
-    out = Path(args.out) if args.out else (
-        default_out_dir() / "SERVICE_QUERIES.txt"
-    )
-    out.parent.mkdir(parents=True, exist_ok=True)
-    out.write_text(text + "\n")
-    if args.json:
-        doc = {
-            "config": {
-                "trace": args.trace,
-                "n": n,
-                "k": k,
-                "queries": q,
-                "batch": args.batch,
-                "seed": args.seed,
-                "memory": args.memory,
-                "block": args.block,
-            },
-            "distinct_ranks": int(len(unique)),
-            "online_io": int(online_io),
-            "amortized_io": online_io / q,
-            "per_query_io": {
-                "p50": p50,
-                "p95": p95,
-                "p99": p99,
-                "count": hist.count,
-            },
-            "engine_stats": stats,
-            "offline_estimate": offline_est,
-            "ratio": fraction,
-            "answers_identical": identical,
-            "passed": passed,
-            "wall_s": round(wall, 3),
-            "metrics": registry.to_dict(),
-        }
-        print(json.dumps(doc, indent=1))
-        print(f"wrote {out}", file=sys.stderr)
-    else:
-        print(text)
-        print(f"\nwrote {out}")
-    return 0 if passed else 1
-
-
-def _bench_queries_sharded(args) -> int:
-    """``bench-queries --shards W``: the same trace against the sharded
-    service and the single-machine engine, answers asserted identical.
-
-    The text record (``SERVICE_SHARDS.txt``) carries wall-clock timing
-    and the observed speedup; the ``--json`` document deliberately
-    excludes both so it is byte-reproducible across runs.  The >= 2x
-    parallel-throughput gate only applies with process workers on a
-    host with at least 4 CPUs — elsewhere the speedup is recorded but
-    not asserted.
-    """
-    import json
-    import os
-
-    from .analysis.report import render_kv
-    from .em import Machine
-    from .em.records import composite
-    from .experiments.runner import default_out_dir
-    from .obs import MetricsRegistry, metrics_scope
-    from .service import LazyPartitionIndex, Query, QueryFrontend
-    from .shard import build_sharded_service
-    from .workloads import load_input
-    from .workloads.generators import random_permutation
-    from .workloads.queries import QUERY_TRACES
-
-    n = args.n or (2**16 if args.quick else 2**18)
-    k = args.k or (64 if args.quick else 256)
-    q = args.queries or (128 if args.quick else 512)
-    w = args.shards
-    trace_fn = QUERY_TRACES[args.trace]
-    if args.trace == "zipfian":
-        trace = trace_fn(q, n, seed=args.seed, alpha=args.alpha)
-    elif args.trace == "shard-skew":
-        trace = trace_fn(q, n, seed=args.seed, shards=w)
-    else:
-        trace = trace_fn(q, n, seed=args.seed)
-    records = random_permutation(n, seed=args.seed)
-    queries = [Query.select(int(r)) for r in trace]
-
-    # Single-machine reference on its own machine (no shared state).
-    mach1 = Machine(memory=args.memory, block=args.block)
-    f1 = load_input(mach1, records)
-    mach1.reset_counters()
-    t0 = time.time()
-    with LazyPartitionIndex(mach1, f1, k=k) as engine:
-        single = QueryFrontend(mach1, engine).run(queries, batch=args.batch)
-        single_io = mach1.io.total
-    single_wall = time.time() - t0
-    f1.free()
-    mach1.close()
-
-    # Sharded run: coordinator + W workers, all communication charged.
-    registry = MetricsRegistry()
-    mach2 = Machine(memory=args.memory, block=args.block)
-    f2 = load_input(mach2, records)
-    mach2.reset_counters()
-    t0 = time.time()
-    with metrics_scope(registry):
-        with build_sharded_service(
-            mach2, f2, shards=w, k=k, workers=args.workers
-        ) as router:
-            build_io = mach2.io.total
-            sharded = QueryFrontend(mach2, router).run(
-                queries, batch=args.batch
-            )
-            trace_io = mach2.io.total - build_io
-            io_stats = router.shard_io_stats()
-            sizes = [int(s) for s in router.shard_sizes]
-    sharded_wall = time.time() - t0
-    coord_io = mach2.io.total
-    f2.free()
-    mach2.close()
-
-    identical = bool(np.array_equal(
-        composite(np.array(single, dtype=records.dtype)),
-        composite(np.array(sharded, dtype=records.dtype)),
-    ))
-    shard_io = [
-        int(s["lifetime_reads"] + s["lifetime_writes"]) for s in io_stats
-    ]
-    io_balance = max(shard_io) / max(1.0, float(np.mean(shard_io)))
-    size_balance = max(sizes) / max(1.0, float(np.mean(sizes)))
-    families = registry.to_dict()
-    msgs = int(sum(
-        c["value"] for c in families["svc_shard_msgs"]["children"].values()
-    ))
-    comm_bytes = int(sum(
-        c["value"] for c in families["svc_shard_bytes"]["children"].values()
-    ))
-    speedup = single_wall / sharded_wall if sharded_wall > 0 else float("inf")
-    throughput_gated = args.workers == "process" and (os.cpu_count() or 1) >= 4
-    throughput_ok = (not throughput_gated) or speedup >= 2.0
-    if throughput_gated:
-        gate_note = "PASS" if throughput_ok else "FAIL"
-    else:
-        gate_note = "skipped (needs process workers on >= 4 CPUs)"
-    passed = identical and throughput_ok
-
-    per_shard = ", ".join(
-        f"s{i}: n={sizes[i]} io={shard_io[i]:,}" for i in range(w)
-    )
-    lines = [
-        f"sharded service bench: {args.trace} trace, seed {args.seed}",
-        render_kv([
-            ("N / K / queries / shards", f"{n} / {k} / {q} / {w}"),
-            ("workers", args.workers),
-            ("machine", f"M={args.memory} B={args.block} "
-                        f"(flush batch {args.batch})"),
-            ("single-machine I/O", f"{single_io:,}"),
-            ("coordinator I/O (build + trace)",
-             f"{coord_io:,} ({build_io:,} + {trace_io:,})"),
-            ("per-shard (size, lifetime I/O)", per_shard),
-            ("shard I/O balance (max/mean)", f"{io_balance:.3f}"),
-            ("shard size balance (max/mean)", f"{size_balance:.3f}"),
-            ("messages / charged bytes", f"{msgs:,} / {comm_bytes:,}"),
-            ("answers identical to single machine",
-             "yes" if identical else "NO"),
-            ("wall single / sharded",
-             f"{single_wall:.2f}s / {sharded_wall:.2f}s"),
-            ("observed speedup", f"{speedup:.2f}x"),
-            (">= 2x throughput gate", gate_note),
-            ("acceptance", "PASS" if passed else "FAIL"),
-        ]),
-    ]
-    text = "\n".join(lines)
-    out = Path(args.out) if args.out else (
-        default_out_dir() / "SERVICE_SHARDS.txt"
-    )
-    out.parent.mkdir(parents=True, exist_ok=True)
-    out.write_text(text + "\n")
-    if args.json:
-        doc = {
-            "config": {
-                "trace": args.trace,
-                "n": n,
-                "k": k,
-                "queries": q,
-                "shards": w,
-                "workers": args.workers,
-                "batch": args.batch,
-                "seed": args.seed,
-                "memory": args.memory,
-                "block": args.block,
-            },
-            "single_io": int(single_io),
-            "coordinator_io": {
-                "build": int(build_io),
-                "trace": int(trace_io),
-                "total": int(coord_io),
-            },
-            "shards": [
-                {
-                    "shard": int(s["shard"]),
-                    "n": int(s["n"]),
-                    "lifetime_reads": int(s["lifetime_reads"]),
-                    "lifetime_writes": int(s["lifetime_writes"]),
-                    "lifetime_comparisons": int(s["lifetime_comparisons"]),
-                }
-                for s in io_stats
-            ],
-            "io_balance": io_balance,
-            "size_balance": size_balance,
-            "messages": msgs,
-            "comm_bytes": comm_bytes,
-            "answers_identical": identical,
-            "metrics": families,
-        }
-        print(json.dumps(doc, indent=1))
-        print(f"wrote {out}", file=sys.stderr)
-    else:
-        print(text)
-        print(f"\nwrote {out}")
-    return 0 if passed else 1
-
-
-def _cmd_bench_kernels(args) -> int:
-    from .em.kernels.bench import CI_INSTANCE, bench_kernels, render_bench
-    from .experiments.runner import default_out_dir
-
-    if args.quick:
-        result = bench_kernels(**CI_INSTANCE)
-    else:
-        result = bench_kernels(
-            n_blocks=args.blocks, n_buckets=args.buckets, reps=args.reps
-        )
-    text = render_bench(result)
-    print(text)
-    out = Path(args.out) if args.out else (
-        default_out_dir() / "KERNEL_BACKEND.txt"
-    )
-    out.parent.mkdir(parents=True, exist_ok=True)
-    out.write_text(text + "\n")
-    print(f"\nwrote {out}")
-    speedup = result.speedup("vectorized_v2")
-    passed = result.identical and speedup >= args.min_speedup
-    print(
-        f"acceptance (identical outputs, >= {args.min_speedup:.0f}x): "
-        f"{'PASS' if passed else 'FAIL'}"
-    )
-    return 0 if passed else 1
-
-
 def _cmd_report(args) -> int:
     from .experiments.report_all import DEFAULT_ORDER, generate_experiments_md
     from .experiments.runner import (
@@ -1590,69 +1248,6 @@ def main(argv: list[str] | None = None) -> int:
         help="select:R | quantile:Q | range:LO:HI | part:KEY",
     )
 
-    bench_p = sub.add_parser(
-        "bench-queries",
-        help="benchmark the online service against offline baselines",
-    )
-    bench_p.add_argument(
-        "--quick", action="store_true",
-        help="small instance (N=2^16, 128 queries) for CI smoke runs",
-    )
-    bench_p.add_argument(
-        "--trace", choices=["zipfian", "uniform", "adversarial", "shard-skew"],
-        default="zipfian",
-    )
-    bench_p.add_argument(
-        "--shards", type=int, default=0, metavar="W",
-        help="benchmark the W-sharded service against the single-machine "
-        "engine on the same trace (writes SERVICE_SHARDS.txt)",
-    )
-    bench_p.add_argument(
-        "--workers", choices=["inproc", "process"], default="inproc",
-        help="worker placement for --shards (default inproc)",
-    )
-    bench_p.add_argument("--queries", type=int, default=None)
-    bench_p.add_argument("--alpha", type=float, default=1.1,
-                         help="zipfian skew exponent")
-    bench_p.add_argument("--batch", type=int, default=64,
-                         help="frontend flush size")
-    bench_p.add_argument("--n", type=int, default=None)
-    bench_p.add_argument("--k", type=int, default=None)
-    bench_p.add_argument("--seed", type=int, default=0)
-    bench_p.add_argument("--memory", type=int, default=4096, help="M (records)")
-    bench_p.add_argument("--block", type=int, default=64, help="B (records)")
-    bench_p.add_argument(
-        "--out", default=None, metavar="FILE",
-        help="record file (default benchmarks/out/SERVICE_QUERIES.txt)",
-    )
-    bench_p.add_argument(
-        "--json", action="store_true",
-        help="print the machine-readable result document to stdout "
-        "(the text record file is still written)",
-    )
-
-    kern_p = sub.add_parser(
-        "bench-kernels",
-        help="benchmark the kernel backends against each other",
-    )
-    kern_p.add_argument(
-        "--quick", action="store_true",
-        help="the smaller instance CI runs (CI_INSTANCE in "
-        "repro.em.kernels.bench)",
-    )
-    kern_p.add_argument("--blocks", type=int, default=8192,
-                        help="disk image size in blocks")
-    kern_p.add_argument("--buckets", type=int, default=2000,
-                        help="distribution fanout for the grouping op")
-    kern_p.add_argument("--reps", type=int, default=3,
-                        help="repetitions per primitive")
-    kern_p.add_argument("--min-speedup", type=float, default=5.0,
-                        help="acceptance threshold for vectorized_v2")
-    kern_p.add_argument(
-        "--out", default=None, metavar="FILE",
-        help="record file (default benchmarks/out/KERNEL_BACKEND.txt)",
-    )
-
     args = parser.parse_args(argv)
     if args.command == "budgets" and args.headroom is None:
         from .obs.budget import DEFAULT_HEADROOM
@@ -1686,10 +1281,6 @@ def main(argv: list[str] | None = None) -> int:
         return _cmd_recover(args)
     if args.command == "query":
         return _cmd_query(args)
-    if args.command == "bench-queries":
-        return _cmd_bench_queries(args)
-    if args.command == "bench-kernels":
-        return _cmd_bench_kernels(args)
     parser.print_help()
     return 2
 

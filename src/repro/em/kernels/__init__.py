@@ -13,8 +13,8 @@ for stability where the order is already unique.
 :class:`~repro.em.kernels.numpy_v1.NumpyV1Kernel` is the per-block
 reference it is proven byte-identical and counter/phase/trace-identical
 to: the differential tests hand an instance to
-``Machine(kernel=NumpyV1Kernel())``, and ``repro bench-kernels``
-measures the wall-clock gap.
+``Machine(kernel=NumpyV1Kernel())``, and
+``benchmarks/test_kernel_backend.py`` measures the wall-clock gap.
 """
 
 from __future__ import annotations

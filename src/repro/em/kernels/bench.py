@@ -19,8 +19,8 @@ shared via
 :class:`~repro.em.kernels.base.KernelBackend`, identical by
 construction, so their ratio is 1.0 by definition.
 
-Used by ``repro bench-kernels`` and ``benchmarks/test_kernel_backend.py``
-(which records the result in ``benchmarks/out/KERNEL_BACKEND.txt``).
+Used by ``benchmarks/test_kernel_backend.py``, which records the result
+in ``benchmarks/out/KERNEL_BACKEND.txt``.
 """
 
 from __future__ import annotations
@@ -40,9 +40,9 @@ __all__ = ["CI_INSTANCE", "KernelBenchResult", "bench_kernels", "render_bench"]
 #: Primitive names in report order.
 OPS = ("gather", "scatter", "concat", "group", "sort")
 
-#: The smaller instance CI runs (``repro bench-kernels --quick`` and the
-#: default size of ``benchmarks/test_kernel_backend.py``); the full size
-#: is :func:`bench_kernels`' defaults.
+#: The smaller instance CI runs, the default size of
+#: ``benchmarks/test_kernel_backend.py``; the full size
+#: (``REPRO_BENCH_FULL=1``) is :func:`bench_kernels`' defaults.
 CI_INSTANCE = dict(n_blocks=4096, n_buckets=2000, reps=2)
 
 #: Copies of each record in the tied sort's input (they differ in

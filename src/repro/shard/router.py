@@ -230,8 +230,6 @@ def build_sharded_service(
     k: int,
     workers: str = "inproc",
     transport: str = "inproc",
-    shard_memory: int | None = None,
-    shard_block: int | None = None,
 ) -> ShardRouter:
     """Split ``file`` across ``shards`` workers and return the router.
 
@@ -241,20 +239,14 @@ def build_sharded_service(
     transport.  ``k`` is the global leaf-resolution target; each shard
     gets a proportional share (``k_w ~ k * n_w / n``), so per-shard
     leaves match the single-machine engine's ``~n/k`` record target.
-
-    ``shard_memory``/``shard_block`` default to the coordinator's own
-    ``M``/``B``; pass ``shard_memory ~ n/W`` for the semi-external
-    regime (Akhremtsev–Sanders–Schulz) where each shard holds its
-    range mostly in memory.  Workers inherit the coordinator's kernel
-    backend and sanitize mode.
+    Workers inherit the coordinator's ``M``, ``B``, kernel backend and
+    sanitize mode.
     """
     if shards < 1:
         raise SpecError("need at least one shard")
     if k < 1:
         raise SpecError("need k >= 1")
     n = len(file)
-    shard_memory = machine.M if shard_memory is None else int(shard_memory)
-    shard_block = machine.B if shard_block is None else int(shard_block)
 
     if shards > 1 and n > 0:
         with machine.phase("shard-split"):
@@ -268,15 +260,7 @@ def build_sharded_service(
     else:
         comps = np.empty(0, dtype=np.int64)
 
-    pool = make_pool(
-        workers,
-        machine,
-        shards,
-        shard_memory=shard_memory,
-        shard_block=shard_block,
-        transport=transport,
-        sanitize=machine.sanitize,
-    )
+    pool = make_pool(workers, machine, shards, transport=transport)
     sent = [0] * shards
     try:
         kernel = machine.kernel

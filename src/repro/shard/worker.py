@@ -217,7 +217,9 @@ def _route(kind: str) -> tuple:
 class InProcessWorkerPool:
     """Synchronous in-process workers: a request runs the worker's
     message loop inline.  ``transport`` selects reference-passing
-    (``"inproc"``) or pickle-round-trip (``"serialized"``) links."""
+    (``"inproc"``) or pickle-round-trip (``"serialized"``) links.
+    Each worker's machine takes the coordinator's ``M``, ``B``, kernel
+    backend and sanitize mode."""
 
     kind = "inproc"
 
@@ -226,10 +228,7 @@ class InProcessWorkerPool:
         coordinator: "Machine",
         nshards: int,
         *,
-        shard_memory: int,
-        shard_block: int,
         transport: str = "inproc",
-        sanitize: bool | None = None,
     ) -> None:
         if nshards < 1:
             raise ValueError("need at least one shard")
@@ -241,10 +240,10 @@ class InProcessWorkerPool:
             worker = ShardWorker(
                 shard,
                 link,
-                memory=shard_memory,
-                block=shard_block,
+                memory=coordinator.M,
+                block=coordinator.B,
                 kernel=coordinator.kernel,
-                sanitize=sanitize,
+                sanitize=coordinator.sanitize,
             )
             self._ends.append(link.coordinator_end(coordinator))
             self._workers.append(worker)
@@ -284,7 +283,7 @@ def _process_worker_main(
     memory: int,
     block: int,
     kernel: KernelBackend,
-    sanitize: bool | None,
+    sanitize: bool,
 ) -> None:  # pragma: no cover - runs in the child process
     worker = ShardWorker(
         shard,
@@ -305,8 +304,9 @@ def _process_worker_main(
 class ProcessWorkerPool:
     """One OS process per shard over a duplex pipe.
 
-    The child builds its own :class:`ShardWorker` (machine and all) and
-    serves the same protocol; replies still carry the worker-side I/O
+    The child builds its own :class:`ShardWorker` (machine and all, with
+    the coordinator's ``M``, ``B``, kernel backend and sanitize mode)
+    and serves the same protocol; replies still carry the worker-side I/O
     envelope, so coordinator-side accounting and metrics are identical
     to the in-process pool.  A dead child surfaces as
     :class:`ShardError` on the next request.
@@ -319,10 +319,7 @@ class ProcessWorkerPool:
         coordinator: "Machine",
         nshards: int,
         *,
-        shard_memory: int,
-        shard_block: int,
         transport: str = "pipe",  # accepted for interface symmetry
-        sanitize: bool | None = None,
     ) -> None:
         if nshards < 1:
             raise ValueError("need at least one shard")
@@ -336,10 +333,10 @@ class ProcessWorkerPool:
                 args=(
                     child_conn,
                     shard,
-                    shard_memory,
-                    shard_block,
+                    coordinator.M,
+                    coordinator.B,
                     coordinator.kernel,
-                    sanitize,
+                    coordinator.sanitize,
                 ),
                 daemon=True,
             )

@@ -356,37 +356,6 @@ class TestServiceVerbs:
         assert machine.disk.live_blocks == 0
         assert machine.memory.in_use == 0
 
-    def test_bench_queries_quick(self, capsys, tmp_path):
-        out_file = tmp_path / "bench.txt"
-        rc = main(["bench-queries", "--quick", "--n", "20000", "--k", "16",
-                   "--queries", "48", "--out", str(out_file)])
-        assert rc == 0
-        out = capsys.readouterr().out
-        assert "answers identical to offline          : yes" in out
-        assert "PASS" in out
-        assert "per-query I/O p50 / p95 / p99" in out
-        assert out_file.exists()
-        assert "online / offline" in out_file.read_text()
-
-    def test_bench_queries_json_reproducible(self, capsys, tmp_path):
-        argv = ["bench-queries", "--quick", "--n", "20000", "--k", "16",
-                "--queries", "48", "--json",
-                "--out", str(tmp_path / "bench.txt")]
-        docs = []
-        for _ in range(2):
-            assert main(argv) == 0
-            docs.append(json.loads(capsys.readouterr().out))
-        doc = docs[0]
-        assert doc["answers_identical"] and doc["passed"]
-        assert doc["per_query_io"]["count"] == 48
-        assert doc["per_query_io"]["p50"] <= doc["per_query_io"]["p99"]
-        assert "svc_query_io" in doc["metrics"]
-        # Everything except wall-clock must be byte-for-byte stable.
-        for d in docs:
-            d.pop("wall_s")
-        assert docs[0] == docs[1]
-        assert "p50" in (tmp_path / "bench.txt").read_text()
-
 
 class TestLintCli:
     def test_lint_repo_is_clean(self, capsys):

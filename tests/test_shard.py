@@ -345,7 +345,7 @@ class TestProtocol:
     @pytest.mark.parametrize("workers", ["inproc", "process"])
     def test_unknown_kind_rejected_before_anything_is_charged(self, workers):
         coord = Machine(memory=512, block=16)
-        pool = make_pool(workers, coord, 2, shard_memory=512, shard_block=16)
+        pool = make_pool(workers, coord, 2)
         try:
             with pytest.raises(ShardError, match="unknown request kind 'selct'"):
                 pool.request(0, "selct", np.arange(1, 4))
@@ -414,31 +414,37 @@ class TestChaos:
 class TestProcessWorkers:
     def test_process_workers_match_inproc(self):
         records = random_permutation(2048, seed=7)
-        trace = QUERY_TRACES["zipfian"](32, 2048, seed=7, alpha=1.1)
-        queries = [Query.select(int(r)) for r in trace]
-        runs = {}
-        for workers in ("inproc", "process"):
-            coord = Machine(memory=512, block=16)
-            f = load_input(coord, records)
-            coord.reset_counters()
-            with build_sharded_service(
-                coord, f, shards=2, k=16, workers=workers
-            ) as router:
-                answers = QueryFrontend(coord, router).run(queries, batch=16)
-                stats = router.shard_io_stats()
-            runs[workers] = (
-                composite(np.array(answers, dtype=records.dtype)),
-                coord.io.total,
-                tuple(
-                    (s["lifetime_reads"], s["lifetime_writes"], s["n"])
-                    for s in stats
-                ),
-            )
-            f.free()
-            coord.close()
-        assert np.array_equal(runs["inproc"][0], runs["process"][0])
-        assert runs["inproc"][1] == runs["process"][1]
-        assert runs["inproc"][2] == runs["process"][2]
+        traces = {
+            "zipfian": QUERY_TRACES["zipfian"](32, 2048, seed=7, alpha=1.1),
+            # Zipfian popularity over the two shards' rank stripes.
+            "shard-skew": QUERY_TRACES["shard-skew"](32, 2048, seed=7, shards=2),
+        }
+        for name, trace in traces.items():
+            queries = [Query.select(int(r)) for r in trace]
+            expected = composite(_reference_select(records, trace))
+            runs = {}
+            for workers in ("inproc", "process"):
+                coord = Machine(memory=512, block=16)
+                f = load_input(coord, records)
+                coord.reset_counters()
+                with build_sharded_service(
+                    coord, f, shards=2, k=16, workers=workers
+                ) as router:
+                    answers = QueryFrontend(coord, router).run(queries, batch=16)
+                    stats = router.shard_io_stats()
+                runs[workers] = (
+                    composite(np.array(answers, dtype=records.dtype)),
+                    coord.io.total,
+                    tuple(
+                        (s["lifetime_reads"], s["lifetime_writes"], s["n"])
+                        for s in stats
+                    ),
+                )
+                f.free()
+                coord.close()
+            for workers, (got, _, _) in runs.items():
+                assert np.array_equal(got, expected), (name, workers)
+            assert runs["inproc"][1:] == runs["process"][1:], name
 
 
 # ----------------------------------------------------------------------
