@@ -13,6 +13,7 @@ goes first alternates from pair to pair.  Run from the repository
 root::
 
     python scripts/bench_pairs.py --parent REV --out BENCH_<n>.json \\
+        --claim service-zipfian:ops_per_s \\
         --runs service-zipfian:1:10 service-zipfian:3:3 offline-partition:1:5
 
 Each ``WORKLOAD:SEED:PAIRS`` spec adds that many pairs, each run as long
@@ -25,7 +26,8 @@ quartiles, the relative change of the median (positive is better), the
 change's wins and ties over the pairs, and whether the medians differ
 by more than the parent's interquartile range.  ``--change REV`` runs a
 given commit instead; ``--change`` equal to ``--parent`` records an A/A
-ledger, which measures the method's own spread.
+ledger, which measures the method's own spread.  ``--claim
+WORKLOAD:METRIC`` stores the gain the ledger was recorded to show.
 
 ::
 
@@ -37,8 +39,11 @@ answer, on a ``sim_io`` or ``setup_io`` that differs between runs of
 one side on one workload and seed, on a change median worse than the
 parent's by more than the metric's bound, or on a stored summary that
 differs from the recomputed one.  A change may move block counts, as
-long as they repeat; the bound then judges the move.  It runs no
-benchmark.
+long as they repeat; the bound then judges the move.  A ledger with a
+claim also fails unless, on every seed of the claimed workload, the
+change wins at least nine tenths of the pairs (rounded up) on the
+claimed metric and its median is better than the parent's by more than
+the parent's interquartile range.  It runs no benchmark.
 """
 
 from __future__ import annotations
@@ -56,6 +61,8 @@ SCHEMA = 2
 SIDES = ("parent", "change")
 #: Block counts that must repeat exactly across one side's runs of a group.
 EXACT = ("sim_io", "setup_io")
+#: A claimed gain must win this share of each seed's pairs, rounded up.
+CLAIM_WINS = (9, 10)
 
 
 def _git(*args: str) -> str:
@@ -167,6 +174,38 @@ def problems(ledger: dict) -> list[str]:
                     f"{-s['gain']:.1%} worse than the parent's "
                     f"{s['parent']['median']:.6g} (bound {bounds[name]:.0%})"
                 )
+    if "claim" in ledger:
+        out += _claim_problems(ledger["claim"], summary)
+    return out
+
+
+def _claim_problems(claim: dict, summary: dict) -> list[str]:
+    """Every seed of the claimed workload where the claimed gain fails."""
+    workload, metric = claim["workload"], claim["metric"]
+    groups = {
+        key: group for key, group in summary.items()
+        if key.rsplit("/", 1)[0] == workload
+    }
+    if not groups:
+        return [f"claim {workload}:{metric}: no complete pairs of {workload}"]
+    out = []
+    share, of = CLAIM_WINS
+    for key, group in groups.items():
+        s = group["metrics"].get(metric)
+        if s is None:
+            out.append(f"claim {workload}:{metric}: {metric} is not in the spec")
+            continue
+        need = -(-share * group["pairs"] // of)
+        if s["wins"] < need:
+            out.append(
+                f"{key}: claimed {metric} wins {s['wins']} of "
+                f"{group['pairs']} pairs, fewer than {need}"
+            )
+        if s["gain"] <= 0 or not s["resolved"]:
+            out.append(
+                f"{key}: claimed {metric} median is not better than the "
+                f"parent's by more than the parent's IQR"
+            )
     return out
 
 
@@ -204,6 +243,13 @@ def record(args) -> int:
         **{side: {"rev": rev} for side, rev in revs.items()},
         "runs": [],
     }
+    if args.claim:
+        workload, metric = args.claim.split(":")
+        if metric not in {m["name"] for m in spec["end_to_end"]} or workload not in {
+            runs.split(":")[0] for runs in args.runs
+        }:
+            sys.exit(f"--claim {args.claim}: no such metric, or no --runs of it")
+        ledger["claim"] = {"workload": workload, "metric": metric}
     out = Path(args.out)
     with tempfile.TemporaryDirectory() as tmp:
         trees = {side: Path(tmp) / side for side in SIDES}
@@ -239,6 +285,8 @@ def check(paths: list[str]) -> int:
         found = problems(ledger)
         if "spec" in ledger:
             print(render(summarize(ledger.get("runs", []), ledger["spec"])))
+        if "claim" in ledger:
+            print("claim: {workload}:{metric}".format(**ledger["claim"]))
         for problem in found:
             print(f"FAIL {problem}")
         print(f"{path}: {'FAIL' if found else 'PASS'}")
@@ -257,6 +305,8 @@ def main(argv=None) -> int:
     parser.add_argument("--out", help="ledger file to write")
     parser.add_argument("--runs", nargs="+", metavar="WORKLOAD:SEED:PAIRS",
                         help="pairs to run, per workload and seed")
+    parser.add_argument("--claim", metavar="WORKLOAD:METRIC",
+                        help="the gain the ledger is recorded to show")
     args = parser.parse_args(argv)
     if args.check:
         return check(args.check)

@@ -7,8 +7,12 @@ the records in ``(p_{i-1}, p_i]`` (composite total order, with
 ``p_{-1} = -inf`` and ``p_{f-1} = +inf``), matching the paper's partition
 convention ``P_i = S ∩ (s_{i-1}, s_i]``.
 
-Memory: one reader block plus one writer block per bucket, all leased —
-``(f+1)·B <= M`` is required and enforced by the accountant.
+Memory: a :class:`~repro.em.streams.BucketWriter` leases one block
+buffer per bucket, ``f·B`` records, before the scan.  The scan then
+reads chunks of ``load_limit`` records: all memory still free minus
+``2B``, in whole blocks and at least one.  So ``(f+1)·B <= M`` is
+required, and the accountant enforces it.  Each chunk's full blocks,
+for every bucket, go to disk in one batched write.
 """
 
 from __future__ import annotations
@@ -20,7 +24,7 @@ import numpy as np
 from ..em.comparisons import cmp_search
 from ..em.file import EMFile
 from ..em.records import composite
-from ..em.streams import BlockWriter, scan_chunks
+from ..em.streams import BucketWriter, scan_chunks
 
 if TYPE_CHECKING:  # pragma: no cover
     from ..em.machine import Machine
@@ -44,24 +48,15 @@ def distribute_by_pivots(
     pivot_comps = composite(pivots)
     if len(pivot_comps) > 1 and not np.all(np.diff(pivot_comps) > 0):
         raise ValueError("pivots must be sorted with distinct composites")
-    f = len(pivots) + 1
-    writers: list[BlockWriter] = []
-    try:
-        for i in range(f):
-            writers.append(BlockWriter(machine, f"{label}-bucket{i}"))
+    kernel = machine.kernel
+    with BucketWriter(machine, len(pivots) + 1, f"{label}-buckets") as writer:
         # Scan in memory-sized chunks (same I/O count as block-at-a-time;
         # the grouping work then runs once per chunk instead of per block).
-        kernel = machine.kernel
         with scan_chunks(file, machine.load_limit, f"{label}-in") as chunks:
             for chunk in chunks:
                 if len(chunk) == 0:
                     continue
                 idx = kernel.bucket_of(chunk, pivot_comps)
                 cmp_search(machine, len(chunk), len(pivot_comps))
-                for b, group in kernel.group_by_bucket(chunk, idx):
-                    writers[b].write(group)
-    except BaseException:
-        for w in writers:
-            w.abort()
-        raise
-    return [w.close() for w in writers]
+                writer.write(kernel.group_by_bucket(chunk, idx))
+        return writer.close()

@@ -106,9 +106,12 @@ class Disk:
     Storage is raw: stored bytes live in :data:`~repro.em.records.RAW_DTYPE`
     *arenas*, and one map sends each block id to its extent
     ``(arena, record offset, length)``.  A :meth:`write` stores a
-    one-block arena; a :meth:`write_many` batch stores one arena whose
-    blocks sit at consecutive offsets, so the kernel can gather a run of
-    them with one memory move.  Records cross the disk boundary as
+    one-block arena; a :meth:`write_many` stores one arena per run of
+    its payload, whose blocks sit at consecutive offsets, so the kernel
+    can gather a run of them with one memory move.  An arena never
+    spans two runs, so freeing one run's blocks (one file's) releases
+    its bytes whatever the batch's other runs still hold.  Records cross
+    the disk boundary as
     :data:`~repro.em.records.RECORD_DTYPE` arrays, converted once per
     returned array.
     """
@@ -470,36 +473,46 @@ class Disk:
                 self._trace.extend(("r", int(bid)) for bid in block_ids)
         return self._kernel.gather_blocks(bmap, block_ids)
 
-    def write_many(self, block_ids: Sequence[int], data: np.ndarray) -> None:
+    def write_many(
+        self, block_ids: Sequence[int], data: Sequence[np.ndarray]
+    ) -> None:
         """Write ``k`` blocks in one call; counts ``k`` write I/Os.
 
-        ``data`` is the concatenated payload: blocks ``0..k-2`` receive
-        exactly ``B`` records each and the last block the (non-empty)
-        remainder — the :class:`~repro.em.file.EMFile` layout.  Cost and
-        accounting are identical to ``k`` successive :meth:`write`
-        calls; the stores themselves go through the :attr:`kernel`
-        backend.  All ids and the payload shape are validated before any
-        block is touched or charged (atomic, like :meth:`free`).
-        ``block_ids`` may be any sequence of ids, including a numpy
-        integer array.
+        ``data`` is the payload as a list of *runs*, record arrays laid
+        over ``block_ids`` in order: a run of ``n`` records fills the
+        next ``ceil(n/B)`` blocks, ``B`` records each and the remainder
+        in its last.  Every run but the last must fill whole blocks and
+        the runs must fill exactly ``k`` blocks, so the blocks hold the
+        runs' concatenation in the :class:`~repro.em.file.EMFile`
+        layout.  Each run is stored in an arena of its own, and the
+        stores go through the :attr:`kernel` backend, once per run.
+        Cost and accounting are identical to ``k`` successive
+        :meth:`write` calls; the writes are charged and traced once per
+        call.  Every run and id is validated before any block is
+        touched or charged (atomic, like :meth:`free`).  ``block_ids``
+        may be any sequence of ids, including a numpy integer array.
         """
+        if isinstance(data, np.ndarray):
+            raise TypeError("write_many takes its payload as a list of runs")
         k = len(block_ids)
-        if data.dtype != RECORD_DTYPE:
-            raise BlockSizeError("block payload must be a record array")
-        if k == 0:
-            if len(data):
-                raise BlockSizeError("non-empty payload with no target blocks")
-            return
         B = self._B
-        if len(data) > k * B:
+        spans: list[int] = []  # blocks each run fills
+        for i, run in enumerate(data):
+            if run.dtype != RECORD_DTYPE:
+                raise BlockSizeError("block payload must be a record array")
+            if len(run) % B and i < len(data) - 1:
+                raise BlockSizeError(
+                    f"run {i} of {len(run)} records ends in a partial block; "
+                    f"only the last run may"
+                )
+            spans.append(-(-len(run) // B))
+        if sum(spans) != k:
             raise BlockSizeError(
-                f"payload of {len(data)} records exceeds {k} blocks of size {B}"
+                f"runs of {sum(len(run) for run in data)} records fill "
+                f"{sum(spans)} blocks of size {B}, not the {k} given"
             )
-        if len(data) <= (k - 1) * B:
-            raise BlockSizeError(
-                f"payload of {len(data)} records leaves trailing blocks empty "
-                f"(need more than {(k - 1) * B} records for {k} blocks)"
-            )
+        if k == 0:
+            return
         seen: set[int] = set()
         for bid in block_ids:
             if bid not in self._blocks:
@@ -512,7 +525,12 @@ class Disk:
         self._charge(read=False, count=k)
         if self._counting and self._trace is not None:
             self._trace.extend(("w", int(bid)) for bid in block_ids)
-        self._kernel.scatter_blocks(self._blocks, block_ids, data, B)
+        start = 0
+        for run, n in zip(data, spans):
+            self._kernel.scatter_blocks(
+                self._blocks, block_ids[start : start + n], run, B
+            )
+            start += n
         if self._sanitize:
             self._written_ids.update(seen)
 

@@ -9,7 +9,7 @@ code and are explicit about whether they count.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Iterator
+from typing import TYPE_CHECKING, Iterator, Sequence
 
 import numpy as np
 
@@ -19,7 +19,7 @@ from .records import RECORD_DTYPE, empty_records
 if TYPE_CHECKING:  # pragma: no cover
     from .machine import Machine
 
-__all__ = ["EMFile"]
+__all__ = ["EMFile", "append_runs"]
 
 
 class EMFile:
@@ -181,25 +181,9 @@ class EMFile:
         layout (and the same one-write-per-block model cost) as
         repeatedly calling :meth:`append_block` with ``B``-record
         slices.  Like :meth:`append_block`, requires the current last
-        block to be full.
+        block to be full.  The one-file case of :func:`append_runs`.
         """
-        self._check_live()
-        if data.dtype != RECORD_DTYPE:
-            raise FileError("EMFile stores record arrays only")
-        B = self.machine.B
-        if self._block_ids and self._length != len(self._block_ids) * B:
-            raise FileError("cannot append: last block is partially full")
-        if len(data) == 0:
-            return
-        nblocks = -(-len(data) // B)
-        ids = self.machine.disk.allocate(nblocks)
-        try:
-            self.machine.disk.write_many(ids, data)
-        except BaseException:
-            self.machine.disk.free(ids)  # don't leak on a failed write
-            raise
-        self._block_ids.extend(ids)
-        self._length += len(data)
+        append_runs([self], [data])
 
     def iter_blocks(self) -> Iterator[np.ndarray]:
         """Iterate over blocks front to back (one read I/O per block).
@@ -247,3 +231,46 @@ class EMFile:
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         state = "freed" if self._freed else f"{self._length} records"
         return f"EMFile({state}, {len(self._block_ids)} blocks)"
+
+
+def append_runs(files: Sequence[EMFile], runs: Sequence[np.ndarray]) -> None:
+    """Append ``runs[i]`` to ``files[i]``, for every ``i``, in one batch.
+
+    Each file gains ``ceil(len(runs[i])/B)`` blocks, full except
+    possibly the last, as :meth:`EMFile.append_blocks` lays them out.
+    One :meth:`Disk.allocate <repro.em.disk.Disk.allocate>` hands out
+    the ids in file order and one :meth:`Disk.write_many
+    <repro.em.disk.Disk.write_many>` writes the runs, each into an arena
+    of its own: the block ids, trace and one-write-per-block cost of
+    appending the runs file by file.  Every file must be live, on one
+    machine, and end in a full block, and every run but the last must
+    fill whole blocks.  Atomic: on any failure the new blocks are freed
+    and no file changes.
+    """
+    if not files:
+        return
+    machine = files[0].machine
+    B = machine.B
+    for f, run in zip(files, runs, strict=True):
+        f._check_live()
+        if f.machine is not machine:
+            raise FileError("a batched append must stay on one machine")
+        if run.dtype != RECORD_DTYPE:
+            raise FileError("EMFile stores record arrays only")
+        if f._block_ids and f._length != len(f._block_ids) * B:
+            raise FileError("cannot append: last block is partially full")
+    spans = [-(-len(run) // B) for run in runs]
+    if not any(spans):
+        return
+    disk = machine.disk
+    ids = disk.allocate(sum(spans))
+    try:
+        disk.write_many(ids, runs)
+    except BaseException:
+        disk.free(ids)  # don't leak on a failed write
+        raise
+    start = 0
+    for f, run, n in zip(files, runs, spans):
+        f._block_ids.extend(ids[start : start + n])
+        f._length += len(run)
+        start += n

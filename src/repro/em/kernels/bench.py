@@ -96,7 +96,7 @@ def bench_kernels(
     ids = disk.allocate(n_blocks)
     payload = make_records(np.arange(n))
     with disk.uncounted():
-        disk.write_many(ids, payload)
+        disk.write_many(ids, [payload])
     rng = np.random.default_rng(0)
     bucket_idx = rng.integers(0, n_buckets, size=n)
     parts = np.array_split(payload, 500)

@@ -26,13 +26,13 @@ changes wall-clock behaviour only.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Iterator
+from typing import TYPE_CHECKING, Iterable, Iterator
 
 import numpy as np
 
 from .comparisons import cmp_search
 from .errors import StreamError
-from .file import EMFile
+from .file import EMFile, append_runs
 from .records import composite, empty_records
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -41,6 +41,7 @@ if TYPE_CHECKING:  # pragma: no cover
 __all__ = [
     "BlockReader",
     "BlockWriter",
+    "BucketWriter",
     "ChunkScanner",
     "scan_chunks",
     "merge_sorted_files",
@@ -151,6 +152,88 @@ class BlockWriter:
             self.abort()
         elif not self._closed:
             self.close()
+
+
+class BucketWriter:
+    """Record-granular appends to ``f`` new bucket files, in full blocks.
+
+    The distribution pass's writer: one ``f·B``-record lease holds a
+    block buffer per bucket.  :meth:`write` takes one chunk's groups and
+    appends every bucket's full blocks with one concatenation and one
+    batched write (:func:`~repro.em.file.append_runs`, one run per
+    bucket, ids in ascending bucket order).  :meth:`close` appends each
+    bucket's partial last block, in ascending bucket order, and returns
+    the files.  Block ids, bytes, trace and I/O count are those of one
+    :class:`BlockWriter` per bucket; only the Python-level calls differ.
+    Use it as a context manager: a failure inside the ``with`` block,
+    :meth:`close` included, aborts it.
+    """
+
+    def __init__(self, machine: "Machine", buckets: int, label: str = "buckets") -> None:
+        self.machine = machine
+        self._lease = machine.memory.lease(buckets * machine.B, label)
+        self._files = [EMFile(machine) for _ in range(buckets)]
+        self._parts: list[list[np.ndarray]] = [[] for _ in range(buckets)]
+        self._buffered = [0] * buckets
+        self._closed = False
+
+    def write(self, groups: Iterable[tuple[int, np.ndarray]]) -> None:
+        """Append one chunk's ``(bucket, records)`` groups, ascending by
+        bucket, and write every bucket's full blocks in one batch."""
+        if self._closed:
+            raise StreamError("writer is closed")
+        B = self.machine.B
+        parts: list[np.ndarray] = []  # the full blocks, bucket by bucket
+        files: list[EMFile] = []
+        spans: list[tuple[int, int]] = []  # each file's run within parts
+        end = 0
+        for b, group in groups:
+            pending = self._parts[b]
+            total = self._buffered[b] + len(group)
+            n_full = total - total % B
+            if n_full:
+                cut = n_full - self._buffered[b]
+                parts += pending
+                parts.append(group[:cut])
+                files.append(self._files[b])
+                spans.append((end, end + n_full))
+                end += n_full
+                group = group[cut:]
+                pending.clear()
+            if len(group):
+                pending.append(group)
+            self._buffered[b] = total - n_full
+        if files:
+            data = self.machine.kernel.concat(parts)
+            append_runs(files, [data[start:stop] for start, stop in spans])
+
+    def close(self) -> list[EMFile]:
+        """Append every bucket's partial last block; return the files."""
+        if self._closed:
+            raise StreamError("writer already closed")
+        for f, parts in zip(self._files, self._parts):
+            if parts:
+                f.append_block(self.machine.kernel.concat(parts))
+                parts.clear()
+        self._lease.release()
+        self._closed = True
+        return self._files
+
+    def abort(self) -> None:
+        """Free every bucket's blocks and release the lease."""
+        if self._closed:
+            return
+        self._lease.release()
+        for f in self._files:
+            f.free()
+        self._closed = True
+
+    def __enter__(self) -> "BucketWriter":
+        return self
+
+    def __exit__(self, exc_type, *exc) -> None:
+        if exc_type is not None:
+            self.abort()
 
 
 class ChunkScanner:

@@ -146,7 +146,7 @@ class TestIdContainerTypes:
         d = Disk(B)
         ids = d.allocate(3)
         payload = blk(3 * B)
-        d.write_many(wrap(ids), payload)
+        d.write_many(wrap(ids), [payload])
         assert d.counters.writes == 3
         assert np.array_equal(d.peek(ids[0]), payload[:B])
 
@@ -155,7 +155,7 @@ class TestIdContainerTypes:
     )
     def test_write_many_empty_of_any_type(self, empty):
         d = Disk(8)
-        d.write_many(empty, blk(0))
+        d.write_many(empty, [blk(0)])
         assert d.counters.total == 0
 
     def test_numpy_ids_count_and_trace_like_python_ints(self):
@@ -187,7 +187,7 @@ class TestWriteManyDifferential:
             for i, bid in enumerate(ids_s):
                 single.write(bid, payload[i * B : (i + 1) * B])
         with batched.phase("emit"):
-            batched.write_many(ids_b, payload)
+            batched.write_many(ids_b, [payload])
 
         assert observable_state(single) == observable_state(batched)
         assert single.stop_trace() == batched.stop_trace()
@@ -200,34 +200,34 @@ class TestWriteManyDifferential:
         d = Disk(8)
         ids = d.allocate(1)
         data = blk(8)
-        d.write_many(ids, data)
+        d.write_many(ids, [data])
         data["key"][0] = 999
         assert d.peek(ids[0])["key"][0] == 0
 
     def test_empty_batch_is_noop(self):
         d = Disk(8)
-        d.write_many([], blk(0))
+        d.write_many([], [blk(0)])
         assert d.counters.total == 0
 
     def test_oversize_payload_rejected_without_charge(self):
         d = Disk(8)
         ids = d.allocate(2)
         with pytest.raises(BlockSizeError):
-            d.write_many(ids, blk(17))
+            d.write_many(ids, [blk(17)])
         assert d.counters.total == 0
 
     def test_trailing_empty_blocks_rejected(self):
         d = Disk(8)
         ids = d.allocate(3)
         with pytest.raises(BlockSizeError):
-            d.write_many(ids, blk(16))  # third block would stay empty
+            d.write_many(ids, [blk(16)])  # third block would stay empty
         assert d.counters.total == 0
 
     def test_duplicate_id_rejected(self):
         d = Disk(8)
         (bid,) = d.allocate(1)
         with pytest.raises(BadBlockError):
-            d.write_many([bid, bid], blk(10))
+            d.write_many([bid, bid], [blk(10)])
         assert d.counters.total == 0
 
     def test_unallocated_id_rejected_atomically(self):
@@ -236,7 +236,7 @@ class TestWriteManyDifferential:
         with d.uncounted():
             d.write(ids[0], blk(8, start=100))
         with pytest.raises(BadBlockError):
-            d.write_many([ids[0], 999], blk(10))
+            d.write_many([ids[0], 999], [blk(10)])
         # The valid block must be untouched.
         assert d.peek(ids[0])["key"][0] == 100
 
@@ -244,7 +244,71 @@ class TestWriteManyDifferential:
         d = Disk(8)
         ids = d.allocate(1)
         with pytest.raises(BlockSizeError):
-            d.write_many(ids, np.zeros(4))
+            d.write_many(ids, [np.zeros(4)])
+
+    def test_multi_run_write_matches_single_writes(self):
+        # Three runs (full, full, partial last) over six blocks: the
+        # same counters, trace and bytes as six successive writes.
+        B = 8
+        runs = [blk(2 * B), blk(B, start=100), blk(2 * B + 3, start=200)]
+        flat = np.concatenate(runs)
+        single, batched = Disk(B), Disk(B)
+        ids_s, ids_b = single.allocate(6), batched.allocate(6)
+        single.start_trace()
+        batched.start_trace()
+        with single.phase("emit"):
+            for i, bid in enumerate(ids_s):
+                single.write(bid, flat[i * B : (i + 1) * B])
+        with batched.phase("emit"):
+            batched.write_many(ids_b, runs)
+        assert observable_state(single) == observable_state(batched)
+        assert single.stop_trace() == batched.stop_trace()
+        for bid_s, bid_b in zip(ids_s, ids_b):
+            assert single.peek(bid_s).tobytes() == batched.peek(bid_b).tobytes()
+
+    @pytest.mark.parametrize(
+        "runs,nblocks",
+        [
+            ([blk(5), blk(8)], 2),  # a non-final run ends in a partial block
+            ([blk(8), blk(8)], 3),  # the runs fill fewer blocks than given
+            ([blk(8), blk(9)], 2),  # ... or more
+        ],
+        ids=["partial-non-final", "too-few-records", "too-many-records"],
+    )
+    def test_bad_run_shape_charges_and_stores_nothing(self, runs, nblocks):
+        d = Disk(8)
+        ids = d.allocate(nblocks)
+        d.start_trace()
+        with pytest.raises(BlockSizeError):
+            d.write_many(ids, runs)
+        assert d.counters.total == 0 and d.stop_trace() == []
+        assert all(len(d.peek(bid)) == 0 for bid in ids)
+
+    def test_bare_array_payload_rejected(self):
+        d = Disk(8)
+        ids = d.allocate(1)
+        with pytest.raises(TypeError):
+            d.write_many(ids, blk(8))
+        assert d.counters.total == 0
+
+
+class TestArenaLayout:
+    def test_freed_bucket_leaves_no_block_in_its_arenas(self):
+        # Each bucket's run of a chunk's batched write is its own arena:
+        # freeing one bucket file leaves no live block pinning its bytes.
+        from repro.alg.distribute import distribute_by_pivots
+        from repro.em.records import sort_records
+        from repro.workloads import load_input, random_permutation
+
+        mach = Machine(memory=256, block=8)
+        recs = random_permutation(2000, seed=4)
+        f = load_input(mach, recs)
+        buckets = distribute_by_pivots(mach, f, sort_records(recs)[[300, 900, 1500]])
+        blocks = mach.disk._blocks
+        for victim in buckets:
+            arenas = {id(blocks[bid][0]) for bid in victim.block_ids}
+            victim.free()
+            assert all(id(arena) not in arenas for arena, _, _ in blocks.values())
 
 
 class TestEMFileBatchedOps:

@@ -3,7 +3,9 @@
 A ledger passes only if every run answered correctly, block counts
 repeat exactly within each side of each workload and seed, every change
 median stays within the bound of the spec the ledger was recorded
-under, and the stored summary is the one the runs give.  Each test
+under, and the stored summary is the one the runs give.  A ledger that
+records a claim also needs the claimed metric to win nine tenths of each
+seed's pairs by a median gap wider than the parent's IQR.  Each test
 breaks one of these in an otherwise clean ledger, moves block counts
 between the sides, or changes the spec between recording and checking.
 """
@@ -174,3 +176,43 @@ def test_check_uses_the_spec_the_ledger_was_recorded_under(tmp_path, capsys):
     path.write_text(json.dumps(_ledger(runs, tighter)))
     assert bench_pairs.main(["--check", str(path)]) == 1
     assert "ops_per_s median" in capsys.readouterr().out
+
+
+def _claim_ledger(parent_ops, change_ops):
+    """A ledger claiming ``service-zipfian:ops_per_s``, one pair per
+    (parent, change) value."""
+    runs = []
+    for pair, values in enumerate(zip(parent_ops, change_ops)):
+        for side, ops in zip(("parent", "change"), values):
+            run = _run(side, pair)
+            run["result"]["metrics"]["ops_per_s"]["value"] = ops
+            runs.append(run)
+    return dict(
+        _ledger(runs), claim={"workload": "service-zipfian", "metric": "ops_per_s"}
+    )
+
+
+def test_claim_with_nine_of_ten_wins_and_a_resolved_gap_passes():
+    ledger = _claim_ledger([3000.0] * 10, [3300.0] * 9 + [2900.0])
+    assert bench_pairs.problems(ledger) == []
+
+
+def test_claim_with_eight_of_ten_wins_fails():
+    ledger = _claim_ledger([3000.0] * 10, [3300.0] * 8 + [2900.0] * 2)
+    assert bench_pairs.problems(ledger) == [
+        "service-zipfian/seed1: claimed ops_per_s wins 8 of 10 pairs, fewer than 9"
+    ]
+
+
+def test_claim_with_a_gap_inside_the_parent_iqr_fails():
+    # The change wins every pair by 50, but the parent's runs spread
+    # over an IQR of 450, so the gain is not resolved.
+    parent = [3000.0 + 100 * pair for pair in range(10)]
+    ledger = _claim_ledger(parent, [ops + 50 for ops in parent])
+    assert bench_pairs.problems(ledger) == [
+        "service-zipfian/seed1: claimed ops_per_s median is not better than "
+        "the parent's by more than the parent's IQR"
+    ]
+    # Without the claim the same runs pass, as claimless ledgers do.
+    del ledger["claim"]
+    assert bench_pairs.problems(ledger) == []

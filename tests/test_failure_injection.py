@@ -14,7 +14,13 @@ import itertools
 import numpy as np
 import pytest
 
-from repro.alg import external_sort, multi_partition, select_rank, select_rank_fast
+from repro.alg import (
+    distribute_by_pivots,
+    external_sort,
+    multi_partition,
+    select_rank,
+    select_rank_fast,
+)
 from repro.core import (
     approximate_partition,
     approximate_splitters,
@@ -24,7 +30,7 @@ from repro.core import (
     precise_partition_via_approx,
 )
 from repro.em import Machine
-from repro.em.records import make_records
+from repro.em.records import make_records, sort_records
 from repro.workloads import load_input, random_permutation
 
 
@@ -126,18 +132,30 @@ def test_intermixed_releases_on_failure(fail_at):
     assert mach.memory.in_use == 0
 
 
-def test_writer_abort_path_frees_disk_on_failure():
-    # The distribution pass has an explicit abort path: a failure during
-    # the scan must free every bucket writer's blocks, not just leases.
-    from repro.alg.distribute import distribute_by_pivots
-    from repro.em.records import sort_records
-
+def _distribution_input():
     mach = Machine(memory=256, block=8)
     recs = random_permutation(1000, seed=3)
-    f = load_input(mach, recs)
-    pivots = sort_records(recs)[[250, 500, 750]]
+    return mach, load_input(mach, recs), sort_records(recs)[[250, 500, 750]]
+
+
+def _distribution_io() -> int:
+    """I/Os of the pass below: 125 block reads in 5 chunks, each chunk's
+    full blocks in one batched write, then 4 tail-block writes."""
+    mach, f, pivots = _distribution_input()
+    mach.reset_counters()
+    distribute_by_pivots(mach, f, pivots)
+    return mach.io.total
+
+
+@pytest.mark.parametrize("fail_at", range(1, _distribution_io() + 1))
+def test_writer_abort_path_frees_disk_on_failure(fail_at):
+    # The distribution pass must abort cleanly at every one of its I/Os
+    # (inside a batched chunk read, inside a chunk's batched write, or at
+    # a bucket's tail block): every lease released and every bucket's
+    # blocks freed.
+    mach, f, pivots = _distribution_input()
     live_before = mach.disk.live_blocks
-    arm_fault(mach, 40)
+    arm_fault(mach, fail_at)
     with pytest.raises(InjectedFault):
         distribute_by_pivots(mach, f, pivots)
     assert mach.memory.in_use == 0

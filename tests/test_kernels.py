@@ -189,8 +189,8 @@ class TestPrimitiveIdentity:
         first, second, single = (
             _records(5 * B, seed=1), _records(2 * B + 3, seed=2), _records(B, seed=3)
         )
-        disk.write_many(ids[0:5], first)
-        disk.write_many(ids[5:8], second)
+        disk.write_many(ids[0:5], [first])
+        disk.write_many(ids[5:8], [second])
         disk.write(ids[2], single)
         stored = {b: first[i * B : (i + 1) * B] for i, b in enumerate(ids[0:5])}
         stored.update({b: second[i * B : (i + 1) * B] for i, b in enumerate(ids[5:8])})
