@@ -54,8 +54,9 @@ OVERSAMPLE = 4
 def max_distribution_fanout(machine: "Machine") -> int:
     """Largest bucket count ``f`` usable for one distribution pass.
 
-    A distribution pass holds one reader block plus ``f`` writer blocks,
-    and pivot finding needs chunks to shrink geometrically
+    A distribution pass holds ``f`` bucket buffers of one block each
+    plus a scan chunk of at least one block, and pivot finding needs
+    chunks to shrink geometrically
     (``OVERSAMPLE*f <= chunk/2``), so we take the minimum of both
     constraints.  Always at least 2.
     """

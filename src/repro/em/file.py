@@ -253,8 +253,6 @@ def append_runs(files: Sequence[EMFile], runs: Sequence[np.ndarray]) -> None:
     B = machine.B
     for f, run in zip(files, runs, strict=True):
         f._check_live()
-        if f.machine is not machine:
-            raise FileError("a batched append must stay on one machine")
         if run.dtype != RECORD_DTYPE:
             raise FileError("EMFile stores record arrays only")
         if f._block_ids and f._length != len(f._block_ids) * B:

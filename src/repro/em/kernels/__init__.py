@@ -7,7 +7,7 @@ guarded by emlint and the sanitizer) from *how record bytes move*
 
 Production code gets exactly one backend from :func:`get_kernel`:
 :class:`~repro.em.kernels.vectorized_v2.VectorizedV2Kernel`, with
-arena-run coalescing, single-arena scatters, one-call raw
+arena-run coalescing, one-arena-per-run scatters, one-call raw
 concatenation, fused distribute grouping, and sorts that do not pay
 for stability where the order is already unique.
 :class:`~repro.em.kernels.numpy_v1.NumpyV1Kernel` is the per-block

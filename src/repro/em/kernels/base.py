@@ -67,7 +67,8 @@ class KernelBackend:
         ``blocks`` is the disk's block map: block id ->
         ``(arena, offset, length)``, the block's ``length`` records at
         record ``offset`` of a :data:`~repro.em.records.RAW_DTYPE`
-        arena.  Blocks written in one batch share an arena at
+        arena.  The blocks of one :meth:`Disk.write_many
+        <repro.em.disk.Disk.write_many>` run share an arena at
         consecutive offsets; an allocated, never-written block has
         length 0.  Backends may exploit the shared arenas or ignore
         them; the output must equal the blocks' records concatenated in
@@ -87,11 +88,13 @@ class KernelBackend:
         last block the remainder) by setting each id's
         ``(arena, offset, length)`` entry in the block map ``blocks``.
 
-        The caller has validated ids and payload shape and charged the
-        writes; the kernel must copy ``data`` into
+        The disk calls this once per run of a ``write_many`` payload,
+        after it has validated ids and run shapes and charged the
+        writes.  The kernel must copy ``data`` into
         :data:`~repro.em.records.RAW_DTYPE` arenas (stored blocks never
-        alias caller memory), and a stored arena is never written
-        again, so blocks may share one.
+        alias caller memory).  A stored arena is never written again,
+        so the run's blocks may share one; blocks of different runs
+        never do.
         """
         raise NotImplementedError
 

@@ -84,9 +84,9 @@ def bench_kernels(
     suite.
 
     The instance: ``n_blocks`` full blocks staged contiguously on a
-    disk (one arena, the layout ``write_many`` produces), a same-sized
-    record payload, a ``n_buckets``-way bucket assignment, a 500-part
-    concatenation, and a shuffled copy of the payload to sort.  Each
+    disk (one arena, the layout one ``write_many`` run produces), a
+    same-sized record payload, a ``n_buckets``-way bucket assignment, a
+    500-part concatenation, and a shuffled copy of the payload to sort.  Each
     primitive runs ``reps`` times; the recorded figure is the total.
     The untimed identity checks run once per backend.
     """

@@ -3,15 +3,17 @@
 Five strategies distinguish it from the ``numpy_v1`` reference; all
 produce byte-identical outputs:
 
-* **Arena-run gather** — blocks written in one ``write_many`` batch
-  share a physical arena at consecutive offsets (the disk's block map
-  records each block's ``(arena, offset, length)``).  A gather
+* **Arena-run gather** — blocks written in one run of a
+  ``write_many`` payload share a physical arena at consecutive offsets
+  (the disk's block map records each block's
+  ``(arena, offset, length)``).  A gather
   coalesces maximal runs of adjacent blocks and moves each run with a
   single slice copy instead of one copy per block, turning a ``k``-block
   read into ``O(#runs)`` memcpys.
-* **Single-arena scatter** — a batch write copies its payload once into
-  one arena and maps every block to its extent there, so the blocks it
-  creates are themselves a coalescible run for later gathers.
+* **One arena per run** — the disk scatters each run of a
+  ``write_many`` payload separately; the kernel copies the run once
+  into one arena and maps each of its blocks to its extent there, so
+  the blocks it creates are a coalescible run for later gathers.
 * **One-call concat + fused grouping** — concatenation is one
   ``np.concatenate`` over the parts' raw views; bucket grouping applies
   one stable argsort take (a single fused gather) and slices group

@@ -4,6 +4,8 @@ These are the only building blocks algorithms need for sequential I/O:
 
 * :class:`BlockReader` — forward scan, one leased block buffer;
 * :class:`BlockWriter` — record-granular appends, flushed in full blocks;
+* :class:`BucketWriter` — the same for ``f`` bucket files at once (the
+  distribution pass), every bucket's full blocks in one batched write;
 * :func:`scan_chunks` — scan a file in memory-sized chunks (run formation,
   chunk sampling); returns a close-aware :class:`ChunkScanner`;
 * :func:`merge_sorted_files` — k-way merge of sorted files using the
@@ -18,10 +20,12 @@ never exceed ``M``.
 All streams move data through the disk's batched fast path
 (:meth:`~repro.em.disk.Disk.read_many` / ``write_many``) — one numpy
 concatenation per chunk instead of one Python call per block — while
-charging exactly the same per-block model cost.  Record concatenation
-and merge ordering dispatch through the machine's
-:attr:`~repro.em.machine.Machine.kernel` backend, so a backend swap
-changes wall-clock behaviour only.
+charging exactly the same per-block model cost.  A
+:class:`BucketWriter` goes one step further: one concatenation and one
+``write_many`` per chunk for all its buckets, each bucket's blocks a
+run with an arena of its own.  Record concatenation and merge ordering
+dispatch through the machine's :attr:`~repro.em.machine.Machine.kernel`
+backend, so a backend swap changes wall-clock behaviour only.
 """
 
 from __future__ import annotations
