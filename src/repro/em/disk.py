@@ -494,22 +494,22 @@ class Disk:
         """
         if isinstance(data, np.ndarray):
             raise TypeError("write_many takes its payload as a list of runs")
-        k = len(block_ids)
         B = self._B
-        spans: list[int] = []  # blocks each run fills
-        for i, run in enumerate(data):
+        total = 0  # records in the runs so far
+        for run in data:
             if run.dtype != RECORD_DTYPE:
                 raise BlockSizeError("block payload must be a record array")
-            if len(run) % B and i < len(data) - 1:
+            if total % B:
                 raise BlockSizeError(
-                    f"run {i} of {len(run)} records ends in a partial block; "
-                    f"only the last run may"
+                    f"a run before the last ends in a partial block "
+                    f"({total} records precede the next run)"
                 )
-            spans.append(-(-len(run) // B))
-        if sum(spans) != k:
+            total += len(run)
+        k = len(block_ids)
+        if -(-total // B) != k:
             raise BlockSizeError(
-                f"runs of {sum(len(run) for run in data)} records fill "
-                f"{sum(spans)} blocks of size {B}, not the {k} given"
+                f"runs of {total} records fill {-(-total // B)} blocks of "
+                f"size {B}, not the {k} given"
             )
         if k == 0:
             return
@@ -526,11 +526,10 @@ class Disk:
         if self._counting and self._trace is not None:
             self._trace.extend(("w", int(bid)) for bid in block_ids)
         start = 0
-        for run, n in zip(data, spans):
-            self._kernel.scatter_blocks(
-                self._blocks, block_ids[start : start + n], run, B
-            )
-            start += n
+        for run in data:
+            stop = start - (-len(run) // B)
+            self._kernel.scatter_blocks(self._blocks, block_ids[start:stop], run, B)
+            start = stop
         if self._sanitize:
             self._written_ids.update(seen)
 

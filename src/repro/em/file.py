@@ -251,24 +251,26 @@ def append_runs(files: Sequence[EMFile], runs: Sequence[np.ndarray]) -> None:
         return
     machine = files[0].machine
     B = machine.B
+    total = 0
     for f, run in zip(files, runs, strict=True):
         f._check_live()
         if run.dtype != RECORD_DTYPE:
             raise FileError("EMFile stores record arrays only")
-        if f._block_ids and f._length != len(f._block_ids) * B:
+        if f._length != len(f._block_ids) * B:
             raise FileError("cannot append: last block is partially full")
-    spans = [-(-len(run) // B) for run in runs]
-    if not any(spans):
+        total += len(run)
+    if not total:
         return
     disk = machine.disk
-    ids = disk.allocate(sum(spans))
+    ids = disk.allocate(-(-total // B))
     try:
         disk.write_many(ids, runs)
     except BaseException:
         disk.free(ids)  # don't leak on a failed write
         raise
     start = 0
-    for f, run, n in zip(files, runs, spans):
-        f._block_ids.extend(ids[start : start + n])
+    for f, run in zip(files, runs):
+        stop = start - (-len(run) // B)
+        f._block_ids += ids[start:stop]
         f._length += len(run)
-        start += n
+        start = stop
