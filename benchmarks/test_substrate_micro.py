@@ -179,10 +179,11 @@ def test_batched_vs_single_scan():
             seconds, total = _time_best_of(scan)
         assert total == n
         snap = mach.snapshot()
-        return seconds, snap, set(mach.disk.read_block_ids), mach.disk.stop_trace()
+        reads = {bid for op, bid in mach.disk.stop_trace() if op == "r"}
+        return seconds, snap, reads
 
-    t_single, io_single, ids_single, _ = measure(single_scan)
-    t_batched, io_batched, ids_batched, _ = measure(batched_scan)
+    t_single, io_single, ids_single = measure(single_scan)
+    t_batched, io_batched, ids_batched = measure(batched_scan)
     # One isolated trace window per path (reset fences the trace, but the
     # best-of timing loop scans several times; compare single passes).
     mach.reset_counters()

@@ -27,6 +27,7 @@ MODULES = [
     "repro.em.comparisons",
     "repro.em.errors",
     "repro.em.wire",
+    "repro.em.faults",
     "repro.alg.sort",
     "repro.alg.sampling",
     "repro.alg.distribute",
@@ -71,7 +72,6 @@ MODULES = [
     "repro.lint.rules_rng",
     "repro.lint.rules_lease",
     "repro.lint.rules_kernel",
-    "repro.lint.rules_shard",
     "repro.lint.runner",
     "repro.apps.histogram",
     "repro.apps.load_balance",
@@ -120,7 +120,7 @@ see ``repro <command> --help`` for every flag.
   change.
 - `repro lint [PATH ...] [--json] [--rule RULE ...] [--diff REF]
   [--baseline FILE] [--no-cache]` — run the emlint EM-conformance
-  rules (`repro.lint`, rules R1–R7, each judging one module from its
+  rules (`repro.lint`, rules R1–R6, each judging one module from its
   own AST) over the package plus `scripts/` and `benchmarks/`; exits
   non-zero on any active error-severity finding.  `--diff` lints only
   the files changed versus a git ref, `--baseline` reports only

@@ -93,60 +93,73 @@ def _solve(
     machine: "Machine", file: EMFile, ranks: np.ndarray, owned: bool
 ) -> list[EMFile]:
     """Return ordered segments such that every rank in ``ranks`` falls on a
-    boundary between consecutive segments.  Frees ``file`` iff ``owned``."""
+    boundary between consecutive segments.  Frees ``file`` iff ``owned``,
+    also on failure; a failure frees every file the call created."""
     n = len(file)
     if len(ranks) == 0:
         return [file if owned else copy_file(machine, file, "mp-copy")]
 
-    limit = machine.load_limit
-    if n <= limit:
-        with machine.phase("base"):
-            with machine.memory.lease(n, "mp-base"):
-                # The base case only needs the rank *cuts*, not a full sort:
-                # one multi-pivot partition pass, Θ(n·lg k) comparisons [7].
-                data = partition_at_ranks(
-                    machine, file.to_numpy(counted=True), ranks
-                )
-            if owned:
-                file.free()
-            pieces: list[EMFile] = []
-            prev = 0
-            for r in list(ranks) + [n]:
-                pieces.append(EMFile.from_records(machine, data[prev:r], counted=True))
-                prev = int(r)
-            return pieces
-
-    f = max_distribution_fanout(machine)
-    with machine.phase("sample"):
-        pivots = approx_quantile_pivots(machine, file, f - 1)
-        if len(pivots) == 0:
-            # Degenerate (cannot happen for n > limit, but stay safe): exact
-            # median split via selection guarantees progress.
-            pivots = np.array([select_rank(machine, file, (n + 1) // 2)])
-    with machine.phase("distribute"):
-        buckets = distribute_by_pivots(machine, file, pivots, "mp")
-        if max(len(b) for b in buckets) >= n:
-            # Pivots failed to split (all-equal composites cannot occur, so
-            # this is purely defensive): force an exact median split.
-            for b in buckets:
-                b.free()
-            mid = select_rank(machine, file, (n + 1) // 2)
-            buckets = distribute_by_pivots(machine, file, np.array([mid]), "mp-med")
-    if owned:
-        file.free()
-
     segments: list[EMFile] = []
-    offset = 0
-    with machine.phase("recurse"):
-        for bucket in buckets:
-            size = len(bucket)
-            if size == 0:
-                bucket.free()
-                continue
-            local = ranks[(ranks > offset) & (ranks < offset + size)] - offset
-            segments.extend(_solve(machine, bucket, local, owned=True))
-            offset += size
-    return segments
+    buckets: list[EMFile] = []
+    try:
+        if n <= machine.load_limit:
+            with machine.phase("base"):
+                with machine.memory.lease(n, "mp-base"):
+                    # The base case only needs the rank *cuts*, not a full
+                    # sort: one multi-pivot partition pass, Θ(n·lg k)
+                    # comparisons [7].
+                    data = partition_at_ranks(
+                        machine, file.to_numpy(counted=True), ranks
+                    )
+                if owned:
+                    file.free()
+                prev = 0
+                for r in list(ranks) + [n]:
+                    segments.append(
+                        EMFile.from_records(machine, data[prev:r], counted=True)
+                    )
+                    prev = int(r)
+            return segments
+
+        f = max_distribution_fanout(machine)
+        with machine.phase("sample"):
+            pivots = approx_quantile_pivots(machine, file, f - 1)
+            if len(pivots) == 0:
+                # Degenerate (cannot happen for n > limit, but stay safe):
+                # exact median split via selection guarantees progress.
+                pivots = np.array([select_rank(machine, file, (n + 1) // 2)])
+        with machine.phase("distribute"):
+            buckets = distribute_by_pivots(machine, file, pivots, "mp")
+            if max(len(b) for b in buckets) >= n:
+                # Pivots failed to split (all-equal composites cannot occur,
+                # so this is purely defensive): force an exact median split.
+                for b in buckets:
+                    b.free()
+                mid = select_rank(machine, file, (n + 1) // 2)
+                buckets = distribute_by_pivots(
+                    machine, file, np.array([mid]), "mp-med"
+                )
+        if owned:
+            file.free()
+
+        offset = 0
+        with machine.phase("recurse"):
+            for bucket in buckets:
+                size = len(bucket)
+                if size == 0:
+                    bucket.free()
+                    continue
+                local = ranks[(ranks > offset) & (ranks < offset + size)] - offset
+                segments.extend(_solve(machine, bucket, local, owned=True))
+                offset += size
+        return segments
+    except BaseException:
+        # EMFile.free is idempotent: files already freed stay freed.
+        for made in segments + buckets:
+            made.free()
+        if owned:
+            file.free()
+        raise
 
 
 def _assemble(

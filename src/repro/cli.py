@@ -32,7 +32,7 @@ Subcommands:
     Check every registered solver against its committed I/O envelope
     (the regression gate), or recalibrate and rewrite the envelopes.
 ``repro lint [PATH ...] [--json] [--rule RULE ...] [--diff REF] ...``
-    Run the emlint EM-conformance rules (R1–R7) over the source tree;
+    Run the emlint EM-conformance rules (R1–R6) over the source tree;
     non-zero exit on any active error-severity finding.
 ``repro sanitize-check [--solver NAME ...] [--n N] ...``
     Arm the runtime sanitizer: fire every trap (use-after-free,
@@ -768,57 +768,6 @@ def _serve_loop(args, recorder) -> int:
             file.free()
 
 
-class _InjectedCrash(Exception):
-    """Raised by the ``repro recover`` crash injector."""
-
-
-def _arm_crash(machine, fail_at: int):
-    """Make the ``fail_at``-th disk I/O from now raise (single-shot).
-
-    Arm this *after* setup so the build itself cannot fault; batched
-    calls tick once per block, the whole batch failing before any
-    accounting (disk batches are atomic).  Returns a disarm callable
-    restoring the original disk methods — call it before recovery so an
-    offset past the update phase's total I/O means "no crash" rather
-    than a fault inside ``recover`` itself.
-    """
-    disk = machine.disk
-    state = {"seen": 0}
-    orig_read, orig_write = disk.read, disk.write
-    orig_read_many, orig_write_many = disk.read_many, disk.write_many
-
-    def tick(k: int) -> None:
-        before = state["seen"]
-        state["seen"] += k
-        if before < fail_at <= state["seen"]:
-            raise _InjectedCrash
-
-    def read(bid):
-        tick(1)
-        return orig_read(bid)
-
-    def write(bid, data):
-        tick(1)
-        return orig_write(bid, data)
-
-    def read_many(bids):
-        tick(len(bids))
-        return orig_read_many(bids)
-
-    def write_many(bids, data):
-        tick(len(bids))
-        return orig_write_many(bids, data)
-
-    disk.read, disk.write = read, write
-    disk.read_many, disk.write_many = read_many, write_many
-
-    def disarm() -> None:
-        disk.read, disk.write = orig_read, orig_write
-        disk.read_many, disk.write_many = orig_read_many, orig_write_many
-
-    return disarm
-
-
 def _apply_update_batch(index, batch) -> None:
     for op in batch:
         if op[0] == "append":
@@ -832,14 +781,14 @@ def _cmd_recover(args) -> int:
     """Scripted crash→recover scenario with an answer-identity check.
 
     Builds a durable index, applies an interleaved update plan, crashes
-    at the ``--fail-at``-th I/O (0 = clean process death after the
-    plan), recovers from the manifest, and compares a zipfian
+    at the ``--fail-at``-th counted I/O (0 = clean process death after
+    the plan), recovers from the manifest, and compares a zipfian
     verification trace against a *shadow oracle*: a volatile index on a
     fresh machine that applied exactly the flush groups the recovered
     sequence number says were committed.  Exits non-zero if any answer
     diverges or the crashed process leaked memory leases.
     """
-    from .em import Machine
+    from .em import InjectedFault, Machine, arm_fault
     from .em.records import composite
     from .service import DurablePartitionIndex, PartitionIndex, recover
     from .workloads import load_input, random_permutation
@@ -865,12 +814,15 @@ def _cmd_recover(args) -> int:
     plan = update_batches(
         records["key"], args.batches, appends, deletes, seed=args.seed
     )
-    disarm = _arm_crash(machine, args.fail_at) if args.fail_at else None
+    # Armed after the build, so the build itself cannot fault; disarmed
+    # before recovery, so an offset past the plan's last I/O means "no
+    # crash" rather than a fault inside recover itself.
+    disarm = arm_fault(machine, args.fail_at) if args.fail_at else None
     crashed = False
     try:
         for batch in plan:
             _apply_update_batch(index, batch)
-    except _InjectedCrash:
+    except InjectedFault:
         crashed = True
     finally:
         if disarm is not None:

@@ -24,6 +24,7 @@ from .errors import (
     UninitializedReadError,
     UseAfterFreeError,
 )
+from .faults import InjectedFault, arm_fault
 from .file import EMFile
 from .kernels import KernelBackend, get_kernel
 from .machine import (
@@ -107,6 +108,8 @@ __all__ = [
     "LeaseLeakError",
     "DoubleReleaseError",
     "CounterConservationError",
+    "InjectedFault",
+    "arm_fault",
     "sanitize_default",
     "WORDS_PER_RECORD",
     "SEND_PHASE",

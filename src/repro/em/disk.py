@@ -162,12 +162,10 @@ class Disk:
         self._observers: list = []
         # Lifetime high-water mark of live blocks, for space accounting.
         self._peak_blocks = 0
-        # Ids of blocks ever read while counting was on — lets the
-        # adversary-style experiments check "the algorithm saw every input
-        # block" (§3's right-grounded argument).
-        self._read_ids: set[int] = set()
         # Optional access trace: (op, block_id) per counted I/O, for
-        # sequentiality / fragmentation analysis (off by default).
+        # sequentiality / fragmentation analysis and for the adversary
+        # experiments' "the algorithm read every input block" check
+        # (§3's right-grounded argument).  Off by default.
         self._trace: list[tuple[str, int]] | None = None
 
     # ------------------------------------------------------------------
@@ -309,11 +307,6 @@ class Disk:
         finally:
             self._counting = prev
 
-    @property
-    def read_block_ids(self) -> frozenset[int]:
-        """Ids of blocks read (while counting) since the last reset."""
-        return frozenset(self._read_ids)
-
     def start_trace(self) -> None:
         """Begin recording the (op, block_id) access sequence.
 
@@ -337,7 +330,6 @@ class Disk:
         one measurement window, never a mix of two.
         """
         self._counters = IOCounters()
-        self._read_ids = set()
         if self._trace is not None:
             self._trace = []
 
@@ -410,10 +402,8 @@ class Disk:
         except KeyError:
             raise BadBlockError(f"block {block_id} is not allocated") from None
         self._charge(read=True)
-        if self._counting:
-            self._read_ids.add(block_id)
-            if self._trace is not None:
-                self._trace.append(("r", block_id))
+        if self._counting and self._trace is not None:
+            self._trace.append(("r", block_id))
         return as_records(arena[off : off + n].copy())
 
     def write(self, block_id: int, data: np.ndarray) -> None:
@@ -444,10 +434,9 @@ class Disk:
 
         Returns one freshly allocated array holding the blocks'
         records concatenated in the given order.  The model cost and
-        every piece of accounting — counters, phase attribution,
-        :attr:`read_block_ids`, trace entries — are *identical* to ``k``
-        successive :meth:`read` calls; only the Python-level overhead
-        differs.  The byte shuffling itself is delegated to the
+        every piece of accounting — counters, phase attribution, trace
+        entries — are *identical* to ``k`` successive :meth:`read`
+        calls; only the Python-level overhead differs.  The byte shuffling itself is delegated to the
         machine's :attr:`kernel` backend once validation and charging
         are done.
 
@@ -467,10 +456,8 @@ class Disk:
             elif bid not in bmap:
                 raise BadBlockError(f"block {bid} is not allocated")
         self._charge(read=True, count=len(block_ids))
-        if self._counting:
-            self._read_ids.update(int(bid) for bid in block_ids)
-            if self._trace is not None:
-                self._trace.extend(("r", int(bid)) for bid in block_ids)
+        if self._counting and self._trace is not None:
+            self._trace.extend(("r", int(bid)) for bid in block_ids)
         return self._kernel.gather_blocks(bmap, block_ids)
 
     def write_many(

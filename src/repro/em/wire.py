@@ -15,16 +15,16 @@ them, sanitize-mode counter conservation holds, and per-phase rollups
 show communication next to computation.  No bytes move: a message gets
 no scratch blocks (charges were once realized by allocating, writing,
 reading and freeing them), so a charge leaves ``live_blocks``,
-``peak_blocks``, ``read_block_ids``, the access trace and the
-sanitizer's block-id sets untouched.  Only ``em`` (and ``obs``) may call
+``peak_blocks``, the access trace and the sanitizer's block-id sets
+untouched.  Only ``em`` (and ``obs``) may call
 ``_charge`` (emlint R1), so algorithm code still cannot write a bare
 charge.
 
 Payload sizes are computed by :func:`payload_words` from the abstract
-message value, **not** from any serialized byte string, so every
-transport — in-process reference passing, pickled pipes, real sockets —
-charges identically and the model cost of a sharded run is
-deterministic across worker implementations.
+message value, **not** from any serialized byte string, so a message
+costs the same whether it is handed over in process or pickled through
+a pipe, and the model cost of a sharded run is deterministic across
+worker pools.
 """
 
 from __future__ import annotations
@@ -59,7 +59,7 @@ def payload_words(value) -> int:
     """Canonical size of a message payload in 64-bit words.
 
     Defined over abstract values (arrays, scalars, containers), not
-    serialized bytes, so all transports agree on the charge:
+    serialized bytes, so every link agrees on the charge:
 
     * record arrays count :data:`WORDS_PER_RECORD` words per record,
       other numpy arrays one word per element;

@@ -49,12 +49,14 @@ def t1_r4(quick: bool = False) -> ExperimentResult:
     for k, a in sweep:
         mach = wide_machine()
         f = load_input(mach, records)
+        mach.disk.start_trace()
         pf, cost = measure_io(mach, lambda: right_grounded_partition(mach, f, k, a))
+        read = {bid for op, bid in mach.disk.stop_trace() if op == "r"}
         check_partitioned(records, pf, a, n, k)
         pf.free()
         lower = partition_right_lower(n, mach.B)
         upper = partition_right_upper(n, k, a, mach.M, mach.B)
-        saw_all = set(f.block_ids) <= mach.disk.read_block_ids
+        saw_all = set(f.block_ids) <= read
         rows.append((k, a, cost, lower, upper, cost / upper, saw_all))
         measured.append(cost)
         uppers.append(upper)

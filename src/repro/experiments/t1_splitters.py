@@ -70,12 +70,14 @@ def t1_r1(quick: bool = False) -> ExperimentResult:
                 continue
             mach = wide_machine()
             f = load_input(mach, records)
+            mach.disk.start_trace()
             res, cost = measure_io(
                 mach, lambda: right_grounded_splitters(mach, f, k, a)
             )
+            read = {bid for op, bid in mach.disk.stop_trace() if op == "r"}
             check_splitters(records, res.splitters, a, n, k)
             bound = splitters_right_bound(n, k, a, mach.M, mach.B)
-            seen = len(mach.disk.read_block_ids & set(f.block_ids))
+            seen = len(read & set(f.block_ids))
             nb = f.num_blocks
             sub = cost < n / mach.B
             rows.append(

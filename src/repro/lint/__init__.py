@@ -18,11 +18,12 @@ Aggarwal–Vitter cost accounting:
 * **R4** — no unseeded / global-state RNG in the package, ``scripts/``
   or ``benchmarks/``;
 * **R5** — leases are released on all paths by the code that owns them;
-* **R6** — hot-path record ops route through the kernel backend;
-* **R7** — shard code never touches another shard's state.
+* **R6** — hot-path record ops route through the kernel backend.
 
-The shard protocol, the solver registry and phase labels are not
-linted: they are declared (``repro.shard.worker.PROTOCOL``), tested
+The shard protocol, shard isolation, the solver registry and phase
+labels are not linted: they are declared
+(``repro.shard.worker.PROTOCOL``), made unwritable (the shard pools
+hold only the coordinator's endpoints, never a worker), tested
 (``tests/test_budgets.py``) and checked at runtime (``Disk.phase``).
 
 Run it with ``repro lint [--json] [--rule R2 ...] [--diff REF]

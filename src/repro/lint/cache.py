@@ -23,7 +23,7 @@ from pathlib import Path
 __all__ = ["AnalysisCache", "ENGINE_VERSION", "default_cache_path"]
 
 #: Bump on any rule/engine change that can alter per-module results.
-ENGINE_VERSION = "emlint-3.0"
+ENGINE_VERSION = "emlint-3.1"
 
 
 def default_cache_path(root: Path) -> Path:

@@ -249,7 +249,6 @@ def _ensure_loaded() -> None:
         rules_kernel,
         rules_lease,
         rules_rng,
-        rules_shard,
     )
 
 

@@ -26,7 +26,7 @@ EM_PRIVATE_ATTRS = frozenset(
         # Disk
         "_blocks", "_arena", "_freelist", "_next_id",
         "_counters", "_lifetime", "_phase_stack", "_phase_path",
-        "_counting", "_read_ids", "_peak_blocks", "_charge",
+        "_counting", "_peak_blocks", "_charge",
         "_freed_ids", "_written_ids", "_check_block",
         # MemoryAccountant / MemoryLease
         "_in_use", "_peak", "_capacity", "_live_leases", "_notify",

@@ -204,7 +204,11 @@ class PartitionIndex:
         if k < 1:
             raise SpecError("need k >= 1")
         idx = cls(machine, k, slack=slack, rebuild_threshold=rebuild_threshold)
-        idx._install(file, k, free_input=False)
+        try:
+            idx._install(file, k, free_input=False)
+        except BaseException:
+            idx.close()
+            raise
         return idx
 
     def _install(self, file: EMFile, k: int, free_input: bool) -> None:
@@ -238,15 +242,19 @@ class PartitionIndex:
             # of every partition) and the uid high-water mark for appends.
             maxima: list[int] = []
             max_uid = -1
-            for part in parts:
-                part_max = -(1 << 62)
-                for seg in part.segments:
-                    with BlockReader(seg, "svc-build-splitters") as reader:
-                        for block in reader:
-                            cmp_linear(m, 2 * len(block))
-                            part_max = max(part_max, int(composite(block).max()))
-                            max_uid = max(max_uid, int(block["uid"].max()))
-                maxima.append(part_max)
+            try:
+                for part in parts:
+                    part_max = -(1 << 62)
+                    for seg in part.segments:
+                        with BlockReader(seg, "svc-build-splitters") as reader:
+                            for block in reader:
+                                cmp_linear(m, 2 * len(block))
+                                part_max = max(part_max, int(composite(block).max()))
+                                max_uid = max(max_uid, int(block["uid"].max()))
+                    maxima.append(part_max)
+            except BaseException:
+                pf.free()
+                raise
         self._parts = parts
         self._splitters = np.array(maxima[:-1], dtype=np.int64)
         self._n_live = n

@@ -4,25 +4,17 @@ Splits the record file across ``W`` shard machines by a sampled
 top-level splitter set, runs the lazy online engine per shard, and
 merges partial answers (rank offsets, bucket counts, splitter
 candidates) at the coordinator.  Communication is a first-class,
-charged resource: every message through a :class:`Transport` costs
+charged resource: every message through an :class:`Endpoint` costs
 block I/O on both endpoints (:mod:`repro.em.wire`) and shows up in
-traces, metrics, and the budget gate.  The :class:`ShardRouter`
-speaks the single-machine engine protocol, so the existing
+traces, metrics, and the budget gate.  The coordinator holds only
+endpoints, never a worker.  The :class:`ShardRouter` speaks the
+single-machine engine protocol, so the existing
 :class:`~repro.service.frontend.QueryFrontend` fronts either path
 unchanged.
 """
 
 from .router import ShardRouter, build_sharded_service
-from .transport import (
-    Endpoint,
-    InProcTransport,
-    Message,
-    PipeTransport,
-    SerializedTransport,
-    ShardError,
-    Transport,
-    TRANSPORTS,
-)
+from .transport import Endpoint, Message, ShardError
 from .worker import (
     PROTOCOL,
     InProcessWorkerPool,
@@ -37,11 +29,6 @@ __all__ = [
     "build_sharded_service",
     "Message",
     "Endpoint",
-    "Transport",
-    "InProcTransport",
-    "SerializedTransport",
-    "PipeTransport",
-    "TRANSPORTS",
     "ShardError",
     "PROTOCOL",
     "ShardWorker",

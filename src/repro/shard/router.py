@@ -2,7 +2,7 @@
 
 :func:`build_sharded_service` samples a top-level splitter set from the
 input (phase ``"shard-split"``), carves the file into ``W`` key ranges,
-and streams each range to its shard worker over the charged transport
+and streams each range to its shard worker as charged messages
 (phase ``"shard-ingest"``).  The resulting :class:`ShardRouter` speaks
 the same engine protocol as
 :class:`~repro.service.online.LazyPartitionIndex` — ``n_live``,
@@ -229,16 +229,15 @@ def build_sharded_service(
     shards: int,
     k: int,
     workers: str = "inproc",
-    transport: str = "inproc",
 ) -> ShardRouter:
     """Split ``file`` across ``shards`` workers and return the router.
 
     The input file is read (never modified or freed): one sampling pass
     picks ``shards - 1`` top-level splitters, then one distribution
-    pass streams each key range to its worker over the charged
-    transport.  ``k`` is the global leaf-resolution target; each shard
-    gets a proportional share (``k_w ~ k * n_w / n``), so per-shard
-    leaves match the single-machine engine's ``~n/k`` record target.
+    pass streams each key range to its worker as charged messages.
+    ``k`` is the global leaf-resolution target; each shard gets a
+    proportional share (``k_w ~ k * n_w / n``), so per-shard leaves
+    match the single-machine engine's ``~n/k`` record target.
     Workers inherit the coordinator's ``M``, ``B``, kernel backend and
     sanitize mode.
     """
@@ -260,7 +259,7 @@ def build_sharded_service(
     else:
         comps = np.empty(0, dtype=np.int64)
 
-    pool = make_pool(workers, machine, shards, transport=transport)
+    pool = make_pool(workers, machine, shards)
     sent = [0] * shards
     try:
         kernel = machine.kernel

@@ -1,8 +1,11 @@
-"""Pluggable coordinator↔worker transports with charged endpoints.
+"""Charged coordinator↔worker endpoints.
 
-A :class:`Transport` is one bidirectional link between the coordinator
-and one shard worker.  Each side binds an :class:`Endpoint` to the
-machine that pays for its traffic; every ``send``/``recv`` then
+A link between the coordinator and one shard worker has two
+:class:`Endpoint` s, each bound to the machine that pays for its
+traffic.  An endpoint moves messages through two plain functions, a
+``put`` and a ``get``: deque operations for a worker in this process,
+a :mod:`multiprocessing` pipe's ``send``/``recv`` for a child process.
+Every ``send``/``recv`` then
 
 * charges block I/O on that machine via :mod:`repro.em.wire`
   (writes on send under the ``"shard-send"`` phase, reads on receive
@@ -12,20 +15,17 @@ machine that pays for its traffic; every ``send``/``recv`` then
   by shard and direction).
 
 Charges derive from :func:`~repro.em.wire.payload_words` over the
-*abstract* message value, never from serialized bytes, so all three
-transports here — reference-passing, pickle-round-trip, and
-multiprocessing pipe — cost identically and sharded runs stay
-deterministic across worker implementations.
+*abstract* message value, never from serialized bytes, so an
+in-process link and a pipe cost identically and sharded runs stay
+deterministic across worker pools.
 
-This module is the one sanctioned channel for cross-shard data
-movement: emlint rule R7 forbids ``shard/`` code outside this file from
-touching another endpoint's ``Machine``/``Disk``/``EMFile`` directly.
+The coordinator holds only its own endpoints, never a worker object,
+so a shard's machine, file or engine reaches it only as a charged
+message.
 """
 
 from __future__ import annotations
 
-import pickle
-from collections import deque
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
@@ -40,20 +40,9 @@ from ..em.wire import (
 from ..obs.metrics import current_registry
 
 if TYPE_CHECKING:  # pragma: no cover
-    from multiprocessing.connection import Connection
-
     from ..em.machine import Machine
 
-__all__ = [
-    "Message",
-    "Endpoint",
-    "Transport",
-    "InProcTransport",
-    "SerializedTransport",
-    "PipeTransport",
-    "TRANSPORTS",
-    "ShardError",
-]
+__all__ = ["Message", "Endpoint", "ShardError"]
 
 
 class ShardError(RuntimeError):
@@ -83,7 +72,11 @@ class Message:
 
 @dataclass
 class Endpoint:
-    """One side of a transport link, bound to the machine that pays."""
+    """One side of a link, bound to the machine that pays.
+
+    ``_put`` hands a message to the peer and ``_get`` takes the next
+    one from it.
+    """
 
     machine: "Machine"
     shard: int
@@ -125,7 +118,7 @@ class Endpoint:
     def recv(self) -> Message:
         """Take the next message; charges block reads on this endpoint.
 
-        Raises :class:`ShardError` on sequence-number gaps (a transport
+        Raises :class:`ShardError` on sequence-number gaps (a link
         dropped or reordered a message) and lets the underlying
         channel's EOF errors propagate (a dead peer — the pools turn
         those into :class:`ShardError` with shard context).
@@ -142,99 +135,3 @@ class Endpoint:
         self._m_msgs.labels(shard=self.shard, direction="recv").inc()
         self._m_bytes.labels(shard=self.shard, direction="recv").inc(8 * words)
         return message
-
-
-class Transport:
-    """One coordinator↔one-worker link; subclasses supply the channel."""
-
-    name = "abstract"
-
-    def __init__(self, shard: int) -> None:
-        self.shard = int(shard)
-
-    def coordinator_end(self, machine: "Machine") -> Endpoint:
-        put, get = self._coordinator_channel()
-        return Endpoint(machine, self.shard, "coordinator", put, get)
-
-    def worker_end(self, machine: "Machine") -> Endpoint:
-        put, get = self._worker_channel()
-        return Endpoint(machine, self.shard, "worker", put, get)
-
-    def _coordinator_channel(self):  # pragma: no cover - abstract
-        raise NotImplementedError
-
-    def _worker_channel(self):  # pragma: no cover - abstract
-        raise NotImplementedError
-
-
-class InProcTransport(Transport):
-    """Reference-passing queues: the in-process default."""
-
-    name = "inproc"
-
-    def __init__(self, shard: int) -> None:
-        super().__init__(shard)
-        self._to_worker: deque = deque()
-        self._to_coord: deque = deque()
-
-    def _coordinator_channel(self):
-        return self._to_worker.append, self._to_coord.popleft
-
-    def _worker_channel(self):
-        return self._to_coord.append, self._to_worker.popleft
-
-
-class SerializedTransport(Transport):
-    """Pickle round-trip queues: in-process, but every message crosses a
-    real serialization boundary — what a socket or pipe would carry.
-
-    Proves (and the tests assert) that charging and answers are
-    identical to :class:`InProcTransport`, the harness/adapter split
-    that lets process workers reuse the in-process protocol unchanged.
-    """
-
-    name = "serialized"
-
-    def __init__(self, shard: int) -> None:
-        super().__init__(shard)
-        self._to_worker: deque = deque()
-        self._to_coord: deque = deque()
-
-    @staticmethod
-    def _encode(q: deque):
-        return lambda msg: q.append(pickle.dumps(msg))
-
-    @staticmethod
-    def _decode(q: deque):
-        return lambda: pickle.loads(q.popleft())
-
-    def _coordinator_channel(self):
-        return self._encode(self._to_worker), self._decode(self._to_coord)
-
-    def _worker_channel(self):
-        return self._encode(self._to_coord), self._decode(self._to_worker)
-
-
-class PipeTransport(Transport):
-    """A :mod:`multiprocessing` duplex pipe; construct one per process
-    around that process's :class:`~multiprocessing.connection.Connection`
-    half (the object itself never crosses the fork)."""
-
-    name = "pipe"
-
-    def __init__(self, shard: int, conn: "Connection") -> None:
-        super().__init__(shard)
-        self._conn = conn
-
-    def _coordinator_channel(self):
-        return self._conn.send, self._conn.recv
-
-    def _worker_channel(self):
-        return self._conn.send, self._conn.recv
-
-
-#: In-process transports selectable by name from the CLI / pools.
-TRANSPORTS = {
-    InProcTransport.name: InProcTransport,
-    SerializedTransport.name: SerializedTransport,
-}

@@ -3,11 +3,13 @@
 A :class:`ShardWorker` owns one shard outright — its
 :class:`~repro.em.machine.Machine`, the shard's record file, and a
 :class:`~repro.service.online.LazyPartitionIndex` over it — and is
-driven purely by request messages; it never reaches into another
-shard's state (emlint rule R7), and nothing outside it reaches into
-its own.  The same worker runs in-process today and inside a real
-child process behind the same message protocol, mirroring the
-experiment runner's serial/parallel split.
+driven purely by request messages.  Both pools hold only the
+coordinator's :class:`~repro.shard.transport.Endpoint` per shard, so
+no worker, shard machine or shard file is reachable from the router:
+a worker in this process sits behind a delivery closure, one in a
+child process behind a pipe.  The same worker runs in-process and
+inside a real child process behind the same message protocol,
+mirroring the experiment runner's serial/parallel split.
 
 The request protocol is declared once, in :data:`PROTOCOL`: each
 request kind maps to its handler and its reply kind.  The worker
@@ -27,6 +29,7 @@ surface that as :class:`ShardError` at the coordinator.
 from __future__ import annotations
 
 import multiprocessing
+from collections import deque
 
 import numpy as np
 
@@ -36,13 +39,7 @@ from ..em.machine import Machine
 from ..em.records import empty_records
 from ..em.streams import BlockWriter
 from ..service.online import LazyPartitionIndex
-from .transport import (
-    TRANSPORTS,
-    Message,
-    PipeTransport,
-    ShardError,
-    Transport,
-)
+from .transport import Endpoint, Message, ShardError
 
 __all__ = [
     "PROTOCOL",
@@ -55,12 +52,17 @@ __all__ = [
 
 
 class ShardWorker:
-    """One shard: a private machine, its record file, and a lazy engine."""
+    """One shard: a private machine, its record file, and a lazy engine.
+
+    ``put`` sends a reply to the coordinator and ``get`` takes the next
+    request from it (see :class:`~repro.shard.transport.Endpoint`).
+    """
 
     def __init__(
         self,
         shard: int,
-        transport: Transport,
+        put,
+        get,
         *,
         memory: int,
         block: int,
@@ -75,7 +77,7 @@ class ShardWorker:
             sanitize=sanitize,
             label=f"shard-{shard}",
         )
-        self._endpoint = transport.worker_end(self._machine)
+        self._endpoint = Endpoint(self._machine, self.shard, "worker", put, get)
         self._writer: BlockWriter | None = None
         self._file = None
         self._engine: LazyPartitionIndex | None = None
@@ -162,10 +164,8 @@ class ShardWorker:
             "reads": m.io.reads,
             "writes": m.io.writes,
             "comparisons": m.comparisons,
-            # This worker's own disk, via a local alias (R7 sees only
-            # the name chain, and lifetime counters live on the disk).
-            "lifetime_reads": m.disk.lifetime.reads,  # emlint: disable=R7
-            "lifetime_writes": m.disk.lifetime.writes,  # emlint: disable=R7
+            "lifetime_reads": m.disk.lifetime.reads,
+            "lifetime_writes": m.disk.lifetime.writes,
             "lifetime_comparisons": m.lifetime_comparisons,
             "M": m.M,
             "B": m.B,
@@ -214,67 +214,81 @@ def _route(kind: str) -> tuple:
 # ----------------------------------------------------------------------
 # Worker pools
 # ----------------------------------------------------------------------
+def _exchange(end: Endpoint | None, shard: int, kind: str, payload) -> Message:
+    """One request/reply exchange over the coordinator endpoint ``end``.
+
+    Raises :class:`ShardError` for an undeclared ``kind`` before
+    anything is sent or charged, for a dead shard (``end`` is ``None``)
+    and for an ``error`` reply.
+    """
+    _route(kind)
+    if end is None:
+        raise ShardError(f"shard {shard} worker is dead")
+    end.send(Message(kind, payload))
+    reply = end.recv()
+    if reply.kind == "error":
+        raise ShardError(f"shard {shard}: {reply.payload}")
+    return reply
+
+
+def _inproc_end(coordinator: "Machine", shard: int) -> Endpoint:
+    """The coordinator's endpoint of a link to a new in-process worker.
+
+    The link is two deques.  Sending a request appends it and runs the
+    worker's :meth:`~ShardWorker.step` once, which leaves the reply on
+    the other deque.  Only that delivery closure holds the worker.
+    """
+    to_worker: deque = deque()
+    to_coord: deque = deque()
+    worker = ShardWorker(
+        shard,
+        to_coord.append,
+        to_worker.popleft,
+        memory=coordinator.M,
+        block=coordinator.B,
+        kernel=coordinator.kernel,
+        sanitize=coordinator.sanitize,
+    )
+
+    def deliver(message: Message) -> None:
+        to_worker.append(message)
+        worker.step()
+
+    return Endpoint(coordinator, shard, "coordinator", deliver, to_coord.popleft)
+
+
 class InProcessWorkerPool:
-    """Synchronous in-process workers: a request runs the worker's
-    message loop inline.  ``transport`` selects reference-passing
-    (``"inproc"``) or pickle-round-trip (``"serialized"``) links.
-    Each worker's machine takes the coordinator's ``M``, ``B``, kernel
-    backend and sanitize mode."""
+    """Synchronous in-process workers: sending a request runs the
+    worker's message loop once, inline.  Each worker's machine takes
+    the coordinator's ``M``, ``B``, kernel backend and sanitize mode."""
 
     kind = "inproc"
 
-    def __init__(
-        self,
-        coordinator: "Machine",
-        nshards: int,
-        *,
-        transport: str = "inproc",
-    ) -> None:
+    def __init__(self, coordinator: "Machine", nshards: int) -> None:
         if nshards < 1:
             raise ValueError("need at least one shard")
-        transport_cls = TRANSPORTS[transport]
-        self._workers: list[ShardWorker | None] = []
-        self._ends = []
-        for shard in range(nshards):
-            link = transport_cls(shard)
-            worker = ShardWorker(
-                shard,
-                link,
-                memory=coordinator.M,
-                block=coordinator.B,
-                kernel=coordinator.kernel,
-                sanitize=coordinator.sanitize,
-            )
-            self._ends.append(link.coordinator_end(coordinator))
-            self._workers.append(worker)
+        self._ends: list[Endpoint | None] = [
+            _inproc_end(coordinator, shard) for shard in range(nshards)
+        ]
 
     @property
     def nshards(self) -> int:
-        return len(self._workers)
+        return len(self._ends)
 
     def request(self, shard: int, kind: str, payload: object = None) -> Message:
-        _route(kind)
-        worker = self._workers[shard]
-        if worker is None:
-            raise ShardError(f"shard {shard} worker is dead")
-        self._ends[shard].send(Message(kind, payload))
-        worker.step()
-        reply = self._ends[shard].recv()
-        if reply.kind == "error":
-            raise ShardError(f"shard {shard}: {reply.payload}")
-        return reply
+        return _exchange(self._ends[shard], shard, kind, payload)
 
     def kill(self, shard: int) -> None:
-        """Chaos hook: make ``shard``'s worker unreachable, leaking its
-        machine exactly as a crashed process would."""
-        self._workers[shard] = None
+        """Chaos hook: drop ``shard``'s endpoint, leaving its worker and
+        machine unreachable, exactly as a crashed process would."""
+        self._ends[shard] = None
 
     def close(self) -> None:
         """Shut every live worker down (idempotent; dead shards skipped)."""
-        for shard, worker in enumerate(self._workers):
-            if worker is not None:
+        for shard, end in enumerate(self._ends):
+            if end is not None:
                 self.request(shard, "shutdown")
-                self._workers[shard] = None
+                self._ends[shard] = None
 
 
 def _process_worker_main(
@@ -287,7 +301,8 @@ def _process_worker_main(
 ) -> None:  # pragma: no cover - runs in the child process
     worker = ShardWorker(
         shard,
-        PipeTransport(shard, conn),
+        conn.send,
+        conn.recv,
         memory=memory,
         block=block,
         kernel=kernel,
@@ -314,18 +329,12 @@ class ProcessWorkerPool:
 
     kind = "process"
 
-    def __init__(
-        self,
-        coordinator: "Machine",
-        nshards: int,
-        *,
-        transport: str = "pipe",  # accepted for interface symmetry
-    ) -> None:
+    def __init__(self, coordinator: "Machine", nshards: int) -> None:
         if nshards < 1:
             raise ValueError("need at least one shard")
         ctx = multiprocessing.get_context()
         self._procs = []
-        self._ends = []
+        self._ends: list[Endpoint | None] = []
         for shard in range(nshards):
             parent_conn, child_conn = ctx.Pipe(duplex=True)
             proc = ctx.Process(
@@ -343,27 +352,22 @@ class ProcessWorkerPool:
             proc.start()
             child_conn.close()
             self._ends.append(
-                PipeTransport(shard, parent_conn).coordinator_end(coordinator)
+                Endpoint(
+                    coordinator, shard, "coordinator", parent_conn.send, parent_conn.recv
+                )
             )
             self._procs.append(proc)
 
     @property
     def nshards(self) -> int:
-        return len(self._procs)
+        return len(self._ends)
 
     def request(self, shard: int, kind: str, payload: object = None) -> Message:
-        _route(kind)
-        if self._procs[shard] is None:
-            raise ShardError(f"shard {shard} worker is dead")
         try:
-            self._ends[shard].send(Message(kind, payload))
-            reply = self._ends[shard].recv()
-        except (EOFError, BrokenPipeError, OSError) as exc:
+            return _exchange(self._ends[shard], shard, kind, payload)
+        except (EOFError, OSError) as exc:
             self._reap(shard)
             raise ShardError(f"shard {shard} worker died: {exc!r}") from exc
-        if reply.kind == "error":
-            raise ShardError(f"shard {shard}: {reply.payload}")
-        return reply
 
     def kill(self, shard: int) -> None:
         """Chaos hook: hard-kill the shard's process."""
@@ -377,10 +381,11 @@ class ProcessWorkerPool:
         if proc is not None:
             proc.join(timeout=5)
             self._procs[shard] = None
+        self._ends[shard] = None
 
     def close(self) -> None:
-        for shard, proc in enumerate(self._procs):
-            if proc is None:
+        for shard, end in enumerate(self._ends):
+            if end is None:
                 continue
             try:
                 self.request(shard, "shutdown")
@@ -396,11 +401,11 @@ WORKER_KINDS = {
 }
 
 
-def make_pool(kind: str, coordinator: "Machine", nshards: int, **kwargs):
+def make_pool(kind: str, coordinator: "Machine", nshards: int):
     """Build a worker pool by name (``"inproc"`` or ``"process"``)."""
     try:
         pool_cls = WORKER_KINDS[kind]
     except KeyError:
         known = ", ".join(sorted(WORKER_KINDS))
         raise ValueError(f"unknown worker kind {kind!r}; known: {known}") from None
-    return pool_cls(coordinator, nshards, **kwargs)
+    return pool_cls(coordinator, nshards)

@@ -12,9 +12,9 @@ from repro.workloads import load_input, random_permutation
 
 
 def record_level_seen(machine, file):
-    """Indices of records in blocks the algorithm read."""
+    """Indices of records in blocks read since ``start_trace``."""
     seen = []
-    read = machine.disk.read_block_ids
+    read = {bid for op, bid in machine.disk.stop_trace() if op == "r"}
     B = machine.B
     for i, bid in enumerate(file.block_ids):
         if bid in read:
@@ -28,7 +28,7 @@ class TestOurAlgorithmIsImmune:
         mach = Machine(memory=4096, block=64)
         recs = random_permutation(20_000, seed=30)
         f = load_input(mach, recs)
-        mach.reset_counters()
+        mach.disk.start_trace()
         res = right_grounded_splitters(mach, f, k, a)
         seen = record_level_seen(mach, f)
         # Even though the algorithm read only a fraction of the input...
@@ -46,7 +46,7 @@ class TestLazyAlgorithmIsFooled:
         n, k, a = 20_000, 8, 16
         recs = random_permutation(n, seed=31)
         f = load_input(mach, recs)
-        mach.reset_counters()
+        mach.disk.start_trace()
         block = f.read_block(0)
         splitters = sort_records(block)[: k - 1]
         seen = record_level_seen(mach, f)

@@ -4,7 +4,7 @@ The batched layer (``Disk.read_many`` / ``Disk.write_many`` and the
 ``EMFile.read_range`` / ``EMFile.append_blocks`` wrappers) exists purely
 for Python-level speed — model fidelity is non-negotiable.  These tests
 assert that every observable piece of accounting (counters, per-phase
-breakdown, ``read_block_ids``, the access trace) and every stored byte
+breakdown, the access trace) and every stored byte
 is *identical* to performing the same transfers one block at a time.
 """
 
@@ -51,7 +51,7 @@ def staged_disk(B=8, nblocks=6, partial_last=3):
 
 def observable_state(d: Disk):
     c = d.snapshot()
-    return (c.reads, c.writes, dict(c.by_phase), set(d.read_block_ids))
+    return (c.reads, c.writes, dict(c.by_phase))
 
 
 class TestReadManyDifferential:
@@ -73,6 +73,8 @@ class TestReadManyDifferential:
     def test_mixed_batch_and_single_interleaving(self):
         single, ids_s = staged_disk()
         batched, ids_b = staged_disk()
+        single.start_trace()
+        batched.start_trace()
         with single.phase("a"):
             for bid in ids_s[:3]:
                 single.read(bid)
@@ -84,13 +86,15 @@ class TestReadManyDifferential:
         with batched.phase("b"):
             batched.read_many(ids_b[3:])
         assert observable_state(single) == observable_state(batched)
+        assert single.stop_trace() == batched.stop_trace()
 
     def test_empty_batch_charges_nothing(self):
         d, _ = staged_disk()
+        d.start_trace()
         out = d.read_many([])
         assert len(out) == 0
         assert d.counters.total == 0
-        assert d.read_block_ids == frozenset()
+        assert d.stop_trace() == []
 
     def test_single_element_batch(self):
         d, ids = staged_disk()
@@ -106,17 +110,19 @@ class TestReadManyDifferential:
 
     def test_bad_id_raises_before_any_charge(self):
         d, ids = staged_disk()
+        d.start_trace()
         with pytest.raises(BadBlockError):
             d.read_many([ids[0], 10_000])
         assert d.counters.total == 0
-        assert d.read_block_ids == frozenset()
+        assert d.stop_trace() == []
 
     def test_uncounted_batch(self):
         d, ids = staged_disk()
+        d.start_trace()
         with d.uncounted():
             d.read_many(ids)
         assert d.counters.total == 0
-        assert d.read_block_ids == frozenset()
+        assert d.stop_trace() == []
 
 
 class TestIdContainerTypes:

@@ -198,21 +198,24 @@ class TestCounting:
     def test_reset_counters(self):
         d = Disk(8)
         (bid,) = d.allocate(1)
+        d.start_trace()
         d.write(bid, blk(1))
         d.read(bid)
         d.reset_counters()
         assert d.counters.total == 0
-        assert d.read_block_ids == frozenset()
+        assert d.stop_trace() == []
 
     def test_read_block_tracking(self):
+        # The access trace records counted reads only.
         d = Disk(8)
         ids = d.allocate(3)
         for i in ids:
             d.write(i, blk(1))
+        d.start_trace()
         d.read(ids[0])
         with d.uncounted():
             d.read(ids[1])
-        assert d.read_block_ids == {ids[0]}
+        assert d.stop_trace() == [("r", ids[0])]
 
     def test_reset_counters_fences_active_trace(self):
         # Regression: reset_counters used to leave pre-reset entries in

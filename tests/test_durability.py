@@ -11,7 +11,7 @@ Three layers of coverage:
 * **Durable roundtrip** — a ``DurablePartitionIndex`` survives a clean
   process death (``abandon`` drops memory, keeps disk) and ``recover``
   rebuilds an index whose answers are element-identical.
-* **Chaos sweep** — :func:`tests.test_failure_injection.arm_fault`
+* **Chaos sweep** — :func:`repro.em.arm_fault`
   kills the service at swept I/O offsets spanning flush, WAL append,
   snapshot write, and rebuild; every offset must leave zero leaked
   leases and a recoverable manifest whose recovered answers match an
@@ -22,30 +22,15 @@ Three layers of coverage:
 import numpy as np
 import pytest
 
-from repro.em import Machine, SpecError
+from repro.em import InjectedFault, Machine, SpecError, arm_fault
 from repro.em.records import UID_MAX, composite, composite_of
 from repro.service import DurablePartitionIndex, PartitionIndex, recover
 from repro.workloads import few_distinct, load_input, random_permutation
 from repro.workloads.queries import update_batches, zipfian_trace
-from tests.test_failure_injection import InjectedFault, arm_fault
 
 
 def _machine(sanitize=False):
     return Machine(memory=4096, block=64, sanitize=sanitize)
-
-
-def _armed(mach, fail_at):
-    """arm_fault wrapped with a disarm: restores the pristine disk
-    methods so recovery never sees a leftover fault (an offset past the
-    crash phase's total I/O then simply means "no crash happened")."""
-    disk = mach.disk
-    saved = (disk.read, disk.write, disk.read_many, disk.write_many)
-    arm_fault(mach, fail_at)
-
-    def disarm():
-        disk.read, disk.write, disk.read_many, disk.write_many = saved
-
-    return disarm
 
 
 def _build_volatile(mach, recs, k=16, **kw):
@@ -324,7 +309,7 @@ class TestChaosSweep:
         recs = random_permutation(4096, seed=21)
         index = _build_durable(mach, recs, snapshot_every=3)
         plan = update_batches(recs["key"], 8, 40, 16, seed=21)
-        disarm = _armed(mach, fail_at)
+        disarm = arm_fault(mach, fail_at)
         try:
             for batch in plan:
                 _apply_batch(index, batch)
@@ -358,7 +343,7 @@ class TestChaosSweep:
         index = _build_durable(mach, recs, snapshot_every=2,
                                rebuild_threshold=0.01)
         plan = update_batches(recs["key"], 5, 32, 16, seed=23)
-        disarm = _armed(mach, fail_at)
+        disarm = arm_fault(mach, fail_at)
         try:
             for batch in plan:
                 _apply_batch(index, batch)
@@ -386,7 +371,7 @@ class TestChaosSweep:
         index.append(np.array([80_000, 80_001], dtype=np.int64))
         index.flush_updates()
         want_live = index.n_live
-        disarm = _armed(mach, fail_at)
+        disarm = arm_fault(mach, fail_at)
         try:
             index.snapshot()
         except InjectedFault:

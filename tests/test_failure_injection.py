@@ -1,15 +1,13 @@
 """Failure-injection tests: crash the disk mid-algorithm, check hygiene.
 
-A fault-injecting wrapper makes the ``k``-th I/O raise.  After the
-failure propagates out of any algorithm, the *memory* invariant must
+:func:`repro.em.arm_fault` makes the ``k``-th counted I/O raise.  After
+the failure propagates out of any algorithm, the *memory* invariant must
 hold unconditionally: every lease released (the context-manager
 discipline), accountant back to zero.  Disk blocks owned by aborted
 writers must also be released; intermediate files already handed over
 may remain (documented), so disk checks are per-component where the
 contract is strict.
 """
-
-import itertools
 
 import numpy as np
 import pytest
@@ -29,52 +27,9 @@ from repro.core import (
     multi_select,
     precise_partition_via_approx,
 )
-from repro.em import Machine
+from repro.em import InjectedFault, Machine, arm_fault
 from repro.em.records import make_records, sort_records
 from repro.workloads import load_input, random_permutation
-
-
-class InjectedFault(Exception):
-    pass
-
-
-def arm_fault(machine: Machine, fail_at: int) -> None:
-    """Make the ``fail_at``-th counted I/O (1-based) raise InjectedFault.
-
-    A batched call counts as one tick per block, so a fault can land in
-    the middle of a ``read_many``/``write_many`` batch (the whole batch
-    then fails, before any accounting — the disk's batches are atomic).
-    """
-    disk = machine.disk
-    counter = itertools.count(1)
-    orig_read, orig_write = disk.read, disk.write
-    orig_read_many, orig_write_many = disk.read_many, disk.write_many
-
-    def hits(k):
-        return any(next(counter) == fail_at for _ in range(k))
-
-    def read(bid):
-        if disk._counting and hits(1):
-            raise InjectedFault
-        return orig_read(bid)
-
-    def write(bid, data):
-        if disk._counting and hits(1):
-            raise InjectedFault
-        return orig_write(bid, data)
-
-    def read_many(bids):
-        if disk._counting and hits(len(bids)):
-            raise InjectedFault
-        return orig_read_many(bids)
-
-    def write_many(bids, data):
-        if disk._counting and hits(len(bids)):
-            raise InjectedFault
-        return orig_write_many(bids, data)
-
-    disk.read, disk.write = read, write
-    disk.read_many, disk.write_many = read_many, write_many
 
 
 ALGORITHMS = {
@@ -213,4 +168,45 @@ def test_service_releases_leases_on_midrun_failure(fail_at):
     assert mach.memory.in_use == 0, (
         f"service leaked {mach.memory.in_use} leased records after a "
         f"fault at I/O #{fail_at}"
+    )
+
+
+# ---------------------------------------------------------------------------
+# Index builds: a fault at any I/O of a build leaves no lease and no block
+# behind.  Same instance as the service scenario above (M=2048, B=32,
+# N=2048, K=8); the sweep covers every one of the build's I/Os.
+# ---------------------------------------------------------------------------
+
+
+def _staged_service_input():
+    mach = Machine(memory=2048, block=32, sanitize=True)
+    return mach, load_input(mach, random_permutation(2048, seed=9))
+
+
+def _assert_build_aborts_cleanly(build):
+    mach, f = _staged_service_input()
+    build(mach, f)
+    total = mach.io.total
+    for fail_at in range(1, total + 1):
+        mach, f = _staged_service_input()
+        live_before = mach.disk.live_blocks
+        arm_fault(mach, fail_at)
+        with pytest.raises(InjectedFault):
+            build(mach, f)
+        assert mach.disk.live_blocks == live_before, f"I/O #{fail_at} of {total}"
+        assert mach.memory.in_use == 0, f"I/O #{fail_at} of {total}"
+        mach.close()  # sanitize mode: raises on any live lease, even empty
+
+
+def test_volatile_build_frees_everything_on_failure():
+    from repro.service import PartitionIndex
+
+    _assert_build_aborts_cleanly(lambda mach, f: PartitionIndex.build(mach, f, 8))
+
+
+def test_durable_build_frees_everything_on_failure():
+    from repro.service import DurablePartitionIndex
+
+    _assert_build_aborts_cleanly(
+        lambda mach, f: DurablePartitionIndex.build_durable(mach, f, 8)
     )

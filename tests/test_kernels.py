@@ -229,7 +229,7 @@ class TestPrimitiveIdentity:
 def _run_traced(kernel, scenario, **mach_kw):
     """Run ``scenario(machine)`` under one backend; return the full
     observable state: (reads, writes, per-phase, comparisons, mem peak,
-    read-id set, access trace, output bytes)."""
+    access trace, output bytes)."""
     mach_kw.setdefault("memory", 512)
     mach_kw.setdefault("block", 16)
     mach = Machine(kernel=kernel, **mach_kw)
@@ -242,7 +242,6 @@ def _run_traced(kernel, scenario, **mach_kw):
         dict(c.by_phase),
         mach.comparisons,
         mach.memory.peak,
-        set(mach.disk.read_block_ids),
         mach.disk.stop_trace(),
     )
     return state, np.asarray(out)
@@ -252,8 +251,8 @@ def _assert_identical(scenario, **mach_kw):
     ref_state, ref_out = _run_traced(KERNELS[0], scenario, **mach_kw)
     for kernel in KERNELS[1:]:
         state, out = _run_traced(kernel, scenario, **mach_kw)
-        assert state[:6] == ref_state[:6], f"counters diverge on {kernel.name}"
-        assert state[6] == ref_state[6], f"trace diverges on {kernel.name}"
+        assert state[:5] == ref_state[:5], f"counters diverge on {kernel.name}"
+        assert state[5] == ref_state[5], f"trace diverges on {kernel.name}"
         assert out.tobytes() == ref_out.tobytes(), f"bytes diverge on {kernel.name}"
 
 

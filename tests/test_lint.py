@@ -2,8 +2,9 @@
 rule, the cross-function cases R3 and R5 judge from one function or one
 class, charges stripped from the real modules, the findings cache,
 suppression directives and their edge cases, rule selection, report
-output, and the repo-wide gate itself.  R7 (shard isolation) fixtures
-live with the subsystem they guard, in ``tests/test_shard.py``.
+output, and the repo-wide gate itself.  Shard isolation is not a rule:
+``tests/test_shard.py::TestIsolation`` checks that the router reaches
+no worker state.
 """
 
 from __future__ import annotations
@@ -45,9 +46,9 @@ def _rule_ids(findings):
 
 
 class TestRegistry:
-    def test_all_seven_rules_registered(self):
+    def test_all_six_rules_registered(self):
         assert [r.rule_id for r in all_rules()] == [
-            "R1", "R2", "R3", "R4", "R5", "R6", "R7",
+            "R1", "R2", "R3", "R4", "R5", "R6",
         ]
 
     def test_get_rules_subset_and_case(self):
@@ -887,6 +888,5 @@ class TestRepoGate:
         assert dict(by_rule) == {
             "R2": 3,  # documented uncounted verification reads
             "R5": 2,  # cli sanitize-check deliberate trap fixtures
-            "R7": 2,  # worker reading its own disk via a local alias
         }
-        assert len(report.suppressed) == 7
+        assert len(report.suppressed) == 5

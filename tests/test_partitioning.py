@@ -61,9 +61,10 @@ class TestRightGrounded:
         mach = Machine(memory=4096, block=64)
         recs = random_permutation(20_000, seed=4)
         f = load_input(mach, recs)
-        mach.reset_counters()
+        mach.disk.start_trace()
         pf = right_grounded_partition(mach, f, 16, 100)
-        assert set(f.block_ids) <= mach.disk.read_block_ids
+        read = {bid for op, bid in mach.disk.stop_trace() if op == "r"}
+        assert set(f.block_ids) <= read
         pf.free()
 
 

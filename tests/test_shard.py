@@ -1,20 +1,24 @@
 """Tests for the sharded coordinator/worker service (``repro.shard``).
 
-Covers the charged-communication primitive (``em.wire``), the transport
+Covers the charged-communication primitive (``em.wire``), the
 endpoints, the differential guarantee (sharded answers element-identical
 to the single-machine engine across shard counts, kernels, and sanitize
 mode, with counter conservation under the tracer), the declared request
-protocol, worker-failure behavior, real process workers, the shard-skew
-trace generator, and the R7 isolation lint rule.
+protocol, shard isolation (no worker state reachable from the router),
+worker-failure behavior, real process workers, and the shard-skew trace
+generator.
 """
 
 from __future__ import annotations
+
+import types
+from collections import deque
 
 import numpy as np
 import pytest
 
 from repro.core import multi_select
-from repro.em import Machine, composite
+from repro.em import Disk, EMFile, Machine, composite, observe_machines
 from repro.em.errors import SpecError
 from repro.em.wire import (
     RECV_PHASE,
@@ -25,16 +29,15 @@ from repro.em.wire import (
     message_blocks,
     payload_words,
 )
-from repro.lint import get_rules, lint_source
 from repro.obs import MetricsRegistry, Tracer, metrics_scope
 from repro.service import LazyPartitionIndex, Query, QueryFrontend
 from repro.shard import (
     PROTOCOL,
+    Endpoint,
     InProcessWorkerPool,
-    InProcTransport,
     Message,
-    SerializedTransport,
     ShardError,
+    ShardWorker,
     build_sharded_service,
     make_pool,
 )
@@ -96,15 +99,16 @@ class TestWire:
 
     def test_charges_move_no_blocks(self, small_machine):
         # A charge is a counter update: no scratch block is allocated,
-        # written or read, so live/peak block counts, the read-id set
+        # written or read, so live/peak block counts, the access trace
         # and the next block id all stay put.
         d = small_machine.disk
         (before,) = d.allocate(1)
         live0, peak0 = d.live_blocks, d.peak_blocks
+        d.start_trace()
         charge_send(small_machine, 3)
         charge_recv(small_machine, 2)
+        assert d.stop_trace() == []
         assert (d.live_blocks, d.peak_blocks) == (live0, peak0)
-        assert d.read_block_ids == frozenset()
         (after,) = d.allocate(1)
         assert after == before + 1
 
@@ -119,16 +123,19 @@ class TestWire:
 
 
 # ----------------------------------------------------------------------
-# Transports and endpoints
+# Endpoints
 # ----------------------------------------------------------------------
 class TestTransport:
-    def _machines(self):
-        return Machine(memory=256, block=8), Machine(memory=256, block=8)
+    def _link(self, shard=0):
+        """A coordinator and a worker endpoint joined by two deques."""
+        coord, work = Machine(memory=256, block=8), Machine(memory=256, block=8)
+        to_worker, to_coord = deque(), deque()
+        ce = Endpoint(coord, shard, "coordinator", to_worker.append, to_coord.popleft)
+        we = Endpoint(work, shard, "worker", to_coord.append, to_worker.popleft)
+        return coord, work, ce, we, to_worker
 
     def test_both_endpoints_charged(self):
-        coord, work = self._machines()
-        link = InProcTransport(0)
-        ce, we = link.coordinator_end(coord), link.worker_end(work)
+        coord, work, ce, we, _ = self._link()
         payload = np.arange(100, dtype=np.int64)
         blocks = message_blocks(payload_words(("ping", payload, None)), 8)
         assert blocks > 1  # a multi-block message, not just the envelope
@@ -143,52 +150,18 @@ class TestTransport:
         assert got.kind == "ping" and np.array_equal(got.payload, payload)
         assert got.shard == 0 and got.seq == 0
 
-    def test_serialized_transport_charges_identically(self):
-        recs = records_from_keys(range(40))
-        messages = [
-            Message("ingest", recs),
-            Message("select", np.arange(1, 9, dtype=np.int64)),
-            Message("range_count", (3, 17)),
-        ]
-        counters = []
-        for cls in (InProcTransport, SerializedTransport):
-            coord, work = self._machines()
-            link = cls(1)
-            ce, we = link.coordinator_end(coord), link.worker_end(work)
-            for msg in messages:
-                ce.send(msg)
-                got = we.recv()
-                assert got.kind == msg.kind
-            counters.append(
-                (coord.io.reads, coord.io.writes, work.io.reads, work.io.writes)
-            )
-        assert counters[0] == counters[1]
-
-    def test_serialized_payload_round_trips(self):
-        coord, work = self._machines()
-        link = SerializedTransport(0)
-        ce, we = link.coordinator_end(coord), link.worker_end(work)
-        recs = records_from_keys([5, 1, 9])
-        ce.send(Message("ingest", recs))
-        got = we.recv()
-        assert np.array_equal(composite(got.payload), composite(recs))
-
     def test_sequence_gap_raises_shard_error(self):
-        coord, work = self._machines()
-        link = InProcTransport(0)
-        ce, we = link.coordinator_end(coord), link.worker_end(work)
+        _, _, ce, we, to_worker = self._link()
         ce.send(Message("a"))
         ce.send(Message("b"))
-        link._to_worker.popleft()  # a transport bug drops message 0
+        to_worker.popleft()  # a faulty link drops message 0
         with pytest.raises(ShardError, match="expected message seq 0"):
             we.recv()
 
     def test_endpoint_metrics(self):
         registry = MetricsRegistry()
         with metrics_scope(registry):
-            coord, work = self._machines()
-            link = InProcTransport(2)
-            ce, we = link.coordinator_end(coord), link.worker_end(work)
+            _, _, ce, we, _ = self._link(shard=2)
             ce.send(Message("ping"))
             we.recv()
         fams = registry.to_dict()
@@ -254,12 +227,15 @@ class TestDifferential:
         records = random_permutation(1024, seed=5)
         coord = Machine(memory=512, block=16)
         f = load_input(coord, records)
-        with build_sharded_service(coord, f, shards=3, k=16) as router:
+        machines = []
+        with observe_machines(machines.append):
+            router = build_sharded_service(coord, f, shards=3, k=16)
+        shard_machines = [m for m in machines if m.label.startswith("shard-")]
+        assert [m.label for m in shard_machines] == ["shard-0", "shard-1", "shard-2"]
+        with router:
             router.batch_select(np.arange(1, 40, dtype=np.int64))
             stats = router.shard_io_stats()
-            # Tests may reach into the pool; shard/ code may not (R7).
-            for s, worker in zip(stats, router._pool._workers):
-                m = worker._machine
+            for s, m in zip(stats, shard_machines):
                 # The snapshot precedes the reply's own send charge, so
                 # live writes are exactly one reply transmission ahead.
                 assert s["lifetime_reads"] == m.disk.lifetime.reads
@@ -268,26 +244,6 @@ class TestDifferential:
                 assert s["kernel"] == m.kernel.name
         f.free()
         coord.close()
-
-    def test_transport_choice_does_not_change_costs(self):
-        records = random_permutation(1024, seed=5)
-        totals = []
-        for transport in ("inproc", "serialized"):
-            coord = Machine(memory=512, block=16)
-            f = load_input(coord, records)
-            coord.reset_counters()
-            with build_sharded_service(
-                coord, f, shards=4, k=16, transport=transport
-            ) as router:
-                router.batch_select(np.arange(1, 100, dtype=np.int64))
-                stats = router.shard_io_stats()
-            totals.append((
-                coord.io.total,
-                tuple((s["lifetime_reads"], s["lifetime_writes"]) for s in stats),
-            ))
-            f.free()
-            coord.close()
-        assert totals[0] == totals[1]
 
     def test_splitter_candidates_merged_and_sorted(self):
         records = random_permutation(2048, seed=9)
@@ -373,6 +329,63 @@ class TestProtocol:
     def test_reply_kinds_match_the_table(self, monkeypatch):
         for kind, reply in _record_router_session(monkeypatch):
             assert reply == PROTOCOL[kind][1], kind
+
+
+# ----------------------------------------------------------------------
+# Isolation: the router holds endpoints, never worker state
+# ----------------------------------------------------------------------
+def _reachable(root) -> list:
+    """Every object reachable from ``root`` through instance attributes,
+    containers and bound-method receivers (closures are not followed:
+    an in-process link's delivery function is the wire itself)."""
+    seen, stack, found = set(), [root], []
+    while stack:
+        obj = stack.pop()
+        if id(obj) in seen:
+            continue
+        seen.add(id(obj))
+        found.append(obj)
+        if isinstance(obj, (types.MethodType, types.BuiltinMethodType)):
+            if not isinstance(obj.__self__, types.ModuleType):
+                stack.append(obj.__self__)
+        elif isinstance(obj, dict):
+            stack.extend(obj.keys())
+            stack.extend(obj.values())
+        elif isinstance(obj, (list, tuple, set, frozenset, deque)):
+            stack.extend(obj)
+        elif not isinstance(
+            obj, (type, types.ModuleType, types.FunctionType, str, bytes, np.ndarray)
+        ):
+            stack.extend(getattr(obj, "__dict__", {}).values())
+            for cls in type(obj).__mro__:
+                slots = cls.__dict__.get("__slots__", ())
+                for slot in (slots,) if isinstance(slots, str) else slots:
+                    if hasattr(obj, slot):
+                        stack.append(getattr(obj, slot))
+    return found
+
+
+class TestIsolation:
+    @pytest.mark.parametrize("workers", ["inproc", "process"])
+    def test_router_reaches_no_worker_state(self, workers):
+        # A shard's worker, engine, files, machine and disk are reachable
+        # from the coordinator only as charged messages.
+        coord = Machine(memory=512, block=16)
+        f = load_input(coord, random_permutation(1024, seed=3))
+        with build_sharded_service(coord, f, shards=3, k=16, workers=workers) as router:
+            router.batch_select(np.arange(1, 1025, 97, dtype=np.int64))
+            reached = _reachable(router)
+            leaks = [
+                type(o).__name__
+                for o in reached
+                if isinstance(o, (ShardWorker, LazyPartitionIndex, EMFile))
+                or isinstance(o, (Machine, Disk)) and o is not coord and o is not coord.disk
+            ]
+            assert leaks == []
+            # The walk did pass through the pool: one endpoint per shard.
+            assert sum(isinstance(o, Endpoint) for o in reached) == 3
+        f.free()
+        coord.close()
 
 
 # ----------------------------------------------------------------------
@@ -473,51 +486,3 @@ class TestShardSkewTrace:
 
     def test_registered_in_query_traces(self):
         assert "shard-skew" in QUERY_TRACES
-
-
-# ----------------------------------------------------------------------
-# R7 — shard isolation lint rule
-# ----------------------------------------------------------------------
-R7 = get_rules(["R7"])
-
-
-def _lint(source: str, relpath: str):
-    active, suppressed = lint_source(source, relpath, R7)
-    return active, suppressed
-
-
-class TestR7:
-    PATH = "src/repro/shard/router.py"
-
-    def test_flags_foreign_machine_access(self):
-        src = "def f(worker):\n    return worker.machine.io.reads\n"
-        active, _ = _lint(src, self.PATH)
-        assert len(active) == 1 and active[0].rule == "R7"
-
-    def test_self_state_is_exempt(self):
-        src = (
-            "class A:\n"
-            "    def f(self):\n"
-            "        return self.machine\n"
-        )
-        active, _ = _lint(src, self.PATH)
-        assert active == []
-
-    def test_transport_module_is_exempt(self):
-        src = "def f(worker):\n    return worker.machine\n"
-        active, _ = _lint(src, "src/repro/shard/transport.py")
-        assert active == []
-
-    def test_other_subsystems_are_exempt(self):
-        src = "def f(worker):\n    return worker.machine\n"
-        active, _ = _lint(src, "src/repro/service/online.py")
-        assert active == []
-
-    def test_per_line_suppression(self):
-        src = (
-            "def f(worker):\n"
-            "    return worker.disk  # emlint: disable=R7\n"
-        )
-        active, suppressed = _lint(src, self.PATH)
-        assert active == []
-        assert len(suppressed) == 1 and suppressed[0].rule == "R7"
