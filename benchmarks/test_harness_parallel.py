@@ -1,14 +1,12 @@
-"""Wall-clock benchmark of the parallel, cached experiment runner.
+"""Wall-clock benchmark of the parallel experiment runner.
 
-Measures the full ``--quick`` experiment sweep three ways — serial
-(``jobs=1``, cache off), parallel (``jobs=4``, cold cache), and a second
-fully cached invocation — verifies that all three produce byte-identical
-EXPERIMENTS.md content, and records the measured speedups in
-``benchmarks/out/HARNESS_PARALLEL.txt``.
+Measures the full ``--quick`` experiment sweep two ways — serial
+(``jobs=1``) and parallel (``jobs=4``) — verifies that both produce
+byte-identical EXPERIMENTS.md content, and records the measured speedup
+in ``benchmarks/out/HARNESS_PARALLEL.txt``.
 
 The parallel speedup is only asserted when the host actually has >= 4
-CPUs (a process pool cannot beat serial execution on a single core);
-the cache speedup is hardware-independent and always asserted.
+CPUs (a process pool cannot beat serial execution on fewer cores).
 
 Run directly (not part of tier-1):
 
@@ -28,50 +26,38 @@ OUT_DIR = Path(__file__).parent / "out"
 JOBS = 4
 
 
-def _timed(**kwargs):
+def _timed(jobs):
     t0 = time.perf_counter()
-    records = run_experiments(DEFAULT_ORDER, quick=True, **kwargs)
+    records = run_experiments(DEFAULT_ORDER, quick=True, jobs=jobs)
     return records, time.perf_counter() - t0
 
 
-def test_parallel_and_cached_report_speedup(tmp_path):
-    cache_dir = tmp_path / "cache"
+def test_parallel_report_speedup():
+    serial, t_serial = _timed(jobs=1)
+    parallel, t_parallel = _timed(jobs=JOBS)
 
-    serial, t_serial = _timed(jobs=1, cache=False)
-    parallel, t_parallel = _timed(jobs=JOBS, cache=True, cache_dir=cache_dir)
-    cached, t_cached = _timed(jobs=JOBS, cache=True, cache_dir=cache_dir)
+    assert all(r.passed for r in serial + parallel)
 
-    assert all(r.passed for r in serial + parallel + cached)
-    # The cached invocation must rerun zero experiments.
-    assert all(r.cached for r in cached)
-    assert all(not r.cached for r in serial + parallel)
-
-    # The rendered document is a pure function of the results: serial,
-    # parallel and cached runs all produce byte-identical markdown.
+    # The rendered document is a pure function of the results: serial
+    # and parallel runs produce byte-identical markdown.
     docs = [
-        generate_experiments_md(
-            quick=True, results=[r.to_result() for r in records]
-        )[0]
-        for records in (serial, parallel, cached)
+        generate_experiments_md([r.to_result() for r in records])[0]
+        for records in (serial, parallel)
     ]
-    assert docs[0] == docs[1] == docs[2]
+    assert docs[0] == docs[1]
 
     cores = os.cpu_count() or 1
-    speedup_parallel = t_serial / t_parallel
-    speedup_cached = t_serial / t_cached
+    speedup = t_serial / t_parallel
     lines = [
-        "Experiment harness: parallel + cached runner vs serial",
+        "Experiment harness: parallel runner vs serial",
         f"(quick sweeps, {len(DEFAULT_ORDER)} experiments, "
         f"{cores} CPU(s) available)",
         "",
-        f"serial   jobs=1            : {t_serial:8.2f} s",
-        f"parallel jobs={JOBS} cold cache : {t_parallel:8.2f} s "
-        f"({speedup_parallel:.2f}x vs serial)",
-        f"cached   jobs={JOBS} warm cache : {t_cached:8.2f} s "
-        f"({speedup_cached:.1f}x vs serial, 0/{len(DEFAULT_ORDER)} "
-        "experiments rerun)",
+        f"serial   jobs=1 : {t_serial:8.2f} s",
+        f"parallel jobs={JOBS} : {t_parallel:8.2f} s "
+        f"({speedup:.2f}x vs serial)",
         "",
-        "EXPERIMENTS.md content byte-identical across all three runs.",
+        "EXPERIMENTS.md content byte-identical across both runs.",
         f"Parallel speedup asserted >= 2x only when >= {JOBS} CPUs are "
         f"available (this host: {cores}).",
     ]
@@ -79,11 +65,8 @@ def test_parallel_and_cached_report_speedup(tmp_path):
     (OUT_DIR / "HARNESS_PARALLEL.txt").write_text("\n".join(lines) + "\n")
     print("\n".join(lines))
 
-    assert speedup_cached >= 2.0, (
-        f"cached report only {speedup_cached:.2f}x faster than serial"
-    )
     if cores >= JOBS:
-        assert speedup_parallel >= 2.0, (
-            f"parallel report only {speedup_parallel:.2f}x faster than "
-            f"serial on {cores} CPUs"
+        assert speedup >= 2.0, (
+            f"parallel report only {speedup:.2f}x faster than serial on "
+            f"{cores} CPUs"
         )

@@ -66,7 +66,6 @@ MODULES = [
     "repro.obs.recorder",
     "repro.lint.findings",
     "repro.lint.engine",
-    "repro.lint.cache",
     "repro.lint.rules_access",
     "repro.lint.rules_cpu",
     "repro.lint.rules_rng",
@@ -114,24 +113,16 @@ see ``repro <command> --help`` for every flag.
   (`repro.obs.tracer`) and write three artifacts: a Chrome trace-event
   JSON loadable at <https://ui.perfetto.dev>, a rendered text tree with
   per-span I/O shares, and the plain-dict span JSON.
-- `repro budgets [--check | --write] [--path FILE] [--headroom H]` —
+- `repro budgets [--write] [--path FILE] [--headroom H]` —
   check every registered solver against `benchmarks/budgets.json`, or
   recalibrate and rewrite the envelopes after an intentional cost
   change.
-- `repro lint [PATH ...] [--json] [--rule RULE ...] [--diff REF]
-  [--baseline FILE] [--no-cache]` — run the emlint EM-conformance
-  rules (`repro.lint`, rules R1–R6, each judging one module from its
-  own AST) over the package plus `scripts/` and `benchmarks/`; exits
-  non-zero on any active error-severity finding.  `--diff` lints only
-  the files changed versus a git ref, `--baseline` reports only
-  findings absent from a prior `--json` report, and per-module findings
-  are cached in `.emlint-cache/` (see `docs/LINTING.md` for the rule
+- `repro lint [PATH ...] [--json] [--rule RULE ...]` — run the emlint
+  EM-conformance rules (`repro.lint`, rules R1–R6, each judging one
+  module from its own AST) over the package plus `scripts/` and
+  `benchmarks/`; every run checks every file.  Exits non-zero on any
+  active error-severity finding (see `docs/LINTING.md` for the rule
   catalog and suppression policy).
-- `repro sanitize-check [--solver NAME ...]` — arm the runtime
-  sanitizer: deliberately fire every trap (use-after-free, double-free,
-  uninitialized read, double release, lease leak), then run the
-  registered solvers under `Machine(sanitize=True)` with the tracer's
-  counter-conservation check.
 - `repro serve` / `repro query` — the online partition service
   (`repro.service`): an interactive query loop over stdin, and a
   one-shot coalesced query batch (`--shards W` answers it through `W`

@@ -8,8 +8,8 @@ Subcommands:
     Run experiments (in parallel with ``--jobs``) and print their
     measured-vs-bound tables; optionally write each rendered table to
     ``DIR/<id>.txt``.
-``repro report [--quick] [--jobs N] [--no-cache] [--json PATH]``
-    Run every experiment through the parallel, cached runner and write
+``repro report [--quick] [--jobs N] [--json PATH] [--check-budgets]``
+    Run every experiment through the parallel runner and write
     EXPERIMENTS.md plus machine-readable ``results.json``.
 ``repro demo``
     A 30-second tour: quickstart-style run of the headline algorithms.
@@ -28,17 +28,12 @@ Subcommands:
     and export the service telemetry: a rendered metrics table,
     Prometheus text exposition (``.prom``), metrics JSON, and the
     flight-recorder event dump.
-``repro budgets [--check | --write] [--path FILE] [--headroom H]``
+``repro budgets [--write] [--path FILE] [--headroom H]``
     Check every registered solver against its committed I/O envelope
     (the regression gate), or recalibrate and rewrite the envelopes.
-``repro lint [PATH ...] [--json] [--rule RULE ...] [--diff REF] ...``
+``repro lint [PATH ...] [--json] [--rule RULE ...]``
     Run the emlint EM-conformance rules (R1–R6) over the source tree;
     non-zero exit on any active error-severity finding.
-``repro sanitize-check [--solver NAME ...] [--n N] ...``
-    Arm the runtime sanitizer: fire every trap (use-after-free,
-    double-free, uninitialized read, double release, lease leak), then
-    run the registered solvers under ``Machine(sanitize=True)`` with
-    the tracer's counter-conservation check enabled.
 ``repro serve --n N --k K [--engine eager|lazy] [--durable] ...``
     Interactive partition service: build an index over a generated
     workload and answer queries (and, with the eager engine, apply
@@ -83,9 +78,8 @@ def _cmd_list(args) -> int:
 
 
 def _progress_line(rec) -> None:
-    state = "cached" if rec.cached else f"{rec.wall_s:.1f}s"
     verdict = "PASS" if rec.passed else "FAIL"
-    print(f"  {rec.exp_id:8s} {state:>8s}  {verdict}", flush=True)
+    print(f"  {rec.exp_id:8s} {rec.wall_s:7.1f}s  {verdict}", flush=True)
 
 
 def _cmd_run(args) -> int:
@@ -100,7 +94,6 @@ def _cmd_run(args) -> int:
         ids,
         quick=not args.full,
         jobs=args.jobs,
-        cache=False,
         progress=_progress_line if len(ids) > 1 else None,
     )
     # Render in request order; a crashed experiment becomes a FAIL table
@@ -367,10 +360,7 @@ def _cmd_budgets(args) -> int:
 
 
 def _cmd_lint(args) -> int:
-    import json as _json
-
     from .lint import lint_paths
-    from .lint.runner import baseline_delta, git_changed_files
 
     rule_ids = None
     if args.rule:
@@ -380,154 +370,16 @@ def _cmd_lint(args) -> int:
             for r in spec.split(",")
             if r.strip()
         ]
-    paths = args.paths or None
-    only_paths = None
-    if getattr(args, "diff", None):
-        changed = git_changed_files(args.diff)
-        if changed is None:
-            print(
-                f"lint --diff: cannot resolve git ref {args.diff!r}",
-                file=sys.stderr,
-            )
-            return 2
-        only_paths = changed
     try:
-        report = lint_paths(
-            paths,
-            rule_ids=rule_ids,
-            use_cache=not getattr(args, "no_cache", False),
-            only_paths=only_paths,
-        )
+        report = lint_paths(args.paths or None, rule_ids=rule_ids)
     except KeyError as exc:
         print(exc.args[0], file=sys.stderr)
         return 2
-    if getattr(args, "baseline", None):
-        try:
-            baseline = _json.loads(Path(args.baseline).read_text())
-        except (OSError, ValueError) as exc:
-            print(f"lint --baseline: {exc}", file=sys.stderr)
-            return 2
-        report = baseline_delta(report, baseline)
     if args.json:
         sys.stdout.write(report.to_json())
     else:
         print(report.render())
     return 0 if report.ok else 1
-
-
-def _sanitize_trap_checks() -> list[tuple[str, bool]]:
-    """Deliberately trigger every sanitizer trap on a throwaway machine.
-
-    Returns ``(trap name, fired)`` pairs — each trap must raise its
-    specific :class:`~repro.em.errors.SanitizerError` subclass.
-    """
-    from .em import (
-        DoubleFreeError,
-        DoubleReleaseError,
-        LeaseLeakError,
-        Machine,
-        UninitializedReadError,
-        UseAfterFreeError,
-    )
-    from .em.records import make_records
-
-    results: list[tuple[str, bool]] = []
-
-    def trap(name: str, exc_type, fn) -> None:
-        machine = Machine(memory=256, block=8, sanitize=True)
-        try:
-            fn(machine)
-        except exc_type:
-            results.append((name, True))
-        else:
-            results.append((name, False))
-
-    data = make_records(np.arange(8))
-
-    def use_after_free(machine):
-        (bid,) = machine.disk.allocate(1)
-        machine.disk.write(bid, data)
-        machine.disk.free([bid])
-        machine.disk.read(bid)
-
-    def double_free(machine):
-        (bid,) = machine.disk.allocate(1)
-        machine.disk.write(bid, data)
-        machine.disk.free([bid])
-        machine.disk.free([bid])
-
-    def uninitialized_read(machine):
-        (bid,) = machine.disk.allocate(1)
-        machine.disk.read(bid)
-
-    def double_release(machine):
-        lease = machine.memory.lease(8, "trap")  # emlint: disable=R5 — deliberate trap fixture
-        lease.release()
-        lease.release()
-
-    def lease_leak(machine):
-        machine.memory.lease(8, "leak")  # emlint: disable=R5 — deliberate trap fixture
-        machine.close()
-
-    trap("use-after-free", UseAfterFreeError, use_after_free)
-    trap("double-free", DoubleFreeError, double_free)
-    trap("uninitialized-read", UninitializedReadError, uninitialized_read)
-    trap("double-release", DoubleReleaseError, double_release)
-    trap("lease-leak", LeaseLeakError, lease_leak)
-    return results
-
-
-def _cmd_sanitize_check(args) -> int:
-    from .em import Machine
-    from .em.errors import SanitizerError
-    from .obs import Tracer
-    from .obs.solvers import SOLVERS
-    from .workloads.generators import load_input, random_permutation
-
-    failures = 0
-
-    print("sanitizer traps (each must fire):")
-    for name, fired in _sanitize_trap_checks():
-        print(f"  {name:22s} {'PASS' if fired else 'FAIL (did not raise)'}")
-        failures += 0 if fired else 1
-
-    names = args.solver or sorted(SOLVERS)
-    unknown = set(names) - set(SOLVERS)
-    if unknown:
-        print(f"unknown solvers: {sorted(unknown)}", file=sys.stderr)
-        return 2
-    print("\nsolvers under Machine(sanitize=True) + conservation check:")
-    for name in names:
-        solver = SOLVERS[name]
-        params = dict(solver.defaults)
-        for key in ("n", "memory", "block"):
-            if getattr(args, key) is not None:
-                params[key] = getattr(args, key)
-        machine = Machine(
-            memory=params["memory"], block=params["block"], sanitize=True
-        )
-        file = load_input(
-            machine, random_permutation(params["n"], seed=params["seed"])
-        )
-        machine.reset_counters()
-        tracer = Tracer()
-        tracer.attach(machine)
-        try:
-            outcome = solver.run(machine, file, params)
-            file.free()
-            tracer.detach(machine)  # conservation check fires here
-            machine.close()  # lease-leak check fires here
-        except SanitizerError as exc:
-            failures += 1
-            print(f"  {name:22s} FAIL {type(exc).__name__}: {exc}")
-        except Exception as exc:  # incompatible overrides, solver bugs
-            failures += 1
-            print(f"  {name:22s} ERROR {type(exc).__name__}: {exc}")
-        else:
-            print(f"  {name:22s} PASS {outcome}")
-
-    print(f"\nsanitize-check: {'PASS' if failures == 0 else f'{failures} FAILURE(S)'}")
-    return 0 if failures == 0 else 1
 
 
 def _build_service(args):
@@ -884,21 +736,16 @@ def _cmd_report(args) -> int:
         DEFAULT_ORDER,
         quick=args.quick,
         jobs=args.jobs,
-        cache=not args.no_cache,
-        cache_dir=args.cache_dir,
         progress=_progress_line,
     )
-    text, ok = generate_experiments_md(
-        quick=args.quick, results=[rec.to_result() for rec in records]
-    )
+    text, ok = generate_experiments_md([rec.to_result() for rec in records])
     out = Path(args.out)
     out.write_text(text + "\n")
     json_path = Path(args.json) if args.json else default_out_dir() / "results.json"
     write_results_json(records, json_path, jobs=args.jobs)
-    ran = sum(not rec.cached for rec in records)
     print(
         f"wrote {out} and {json_path} in {time.time() - t0:.1f}s "
-        f"({ran} run, {len(records) - ran} cached; "
+        f"({len(records)} run; "
         f"{'all experiments PASS' if ok else 'FAILURES present'})"
     )
     if args.check_budgets:
@@ -953,19 +800,11 @@ def main(argv: list[str] | None = None) -> int:
         help="worker processes (default 1 = in-process, serial)",
     )
     report_p.add_argument(
-        "--no-cache", action="store_true",
-        help="ignore and bypass the result cache (force recomputation)",
-    )
-    report_p.add_argument(
         "--json", nargs="?", const="", default=None, metavar="PATH",
         help=(
             "where to write machine-readable results "
             "(default benchmarks/out/results.json; always written)"
         ),
-    )
-    report_p.add_argument(
-        "--cache-dir", default=None, metavar="DIR",
-        help="result cache directory (default benchmarks/out/cache)",
     )
     report_p.add_argument(
         "--check-budgets", action="store_true",
@@ -1069,7 +908,8 @@ def main(argv: list[str] | None = None) -> int:
     )
     lint_p.add_argument(
         "paths", nargs="*", metavar="PATH",
-        help="files/directories to lint (default: the repro package)",
+        help="files/directories to lint (default: the repro package, "
+        "scripts/ and benchmarks/)",
     )
     lint_p.add_argument(
         "--json", action="store_true",
@@ -1079,33 +919,6 @@ def main(argv: list[str] | None = None) -> int:
         "--rule", action="append", default=None, metavar="RULE",
         help="restrict to these rule ids (repeatable, comma-separable)",
     )
-    lint_p.add_argument(
-        "--diff", metavar="REF", default=None,
-        help="lint only the files changed against this git ref",
-    )
-    lint_p.add_argument(
-        "--baseline", metavar="FILE", default=None,
-        help="suppress findings already present in this stored --json "
-        "report; only new findings fail the gate",
-    )
-    lint_p.add_argument(
-        "--no-cache", action="store_true",
-        help="skip the content-addressed analysis cache",
-    )
-
-    sanitize_p = sub.add_parser(
-        "sanitize-check",
-        help="arm the runtime sanitizer: fire every trap, then run the "
-        "registered solvers under Machine(sanitize=True)",
-    )
-    sanitize_p.add_argument(
-        "--solver", action="append", default=None, choices=sorted(SOLVERS),
-        metavar="NAME",
-        help="solver(s) to run (repeatable; default: all registered)",
-    )
-    sanitize_p.add_argument("--n", type=int, default=None)
-    sanitize_p.add_argument("--memory", type=int, default=None, help="M (records)")
-    sanitize_p.add_argument("--block", type=int, default=None, help="B (records)")
 
     def _service_args(p, engine_default: str) -> None:
         p.add_argument("--n", type=int, default=65_536)
@@ -1225,8 +1038,6 @@ def main(argv: list[str] | None = None) -> int:
         return _cmd_budgets(args)
     if args.command == "lint":
         return _cmd_lint(args)
-    if args.command == "sanitize-check":
-        return _cmd_sanitize_check(args)
     if args.command == "serve":
         return _cmd_serve(args)
     if args.command == "recover":

@@ -44,7 +44,7 @@ def _plain(value):
     Numpy scalars (``np.float64``, ``np.int64``, ``np.bool_``) leak into
     sweep rows naturally; coercing here makes ``to_dict`` output stable
     so a result renders byte-identically whether it came straight from
-    the experiment, through a worker process, or out of the JSON cache.
+    the experiment, through a worker process, or out of ``results.json``.
     """
     if isinstance(value, (bool, np.bool_)):
         return bool(value)
@@ -79,8 +79,7 @@ class ExperimentResult:
 
         Cell values are coerced to plain Python scalars so the same
         result renders byte-identically before and after a JSON
-        round-trip (workers, the result cache, and ``results.json`` all
-        share this format).
+        round-trip (workers and ``results.json`` share this format).
         """
         return {
             "exp_id": self.exp_id,

@@ -1,4 +1,4 @@
-"""Generate EXPERIMENTS.md from a full harness run.
+"""Render EXPERIMENTS.md from a full harness run.
 
 ``python -m repro report [--quick] [--out EXPERIMENTS.md]`` runs every
 registered experiment and writes the measured-vs-bound document — the
@@ -6,23 +6,21 @@ same file checked into the repository, so the recorded results are
 reproducible by one command.
 
 Experiments execute through :mod:`repro.experiments.runner` (parallel
-fan-out and result caching); this module owns only the presentation —
-ordering, commentary, and rendering.  The document is a pure function of
-the results, so a parallel run renders byte-identically to a serial one.
+fan-out); this module owns only the presentation — ordering,
+commentary, and rendering.  The document is a pure function of the
+results, so a parallel run renders byte-identically to a serial one.
 """
 
 from __future__ import annotations
 
-from pathlib import Path
-from typing import Callable, Sequence
+from typing import Sequence
 
-from .base import ExperimentResult, all_experiments
+from .base import ExperimentResult
 
 __all__ = [
     "COMMENTARY",
     "DEFAULT_ORDER",
     "generate_experiments_md",
-    "write_experiments_md",
 ]
 
 #: Per-experiment "paper claim vs what we measured" commentary, keyed by
@@ -227,61 +225,36 @@ _FOOTER = """## Reading guide
 
 
 def _ordered(
-    items: list, ids: list[str], order: Sequence[str] | None, what: str
-) -> list:
-    """Reorder ``items`` (parallel to ``ids``) by ``order``; unknown ids
-    in ``order`` raise so a typo can't silently drop an experiment from
-    the document."""
+    results: list[ExperimentResult], order: Sequence[str] | None
+) -> list[ExperimentResult]:
+    """Reorder ``results`` by ``order``; unknown ids in ``order`` raise
+    so a typo can't silently drop an experiment from the document."""
     if not order:
-        return items
-    by_id = dict(zip(ids, items))
+        return results
+    by_id = {r.exp_id: r for r in results}
     unknown = [i for i in order if i not in by_id]
     if unknown:
         raise KeyError(
-            f"order names unknown {what}: {', '.join(unknown)}; "
-            f"known: {', '.join(ids)}"
+            f"order names unknown results: {', '.join(unknown)}; "
+            f"known: {', '.join(by_id)}"
         )
     return [by_id[i] for i in order] + [
-        item for item, exp_id in zip(items, ids) if exp_id not in set(order)
+        r for r in results if r.exp_id not in set(order)
     ]
 
 
 def generate_experiments_md(
-    quick: bool = False,
-    order: list[str] | None = None,
-    *,
-    results: Sequence[ExperimentResult] | None = None,
-    jobs: int = 1,
-    use_cache: bool = False,
-    cache_dir: str | Path | None = None,
-    progress: Callable | None = None,
+    results: Sequence[ExperimentResult],
+    order: Sequence[str] | None = None,
 ) -> tuple[str, bool]:
-    """Render the document and return ``(markdown, all_passed)``.
+    """Render the document for ``results`` and return
+    ``(markdown, all_passed)``.
 
-    With ``results`` given, this is a pure rendering step (reordered by
-    ``order``); otherwise every registered experiment is executed via
-    :func:`repro.experiments.runner.run_experiments` with the given
-    ``jobs``/``use_cache``/``progress``.  Ids in ``order`` that don't
-    exist raise ``KeyError`` rather than being silently dropped.
+    ``order`` lists experiment ids to present first, in that order; the
+    rest follow in their given order.  Ids in ``order`` that no result
+    carries raise ``KeyError`` rather than being silently dropped.
     """
-    if results is None:
-        from .runner import run_experiments
-
-        all_ids = [e.exp_id for e in all_experiments()]
-        ids = _ordered(all_ids, all_ids, order, "experiments")
-        records = run_experiments(
-            ids,
-            quick=quick,
-            jobs=jobs,
-            cache=use_cache,
-            cache_dir=cache_dir,
-            progress=progress,
-        )
-        results = [rec.to_result() for rec in records]
-    else:
-        results = _ordered(
-            list(results), [r.exp_id for r in results], order, "results"
-        )
+    results = _ordered(list(results), order)
     chunks = [_HEADER]
     all_ok = all(r.passed for r in results)
     chunks.append(
@@ -309,31 +282,3 @@ DEFAULT_ORDER = [
     "ABL1", "ABL2", "ABL3", "ABL4", "ABL5", "SVC", "SHARDS",
 ]
 
-
-def write_experiments_md(
-    path: str | Path,
-    quick: bool = False,
-    *,
-    results: Sequence[ExperimentResult] | None = None,
-    jobs: int = 1,
-    use_cache: bool = False,
-    cache_dir: str | Path | None = None,
-    progress: Callable | None = None,
-) -> tuple[Path, bool]:
-    """Generate and write the document; returns ``(path, all_passed)``.
-
-    When ``results`` is supplied their given order is kept; otherwise
-    the registry is run and presented in :data:`DEFAULT_ORDER`.
-    """
-    text, ok = generate_experiments_md(
-        quick=quick,
-        order=None if results is not None else DEFAULT_ORDER,
-        results=results,
-        jobs=jobs,
-        use_cache=use_cache,
-        cache_dir=cache_dir,
-        progress=progress,
-    )
-    out = Path(path)
-    out.write_text(text + "\n")
-    return out, ok

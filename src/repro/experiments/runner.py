@@ -1,19 +1,15 @@
-"""Parallel, cached, observable experiment runner.
+"""Parallel, observable experiment runner.
 
-The 20 registered experiments are embarrassingly parallel: each is a
+The registered experiments are embarrassingly parallel: each is a
 pure function of ``(exp_id, quick)`` that builds its own
 :class:`~repro.em.machine.Machine` instances.  This module fans them out
-over a :class:`concurrent.futures.ProcessPoolExecutor`, captures a
+over a :class:`concurrent.futures.ProcessPoolExecutor` and captures a
 structured, JSON-serializable :class:`RunRecord` per experiment (result
 tables, shape checks, wall-clock, simulated I/O and comparison totals,
-memory/disk peaks), and memoizes records in a content-addressed cache
-keyed on ``(exp_id, quick, hash of the repro source tree)`` — so a
-report regenerated after a doc-only change reruns zero experiments,
-while any source edit invalidates every cached entry at once.
+memory/disk peaks).  Every call runs every experiment it names.
 
-``repro report --jobs N [--no-cache] [--json PATH]`` and
-``repro run --jobs N`` are thin CLI wrappers around
-:func:`run_experiments`; ``results.json`` (see
+``repro report --jobs N [--json PATH]`` and ``repro run --jobs N`` are
+thin CLI wrappers around :func:`run_experiments`; ``results.json`` (see
 :func:`write_results_json`) is the machine-readable companion to
 EXPERIMENTS.md, so CI and benchmark trajectories can diff numbers
 instead of prose.
@@ -42,9 +38,9 @@ __all__ = [
     "write_results_json",
 ]
 
-#: Version tag embedded in every record, cache entry and results.json —
-#: bump when the record format changes (stale cache entries are ignored).
-RESULTS_SCHEMA_VERSION = 3
+#: Version tag embedded in every record and in results.json — bump when
+#: the record format changes.
+RESULTS_SCHEMA_VERSION = 4
 
 
 @dataclass
@@ -65,7 +61,6 @@ class RunRecord:
     exp_id: str
     quick: bool
     wall_s: float
-    cached: bool = False
     error: str | None = None
     result: ExperimentResult | None = None
     resources: dict | None = None
@@ -99,7 +94,6 @@ class RunRecord:
             "exp_id": self.exp_id,
             "quick": self.quick,
             "wall_s": round(self.wall_s, 6),
-            "cached": self.cached,
             "error": self.error,
             "passed": self.passed,
             "resources": self.resources,
@@ -114,7 +108,6 @@ class RunRecord:
             exp_id=d["exp_id"],
             quick=bool(d["quick"]),
             wall_s=float(d["wall_s"]),
-            cached=bool(d.get("cached", False)),
             error=d.get("error"),
             result=None if result is None else ExperimentResult.from_dict(result),
             resources=d.get("resources"),
@@ -173,14 +166,13 @@ def run_one(exp_id: str, quick: bool) -> dict:
 
 
 # ----------------------------------------------------------------------
-# Content-addressed cache
+# Provenance
 # ----------------------------------------------------------------------
 def source_tree_hash() -> str:
     """SHA-256 over every ``*.py`` file of the installed ``repro`` package.
 
-    This is the cache invalidation rule: any source change — even one
-    that could not affect a given experiment — invalidates every cached
-    record.  Coarse but sound; doc/README/test edits leave it unchanged.
+    ``results.json`` records it as the provenance of its numbers: two
+    files with the same hash were measured on the same source.
     """
     import repro
 
@@ -203,42 +195,6 @@ def default_out_dir() -> Path:
     return Path("benchmarks") / "out"
 
 
-def _cache_key(exp_id: str, quick: bool, src_hash: str) -> str:
-    raw = f"{exp_id}\0{int(quick)}\0{src_hash}".encode()
-    return hashlib.sha256(raw).hexdigest()[:32]
-
-
-def _cache_path(cache_dir: Path, exp_id: str, quick: bool, src_hash: str) -> Path:
-    safe_id = exp_id.replace(".", "_")
-    return cache_dir / f"{safe_id}-{_cache_key(exp_id, quick, src_hash)}.json"
-
-
-def _cache_load(path: Path, exp_id: str, quick: bool) -> RunRecord | None:
-    try:
-        d = json.loads(path.read_text())
-    except (OSError, ValueError):
-        return None
-    if (
-        d.get("schema") != RESULTS_SCHEMA_VERSION
-        or d.get("exp_id") != exp_id
-        or bool(d.get("quick")) != quick
-        or d.get("error") is not None
-    ):
-        return None
-    record = RunRecord.from_dict(d)
-    record.cached = True
-    return record
-
-
-def _cache_store(path: Path, record: RunRecord) -> None:
-    path.parent.mkdir(parents=True, exist_ok=True)
-    d = record.to_dict()
-    d["cached"] = False  # a stored record is, by definition, a fresh run
-    tmp = path.with_suffix(".tmp")
-    tmp.write_text(json.dumps(d, indent=2) + "\n")
-    tmp.replace(path)
-
-
 # ----------------------------------------------------------------------
 # Fan-out
 # ----------------------------------------------------------------------
@@ -247,21 +203,19 @@ def run_experiments(
     quick: bool = False,
     jobs: int = 1,
     *,
-    cache: bool = True,
-    cache_dir: str | Path | None = None,
     progress: Callable[[RunRecord], None] | None = None,
 ) -> list[RunRecord]:
-    """Run experiments, in parallel, with caching; returns records in
-    the order of ``ids``.
+    """Run experiments, in parallel; returns records in the order of
+    ``ids``.
 
-    ``jobs <= 1`` runs inline (no subprocesses); otherwise experiments
-    not served from cache are dispatched to a
+    ``jobs <= 1`` runs inline (no subprocesses); otherwise the
+    experiments are dispatched to a
     :class:`~concurrent.futures.ProcessPoolExecutor` of ``jobs``
     workers.  ``progress`` (if given) is called with each
     :class:`RunRecord` as it completes — completion order, not ``ids``
     order.  Unknown ids raise ``KeyError`` before anything runs.
-    Experiments that *raise* produce an ``error`` record (never cached)
-    instead of aborting the batch.
+    Experiments that *raise* produce an ``error`` record instead of
+    aborting the batch.
     """
     ids = list(ids)
     for exp_id in ids:  # eager validation, and a cheap duplicate guard
@@ -269,39 +223,19 @@ def run_experiments(
     if len(set(ids)) != len(ids):
         raise ValueError(f"duplicate experiment ids in {ids!r}")
 
-    src_hash = source_tree_hash() if cache else ""
-    cache_root = Path(cache_dir) if cache_dir is not None else default_out_dir() / "cache"
-
     records: dict[str, RunRecord] = {}
-    to_run: list[str] = []
-    for exp_id in ids:
-        hit = None
-        if cache:
-            hit = _cache_load(
-                _cache_path(cache_root, exp_id, quick, src_hash), exp_id, quick
-            )
-        if hit is not None:
-            records[exp_id] = hit
-            if progress is not None:
-                progress(hit)
-        else:
-            to_run.append(exp_id)
 
     def finish(record: RunRecord) -> None:
         records[record.exp_id] = record
-        if cache and record.error is None:
-            _cache_store(
-                _cache_path(cache_root, record.exp_id, quick, src_hash), record
-            )
         if progress is not None:
             progress(record)
 
-    if jobs <= 1 or len(to_run) <= 1:
-        for exp_id in to_run:
+    if jobs <= 1 or len(ids) <= 1:
+        for exp_id in ids:
             finish(RunRecord.from_dict(run_one(exp_id, quick)))
     else:
-        with ProcessPoolExecutor(max_workers=min(jobs, len(to_run))) as pool:
-            pending = {pool.submit(run_one, exp_id, quick) for exp_id in to_run}
+        with ProcessPoolExecutor(max_workers=min(jobs, len(ids))) as pool:
+            pending = {pool.submit(run_one, exp_id, quick) for exp_id in ids}
             while pending:
                 done, pending = wait(pending, return_when=FIRST_COMPLETED)
                 for future in done:
@@ -319,9 +253,9 @@ def write_results_json(
     """Write the machine-readable results file for a batch of records.
 
     Schema (version :data:`RESULTS_SCHEMA_VERSION`): a top-level object
-    with ``schema``, ``src_hash`` (cache key component), ``kernel`` (the
-    production kernel backend), ``jobs``, ``quick``, ``total_wall_s``,
-    ``passed``, and ``experiments`` — one
+    with ``schema``, ``src_hash`` (:func:`source_tree_hash`), ``kernel``
+    (the production kernel backend), ``jobs``, ``quick``,
+    ``total_wall_s``, ``passed``, and ``experiments`` — one
     :meth:`RunRecord.to_dict` per experiment, in document order.
     """
     from ..em.kernels import get_kernel

@@ -2,9 +2,8 @@
 
 Static layer of the correctness-analysis suite (the dynamic layer is
 the em sanitizer, ``Machine(sanitize=True)`` / ``EM_SANITIZE=1``).
-Every rule judges one module from its own AST, so a module's findings
-depend on that module alone and are served from a content-addressed
-cache (:mod:`repro.lint.cache`) on warm runs.
+Every rule judges one module from its own AST, and every run checks
+every file from its current source.
 
 The rules check that algorithm code cannot silently bypass the
 Aggarwal–Vitter cost accounting:
@@ -26,14 +25,12 @@ labels are not linted: they are declared
 hold only the coordinator's endpoints, never a worker), tested
 (``tests/test_budgets.py``) and checked at runtime (``Disk.phase``).
 
-Run it with ``repro lint [--json] [--rule R2 ...] [--diff REF]
-[--baseline FILE] [--no-cache]``; silence an intentional exception with
-a same-line ``# emlint: disable=Rn`` comment (see ``docs/LINTING.md``
-for the catalog and the suppression policy).  ``SYNTAX`` findings are
-never suppressable.
+Run it with ``repro lint [PATH ...] [--json] [--rule R2 ...]``; silence
+an intentional exception with a same-line ``# emlint: disable=Rn``
+comment (see ``docs/LINTING.md`` for the catalog and the suppression
+policy).  ``SYNTAX`` findings are never suppressable.
 """
 
-from .cache import AnalysisCache, ENGINE_VERSION, default_cache_path
 from .engine import (
     ALGORITHM_SUBSYSTEMS,
     EM_LAYER_SUBSYSTEMS,
@@ -48,17 +45,13 @@ from .engine import (
 from .findings import LintFinding
 from .runner import (
     LintReport,
-    baseline_delta,
     default_lint_paths,
     default_root,
-    git_changed_files,
     iter_python_files,
     lint_paths,
 )
 
 __all__ = [
-    "AnalysisCache",
-    "ENGINE_VERSION",
     "LintFinding",
     "LintRule",
     "LintReport",
@@ -66,12 +59,9 @@ __all__ = [
     "ALGORITHM_SUBSYSTEMS",
     "EM_LAYER_SUBSYSTEMS",
     "all_rules",
-    "baseline_delta",
-    "default_cache_path",
     "default_lint_paths",
     "default_root",
     "get_rules",
-    "git_changed_files",
     "iter_python_files",
     "lint_file",
     "lint_paths",

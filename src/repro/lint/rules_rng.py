@@ -52,7 +52,7 @@ class UnseededRngRule(LintRule):
     title = "randomness must come from an explicitly seeded Generator"
     rationale = (
         "Experiment reproducibility is part of the contract: results, "
-        "budget envelopes, and cached runner records are compared "
+        "budget envelopes, and runner records in results.json are compared "
         "across commits.  Module-level `random.*` and legacy "
         "`np.random.*` functions draw from hidden global state, and "
         "`np.random.default_rng()` without a seed randomizes from the "

@@ -1,9 +1,13 @@
 """Tests for the CLI and the Table 1 renderer."""
 
 import json
+import re
+import runpy
+from pathlib import Path
 
 import pytest
 
+import repro.cli
 from repro.bounds.table import render_table1, table1_rows
 from repro.cli import main
 from repro.em.machine import observe_machines
@@ -149,40 +153,17 @@ class TestSolve:
 
 
 class TestReport:
-    def test_report_quick_writes_doc_and_json_then_serves_from_cache(
-        self, capsys, tmp_path
-    ):
+    def test_report_quick_writes_doc_and_json(self, capsys, tmp_path):
         out = tmp_path / "EXPERIMENTS.md"
         results = tmp_path / "results.json"
-        cache = tmp_path / "cache"
         argv = ["report", "--quick", "--jobs", "2",
-                "--out", str(out), "--json", str(results),
-                "--cache-dir", str(cache)]
+                "--out", str(out), "--json", str(results)]
         assert main(argv) == 0
-        first_doc = out.read_text()
-        assert "paper vs. measured" in first_doc
+        assert "paper vs. measured" in out.read_text()
         data = json.loads(results.read_text())
         assert data["passed"] and data["quick"]
         assert len(data["experiments"]) == 22
-        assert all(not e["cached"] for e in data["experiments"])
-        capsys.readouterr()
-
-        # Second invocation: served entirely from cache, byte-identical.
-        assert main(argv) == 0
-        assert "22 cached" in capsys.readouterr().out
-        assert out.read_text() == first_doc
-        data = json.loads(results.read_text())
-        assert all(e["cached"] for e in data["experiments"])
-
-    def test_report_no_cache_forces_recomputation(self, capsys, tmp_path):
-        # --no-cache must neither read nor populate the cache dir.
-        argv = ["report", "--quick", "--no-cache",
-                "--out", str(tmp_path / "E.md"),
-                "--json", str(tmp_path / "results.json"),
-                "--cache-dir", str(tmp_path / "cache")]
-        assert main(argv) == 0
-        assert not (tmp_path / "cache").exists()
-        assert "22 run, 0 cached" in capsys.readouterr().out
+        assert "(22 run; all experiments PASS)" in capsys.readouterr().out
 
 
 class TestTrace:
@@ -393,45 +374,12 @@ class TestLintCli:
         assert main(["lint", "--rule", "R99"]) == 2
         assert "unknown rule" in capsys.readouterr().err
 
-    def test_lint_diff_unknown_ref(self, capsys):
-        assert main(["lint", "--diff", "no-such-ref-xyz"]) == 2
-        assert "cannot resolve" in capsys.readouterr().err
-
-    def test_lint_baseline_suppresses_known_findings(self, capsys, tmp_path):
-        bad = tmp_path / "repro" / "alg" / "bad.py"
-        bad.parent.mkdir(parents=True)
-        bad.write_text("def f():\n    return np.random.rand()\n")
-        assert main(["lint", "--json", str(bad)]) == 1
-        baseline = tmp_path / "base.json"
-        baseline.write_text(capsys.readouterr().out)
-        assert main(["lint", "--baseline", str(baseline), str(bad)]) == 0
-        assert "0 error(s)" in capsys.readouterr().out
-
-
-class TestSanitizeCheckCli:
-    def test_traps_and_one_solver(self, capsys):
-        rc = main(["sanitize-check", "--solver", "splitters"])
-        assert rc == 0
-        out = capsys.readouterr().out
-        for trap in ("use-after-free", "double-free", "uninitialized-read",
-                     "double-release", "lease-leak"):
-            assert f"{trap:22s} PASS" in out
-        assert "sanitize-check: PASS" in out
-
-    def test_incompatible_override_reports_error(self, capsys):
-        # reduction needs n to be a multiple of its part size; a bad
-        # override must surface as a counted ERROR, not a traceback.
-        rc = main(["sanitize-check", "--solver", "reduction", "--n", "4097"])
-        assert rc == 1
-        assert "ERROR" in capsys.readouterr().out
-
 
 class TestApiDocs:
     def test_generated_api_docs_up_to_date(self):
         """docs/API.md must match the current public surface."""
         import subprocess
         import sys
-        from pathlib import Path
 
         root = Path(__file__).parent.parent
         proc = subprocess.run(
@@ -441,3 +389,41 @@ class TestApiDocs:
             text=True,
         )
         assert proc.returncode == 0, proc.stdout + proc.stderr
+
+    def test_documented_flags_are_options_of_their_verb(self, capsys):
+        # Both CLI texts name flags after a verb ("repro budgets
+        # [--write] ..."); each flag belongs to the verb named last
+        # before it (to the top-level parser before any verb), and
+        # that verb's --help must list it.
+        root = Path(__file__).parent.parent
+        texts = {
+            "cli.py": repro.cli.__doc__,
+            "gen_api_docs.py": runpy.run_path(
+                str(root / "scripts" / "gen_api_docs.py")
+            )["HEADER"],
+        }
+        options: dict = {}
+
+        def options_of(verb):
+            if verb not in options:
+                with pytest.raises(SystemExit):
+                    main([verb, "--help"] if verb else ["--help"])
+                options[verb] = {
+                    opt
+                    for line in capsys.readouterr().out.splitlines()
+                    if line.startswith("  -")
+                    for opt in re.findall(
+                        r"--[\w-]+", re.split(r"\s{2,}", line.strip())[0]
+                    )
+                }
+            return options[verb]
+
+        unknown = []
+        for name, text in texts.items():
+            verb = None
+            for m in re.finditer(r"repro ([a-z][\w-]*)|(--[\w-]+)", text):
+                if m.group(1):
+                    verb = m.group(1)
+                elif m.group(2) not in options_of(verb):
+                    unknown.append(f"{name}: repro {verb} {m.group(2)}")
+        assert not unknown

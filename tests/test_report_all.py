@@ -20,7 +20,7 @@ def _fake_result(exp_id, passed=True):
 
 def test_generates_document_with_commentary():
     results = [_fake_result("T1.R1"), _fake_result("ZZZ")]
-    text, ok = report_all.generate_experiments_md(quick=True, results=results)
+    text, ok = report_all.generate_experiments_md(results)
     assert ok
     assert "2/2 experiments PASS" in text
     # Known experiment gets its curated commentary; unknown a generic one.
@@ -31,33 +31,21 @@ def test_generates_document_with_commentary():
 
 def test_failures_reported():
     results = [_fake_result("A", passed=False)]
-    text, ok = report_all.generate_experiments_md(quick=True, results=results)
+    text, ok = report_all.generate_experiments_md(results)
     assert not ok
     assert "0/1 experiments PASS" in text
     assert "verdict: FAIL" in text
 
 
-def test_write_experiments_md(tmp_path):
-    out, ok = report_all.write_experiments_md(
-        tmp_path / "E.md", quick=True, results=[_fake_result("A")]
-    )
-    assert ok and out.exists()
-    assert "paper vs. measured" in out.read_text()
-
-
 def test_order_respected():
     results = [_fake_result("B"), _fake_result("A")]
-    text, _ = report_all.generate_experiments_md(
-        quick=True, order=["A", "B"], results=results
-    )
+    text, _ = report_all.generate_experiments_md(results, order=["A", "B"])
     assert text.index("fake A") < text.index("fake B")
 
 
 def test_results_not_named_by_order_are_appended():
     results = [_fake_result("C"), _fake_result("A"), _fake_result("B")]
-    text, _ = report_all.generate_experiments_md(
-        quick=True, order=["A", "B"], results=results
-    )
+    text, _ = report_all.generate_experiments_md(results, order=["A", "B"])
     assert text.index("fake A") < text.index("fake B") < text.index("fake C")
 
 
@@ -66,14 +54,8 @@ def test_unknown_order_id_raises_instead_of_dropping():
     # experiment from the document.
     with pytest.raises(KeyError, match="ZZTOP"):
         report_all.generate_experiments_md(
-            quick=True, order=["A", "ZZTOP"], results=[_fake_result("A")]
+            [_fake_result("A")], order=["A", "ZZTOP"]
         )
-
-
-def test_unknown_order_id_raises_against_registry_too():
-    # Validation happens before any experiment runs, so this is fast.
-    with pytest.raises(KeyError, match="NOT-AN-ID"):
-        report_all.generate_experiments_md(quick=True, order=["NOT-AN-ID"])
 
 
 def test_default_order_exactly_covers_registry():

@@ -1,4 +1,4 @@
-"""Tests for the parallel, cached experiment runner."""
+"""Tests for the parallel experiment runner."""
 
 from __future__ import annotations
 
@@ -11,7 +11,6 @@ from repro.experiments.base import Experiment, ExperimentResult, _REGISTRY
 from repro.experiments.runner import (
     RESULTS_SCHEMA_VERSION,
     RunRecord,
-    _cache_key,
     run_experiments,
     run_one,
     source_tree_hash,
@@ -114,84 +113,34 @@ class TestRunOne:
 class TestRunExperiments:
     def test_unknown_id_raises_before_running(self):
         with pytest.raises(KeyError, match="BOGUS"):
-            run_experiments(["BOGUS"], quick=True, cache=False)
+            run_experiments(["BOGUS"], quick=True)
 
     def test_duplicate_ids_rejected(self):
         with pytest.raises(ValueError, match="duplicate"):
-            run_experiments(["ABL4", "ABL4"], quick=True, cache=False)
+            run_experiments(["ABL4", "ABL4"], quick=True)
 
     def test_order_preserved_and_crash_does_not_abort_batch(
-        self, tmp_path, crash_experiment
+        self, crash_experiment
     ):
         ids = ["T1.R4", crash_experiment, "ABL4"]
-        records = run_experiments(ids, quick=True, cache=False)
+        records = run_experiments(ids, quick=True)
         assert [r.exp_id for r in records] == ids
         assert records[0].passed and records[2].passed
         assert records[1].error is not None
 
-    def test_progress_called_per_experiment(self, tmp_path):
+    def test_progress_called_per_experiment(self):
         seen = []
-        run_experiments(
-            FAST_IDS, quick=True, cache=True, cache_dir=tmp_path,
-            progress=seen.append,
-        )
+        run_experiments(FAST_IDS, quick=True, progress=seen.append)
         assert sorted(r.exp_id for r in seen) == sorted(FAST_IDS)
-        assert all(not r.cached for r in seen)
-
-
-class TestCache:
-    def test_second_run_is_served_entirely_from_cache(self, tmp_path):
-        first = run_experiments(FAST_IDS, quick=True, cache=True, cache_dir=tmp_path)
-        assert all(not r.cached for r in first)
-        second = run_experiments(FAST_IDS, quick=True, cache=True, cache_dir=tmp_path)
-        assert all(r.cached for r in second)
-        for a, b in zip(first, second):
-            assert a.to_result().render() == b.to_result().render()
-
-    def test_cache_disabled_writes_nothing(self, tmp_path):
-        run_experiments(["ABL4"], quick=True, cache=False, cache_dir=tmp_path)
-        assert not list(tmp_path.rglob("*.json"))
-
-    def test_quick_and_full_do_not_share_entries(self):
-        assert _cache_key("A", True, "h") != _cache_key("A", False, "h")
-
-    def test_source_hash_invalidates_entries(self):
-        assert _cache_key("A", True, "h1") != _cache_key("A", True, "h2")
-
-    def test_source_tree_hash_is_stable_hex(self):
-        h = source_tree_hash()
-        assert h == source_tree_hash()
-        assert len(h) == 64 and int(h, 16) >= 0
-
-    def test_corrupt_cache_entry_is_ignored(self, tmp_path):
-        run_experiments(["ABL4"], quick=True, cache=True, cache_dir=tmp_path)
-        for path in tmp_path.glob("*.json"):
-            path.write_text("{not json")
-        records = run_experiments(["ABL4"], quick=True, cache=True, cache_dir=tmp_path)
-        assert not records[0].cached and records[0].passed
-
-    def test_error_records_are_never_cached(self, tmp_path, crash_experiment):
-        run_experiments([crash_experiment], quick=True, cache=True, cache_dir=tmp_path)
-        records = run_experiments(
-            [crash_experiment], quick=True, cache=True, cache_dir=tmp_path
-        )
-        assert not records[0].cached  # re-ran, no poisoned cache entry
 
 
 class TestParallel:
-    def test_parallel_matches_serial_and_preserves_order(self, tmp_path):
-        serial = run_experiments(FAST_IDS, quick=True, jobs=1, cache=False)
-        parallel = run_experiments(FAST_IDS, quick=True, jobs=2, cache=False)
+    def test_parallel_matches_serial_and_preserves_order(self):
+        serial = run_experiments(FAST_IDS, quick=True, jobs=1)
+        parallel = run_experiments(FAST_IDS, quick=True, jobs=2)
         assert [r.exp_id for r in parallel] == FAST_IDS
         for s, p in zip(serial, parallel):
             assert s.result.to_dict() == p.result.to_dict()
-
-    def test_parallel_populates_cache(self, tmp_path):
-        run_experiments(FAST_IDS, quick=True, jobs=2, cache=True, cache_dir=tmp_path)
-        second = run_experiments(
-            FAST_IDS, quick=True, jobs=2, cache=True, cache_dir=tmp_path
-        )
-        assert all(r.cached for r in second)
 
 
 class TestSpans:
@@ -205,7 +154,7 @@ class TestSpans:
         )
 
     def test_spans_survive_process_pool_and_results_json(self, tmp_path):
-        records = run_experiments(FAST_IDS, quick=True, jobs=2, cache=False)
+        records = run_experiments(FAST_IDS, quick=True, jobs=2)
         path = write_results_json(records, tmp_path / "results.json", jobs=2)
         data = json.loads(path.read_text())
         for entry, rec in zip(data["experiments"], records):
@@ -239,7 +188,7 @@ class TestSpans:
 
 class TestResultsJson:
     def test_schema(self, tmp_path):
-        records = run_experiments(FAST_IDS, quick=True, cache=False)
+        records = run_experiments(FAST_IDS, quick=True)
         path = write_results_json(records, tmp_path / "results.json", jobs=1)
         data = json.loads(path.read_text())
         assert data["schema"] == RESULTS_SCHEMA_VERSION
@@ -250,3 +199,12 @@ class TestResultsJson:
             assert entry["result"]["checks"]
             assert entry["resources"]["io_total"] > 0
             assert entry["wall_s"] > 0
+            assert set(entry) == {
+                "schema", "exp_id", "quick", "wall_s", "error", "passed",
+                "resources", "spans", "result",
+            }
+
+    def test_source_tree_hash_is_stable_hex(self):
+        h = source_tree_hash()
+        assert h == source_tree_hash()
+        assert len(h) == 64 and int(h, 16) >= 0

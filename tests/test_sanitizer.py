@@ -1,5 +1,6 @@
 """Dynamic sanitizer tests: strict-mode traps, the ``EM_SANITIZE`` env
-default, and the tracer's counter-conservation check.
+default, the tracer's counter-conservation check, and every registered
+solver run strict.
 
 Every trap asserts the *exact* sanitizer error class, and each strict
 error is also an instance of the lenient-API error it refines
@@ -27,6 +28,8 @@ from repro.em import (
     sanitize_default,
 )
 from repro.obs import Tracer
+from repro.obs.solvers import SOLVERS
+from repro.workloads.generators import load_input, random_permutation
 
 
 def _mk(sanitize: bool = True) -> Machine:
@@ -280,8 +283,6 @@ class TestCounterConservation:
 
     def test_algorithm_run_conserves_under_sanitize(self):
         from repro.alg.sort import external_sort
-        from repro.workloads import load_input
-        from repro.workloads.generators import random_permutation
 
         m = Machine(memory=512, block=16, sanitize=True)
         file = load_input(m, random_permutation(2000, seed=3))
@@ -293,3 +294,27 @@ class TestCounterConservation:
         file.free()
         tracer.detach(m)
         m.close()
+
+
+class TestSolversStrict:
+    @pytest.mark.parametrize("name", sorted(SOLVERS))
+    def test_solver_runs_strict_and_conserves(self, name):
+        # Each registered solver at its defaults on a sanitized, traced
+        # machine: a use-after-free, double free or uninitialized read
+        # raises during the run, detaching checks counter conservation
+        # and closing checks for leaked leases.
+        solver = SOLVERS[name]
+        params = dict(solver.defaults)
+        machine = Machine(
+            memory=params["memory"], block=params["block"], sanitize=True
+        )
+        file = load_input(
+            machine, random_permutation(params["n"], seed=params["seed"])
+        )
+        machine.reset_counters()
+        tracer = Tracer()
+        tracer.attach(machine)
+        solver.run(machine, file, params)
+        file.free()
+        tracer.detach(machine)
+        machine.close()
