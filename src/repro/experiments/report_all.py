@@ -6,9 +6,11 @@ same file checked into the repository, so the recorded results are
 reproducible by one command.
 
 Experiments execute through :mod:`repro.experiments.runner` (parallel
-fan-out); this module owns only the presentation — ordering,
-commentary, and rendering.  The document is a pure function of the
-results, so a parallel run renders byte-identically to a serial one.
+fan-out); this module owns only the presentation — commentary and
+rendering, in the order the results arrive (``repro report`` passes
+them in :data:`DEFAULT_ORDER`).  The document is a pure function of
+the results, so a parallel run renders byte-identically to a serial
+one.
 """
 
 from __future__ import annotations
@@ -224,37 +226,11 @@ _FOOTER = """## Reading guide
 """
 
 
-def _ordered(
-    results: list[ExperimentResult], order: Sequence[str] | None
-) -> list[ExperimentResult]:
-    """Reorder ``results`` by ``order``; unknown ids in ``order`` raise
-    so a typo can't silently drop an experiment from the document."""
-    if not order:
-        return results
-    by_id = {r.exp_id: r for r in results}
-    unknown = [i for i in order if i not in by_id]
-    if unknown:
-        raise KeyError(
-            f"order names unknown results: {', '.join(unknown)}; "
-            f"known: {', '.join(by_id)}"
-        )
-    return [by_id[i] for i in order] + [
-        r for r in results if r.exp_id not in set(order)
-    ]
-
-
 def generate_experiments_md(
     results: Sequence[ExperimentResult],
-    order: Sequence[str] | None = None,
 ) -> tuple[str, bool]:
-    """Render the document for ``results`` and return
-    ``(markdown, all_passed)``.
-
-    ``order`` lists experiment ids to present first, in that order; the
-    rest follow in their given order.  Ids in ``order`` that no result
-    carries raise ``KeyError`` rather than being silently dropped.
-    """
-    results = _ordered(list(results), order)
+    """Render the document for ``results``, in the order given, and
+    return ``(markdown, all_passed)``."""
     chunks = [_HEADER]
     all_ok = all(r.passed for r in results)
     chunks.append(

@@ -38,7 +38,6 @@ from .engine import (
     ModuleContext,
     all_rules,
     get_rules,
-    lint_file,
     lint_source,
     register,
 )
@@ -63,7 +62,6 @@ __all__ = [
     "default_root",
     "get_rules",
     "iter_python_files",
-    "lint_file",
     "lint_paths",
     "lint_source",
     "register",

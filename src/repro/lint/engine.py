@@ -33,7 +33,6 @@ __all__ = [
     "all_rules",
     "get_rules",
     "lint_source",
-    "lint_file",
     "ALGORITHM_SUBSYSTEMS",
     "EM_LAYER_SUBSYSTEMS",
 ]
@@ -287,14 +286,3 @@ def lint_source(
             )
     return sorted(active), sorted(suppressed)
 
-
-def lint_file(
-    path: Path | str,
-    rules: Iterable[LintRule] | None = None,
-    root: Path | None = None,
-) -> tuple[list[LintFinding], list[LintFinding]]:
-    """Lint one ``.py`` file; paths in findings are relative to ``root``
-    when given (else reported as passed in)."""
-    path = Path(path)
-    rel = str(path.relative_to(root)) if root else str(path)
-    return lint_source(path.read_text(), rel, rules)

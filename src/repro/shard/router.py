@@ -18,7 +18,11 @@ Merging per-shard partial answers at the coordinator:
   Select and range-count answers are determined by the input multiset,
   so they are *element-identical* to the single-machine engine (the
   differential tests assert this).
-* **bucket counts** — ``range_count`` sums the per-shard counts.
+* **bucket counts** — ``range_count`` routes both endpoints through
+  the splitters.  Shards wholly inside the range count from their
+  sealed sizes at the coordinator; only the (at most two) shards an
+  endpoint falls in are asked for a local count, as the paper's
+  K-splitters count whole partitions without reading them.
 * **splitter candidates** — :meth:`ShardRouter.splitter_candidates`
   gathers per-shard approximate quantiles and merges them into one
   global candidate set.
@@ -40,7 +44,7 @@ import numpy as np
 from ..alg.sampling import approx_quantile_pivots, pick_pivots_from_sorted
 from ..em.comparisons import cmp_search, cmp_sort
 from ..em.errors import SpecError
-from ..em.records import composite, composite_of, empty_records
+from ..em.records import UID_MAX, composite, composite_of, empty_records
 from ..em.streams import scan_chunks
 from ..obs.metrics import current_registry
 from .transport import Message, ShardError
@@ -139,16 +143,35 @@ class ShardRouter:
         return out
 
     def range_count(self, lo_key: int, hi_key: int) -> int:
-        """Number of elements with key in ``(lo_key, hi_key]`` — the sum
-        of the per-shard bucket counts."""
+        """Number of elements with key in ``(lo_key, hi_key]``: the two
+        boundary shards' counts plus the sizes of the shards between.
+
+        Both endpoints route through the splitters as
+        :meth:`partition_of` does (shard ``i`` holds the composites in
+        ``(s_{i-1}, s_i]``).  Shards left of the ``lo_key`` endpoint's
+        shard or right of the ``hi_key`` endpoint's shard are disjoint
+        from the range and cost nothing; shards strictly between the two
+        lie inside it and are counted from their sealed sizes at the
+        coordinator.  Only the boundary shards get a ``range_count``
+        message: two at most, one when both endpoints share a shard,
+        none for an empty shard.  A shard is read-only after ``seal``,
+        so an interior shard's size stays exact even once its worker
+        has died: a range covering a killed shard still answers, while
+        a range ending inside it raises :class:`ShardError`.
+        """
         if hi_key < lo_key:
             raise SpecError("empty range: hi_key < lo_key")
-        total = 0
-        for shard in range(self.nshards):
-            if self._sizes[shard] == 0:
-                continue
-            reply = self._request(shard, "range_count", (int(lo_key), int(hi_key)))
-            total += int(reply.payload)
+        if self._closed:
+            raise ShardError("range_count on a closed router")
+        ends = [composite_of(lo_key, UID_MAX), composite_of(hi_key, UID_MAX)]
+        with self._machine.phase("shard-route"):
+            first, last = (int(s) for s in np.searchsorted(self._splitters, ends))
+            cmp_search(self._machine, 2, len(self._splitters))
+        total = int(self._sizes[first + 1 : last].sum())
+        for shard in sorted({first, last}):
+            if self._sizes[shard]:
+                reply = self._request(shard, "range_count", (int(lo_key), int(hi_key)))
+                total += int(reply.payload)
         return total
 
     def partition_of(self, key: int) -> int:

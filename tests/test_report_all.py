@@ -1,7 +1,5 @@
 """Tests for the EXPERIMENTS.md generator."""
 
-import pytest
-
 from repro.experiments import report_all
 from repro.experiments.base import ExperimentResult
 
@@ -35,27 +33,6 @@ def test_failures_reported():
     assert not ok
     assert "0/1 experiments PASS" in text
     assert "verdict: FAIL" in text
-
-
-def test_order_respected():
-    results = [_fake_result("B"), _fake_result("A")]
-    text, _ = report_all.generate_experiments_md(results, order=["A", "B"])
-    assert text.index("fake A") < text.index("fake B")
-
-
-def test_results_not_named_by_order_are_appended():
-    results = [_fake_result("C"), _fake_result("A"), _fake_result("B")]
-    text, _ = report_all.generate_experiments_md(results, order=["A", "B"])
-    assert text.index("fake A") < text.index("fake B") < text.index("fake C")
-
-
-def test_unknown_order_id_raises_instead_of_dropping():
-    # A typo in the order list must fail loudly, not silently omit an
-    # experiment from the document.
-    with pytest.raises(KeyError, match="ZZTOP"):
-        report_all.generate_experiments_md(
-            [_fake_result("A")], order=["A", "ZZTOP"]
-        )
 
 
 def test_default_order_exactly_covers_registry():

@@ -18,7 +18,16 @@ import numpy as np
 import pytest
 
 from repro.core import multi_select
-from repro.em import Disk, EMFile, Machine, composite, observe_machines
+from repro.em import (
+    KEY_MAX,
+    KEY_MIN,
+    UID_BITS,
+    Disk,
+    EMFile,
+    Machine,
+    composite,
+    observe_machines,
+)
 from repro.em.errors import SpecError
 from repro.em.wire import (
     RECV_PHASE,
@@ -42,7 +51,12 @@ from repro.shard import (
     make_pool,
 )
 from repro.workloads import load_input
-from repro.workloads.generators import random_permutation
+from repro.workloads.generators import (
+    few_distinct,
+    organ_pipe,
+    random_permutation,
+    sorted_keys,
+)
 from repro.workloads.queries import QUERY_TRACES, shard_skew_trace
 
 from .conftest import records_from_keys
@@ -271,9 +285,9 @@ class TestDifferential:
 # ----------------------------------------------------------------------
 # The declared request protocol
 # ----------------------------------------------------------------------
-def _record_router_session(monkeypatch) -> list[tuple[str, str]]:
-    """``(request kind, reply kind)`` of every request that a build,
-    every ShardRouter method, and close send through the pool."""
+def _record_requests(monkeypatch) -> list[tuple[str, str]]:
+    """Make the in-process pool log the ``(request kind, reply kind)``
+    of every request it sends; returns the live log."""
     sent = []
     request = InProcessWorkerPool.request
 
@@ -283,6 +297,13 @@ def _record_router_session(monkeypatch) -> list[tuple[str, str]]:
         return reply
 
     monkeypatch.setattr(InProcessWorkerPool, "request", recording)
+    return sent
+
+
+def _record_router_session(monkeypatch) -> list[tuple[str, str]]:
+    """``(request kind, reply kind)`` of every request that a build,
+    every ShardRouter method, and close send through the pool."""
+    sent = _record_requests(monkeypatch)
     coord = Machine(memory=512, block=16)
     f = load_input(coord, random_permutation(1024, seed=3))
     with build_sharded_service(coord, f, shards=3, k=16) as router:
@@ -329,6 +350,110 @@ class TestProtocol:
     def test_reply_kinds_match_the_table(self, monkeypatch):
         for kind, reply in _record_router_session(monkeypatch):
             assert reply == PROTOCOL[kind][1], kind
+
+
+# ----------------------------------------------------------------------
+# Range counts: whole shards count from their sizes
+# ----------------------------------------------------------------------
+def _edge_keys(router, keys: np.ndarray) -> list[int]:
+    """Range endpoints where routing can go wrong: each splitter key and
+    its neighbours, the extreme keys and theirs, and keys at and past
+    the ends of the key domain."""
+    near = [int(c) >> UID_BITS for c in router.splitters]
+    near += [int(keys.min()), int(keys.max())]
+    edges = {x + d for x in near for d in (-1, 0, 1)}
+    return sorted(edges | {-1, 0, KEY_MIN, KEY_MAX, -(10**12), 10**12})
+
+
+def _oracle_counts(keys: np.ndarray, ends: list[int]) -> list[int]:
+    """Sorted-array counts of ``(lo, hi]`` for every pair lo <= hi."""
+    at = np.searchsorted(np.sort(keys), np.array(ends, dtype=object), side="right")
+    return [int(at[j] - at[i]) for i in range(len(ends)) for j in range(i, len(ends))]
+
+
+def _range_counts(router, ends: list[int], sent=None) -> list[int]:
+    """The router's counts in :func:`_oracle_counts` order; with a
+    request log, also that no call messages more than two shards."""
+    answers = []
+    for i, lo in enumerate(ends):
+        for hi in ends[i:]:
+            if sent is not None:
+                sent.clear()
+            answers.append(router.range_count(lo, hi))
+            if sent is not None:
+                asked = [kind for kind, _ in sent if kind == "range_count"]
+                assert len(asked) <= 2, (lo, hi, len(asked))
+    return answers
+
+
+def _build(records, w: int, workers: str = "inproc"):
+    coord = Machine(memory=512, block=16, sanitize=True)
+    f = load_input(coord, records)
+    router = build_sharded_service(coord, f, shards=w, k=16, workers=workers)
+    # A few selects refine the shard trees, so counts also cross pivots.
+    router.batch_select(np.linspace(1, len(records), 7).astype(np.int64))
+    return coord, f, router
+
+
+def _teardown(coord, f, router) -> None:
+    router.close()
+    f.free()
+    coord.close()
+
+
+class TestRangeCount:
+    N = 3000
+    INPUTS = [random_permutation, few_distinct, sorted_keys, organ_pipe]
+
+    @pytest.mark.parametrize("w", [1, 2, 4, 8])
+    @pytest.mark.parametrize("gen", INPUTS, ids=lambda g: g.__name__)
+    def test_edge_ranges_match_oracle_with_two_requests(self, gen, w, monkeypatch):
+        records = gen(self.N, seed=5)
+        sent = _record_requests(monkeypatch)
+        coord, f, router = _build(records, w)
+        ends = _edge_keys(router, records["key"])
+        got = _range_counts(router, ends, sent)
+        assert got == _oracle_counts(records["key"], ends)
+        _teardown(coord, f, router)
+
+    def test_process_workers_answer_as_inproc(self):
+        records = random_permutation(self.N, seed=5)
+        answers = {}
+        for workers in ("inproc", "process"):
+            coord, f, router = _build(records, 4, workers)
+            ends = _edge_keys(router, records["key"])
+            answers[workers] = _range_counts(router, ends)
+            _teardown(coord, f, router)
+        assert answers["process"] == answers["inproc"]
+        assert answers["inproc"] == _oracle_counts(records["key"], ends)
+
+    def test_closed_router_raises(self):
+        records = few_distinct(self.N, seed=5)
+        coord, f, router = _build(records, 8)
+        ends = _edge_keys(router, records["key"])
+        router.close()
+        for lo in ends:
+            for hi in (hi for hi in ends if hi >= lo):
+                with pytest.raises(ShardError):
+                    router.range_count(lo, hi)
+        f.free()
+        coord.close()
+
+    def test_killed_interior_shard_counts_from_its_size(self):
+        records = random_permutation(self.N, seed=5)
+        coord, f, router = _build(records, 4)
+        keys = np.sort(records["key"])
+        edge = np.cumsum(router.shard_sizes)  # shard i ends at keys[edge[i] - 1]
+        router._pool.kill(1)
+        # (first key, last key] covers shards 1 and 2 whole.
+        lo, hi = int(keys[0]), int(keys[-1])
+        assert router.range_count(lo, hi) == self.N - 1
+        # A select or a range ending inside the dead shard still fails.
+        with pytest.raises(ShardError, match="shard 1"):
+            router.select(int(edge[0]) + 1)
+        with pytest.raises(ShardError, match="shard 1"):
+            router.range_count(lo, int(keys[edge[1] - 2]))
+        _teardown(coord, f, router)
 
 
 # ----------------------------------------------------------------------
