@@ -4,9 +4,9 @@ Covers the charged-communication primitive (``em.wire``), the
 endpoints, the differential guarantee (sharded answers element-identical
 to the single-machine engine across shard counts, kernels, and sanitize
 mode, with counter conservation under the tracer), the declared request
-protocol, shard isolation (no worker state reachable from the router),
-worker-failure behavior, real process workers, and the shard-skew trace
-generator.
+protocol, range counts that message only their boundary shards, shard
+isolation (no worker state reachable from the router), worker-failure
+behavior, real process workers, and the shard-skew trace generator.
 """
 
 from __future__ import annotations
@@ -427,13 +427,29 @@ class TestRangeCount:
         assert answers["process"] == answers["inproc"]
         assert answers["inproc"] == _oracle_counts(records["key"], ends)
 
+    def test_empty_shards_get_no_message(self, monkeypatch):
+        # Three records over eight shards: the splitters cover three
+        # records, so shards 3-7 stay empty.
+        records = random_permutation(3, seed=5)
+        sent = _record_requests(monkeypatch)
+        coord, f, router = _build(records, 8)
+        assert list(router.shard_sizes) == [1, 1, 1, 0, 0, 0, 0, 0]
+        ends = _edge_keys(router, records["key"])
+        assert _range_counts(router, ends, sent) == _oracle_counts(records["key"], ends)
+        sent.clear()
+        assert router.range_count(2, KEY_MAX) == 0  # past the largest key
+        assert sent == []
+        _teardown(coord, f, router)
+
     def test_closed_router_raises(self):
-        records = few_distinct(self.N, seed=5)
+        # With empty shards, some ranges need no message, so the closed
+        # check cannot rest on a dead endpoint alone.
+        records = random_permutation(3, seed=5)
         coord, f, router = _build(records, 8)
         ends = _edge_keys(router, records["key"])
         router.close()
-        for lo in ends:
-            for hi in (hi for hi in ends if hi >= lo):
+        for i, lo in enumerate(ends):
+            for hi in ends[i:]:
                 with pytest.raises(ShardError):
                     router.range_count(lo, hi)
         f.free()
