@@ -12,8 +12,10 @@ it:
   and a drift-triggered full rebuild;
 * :mod:`repro.service.online` —
   :class:`~repro.service.online.LazyPartitionIndex`, Barbay–Gupta-style
-  lazy refinement: the pivot tree grows only where queries land, so
-  skewed traces pay far less than building the full index;
+  lazy refinement: the sorted pivot set grows only where queries land,
+  so skewed traces pay far less than building the full index.  Both
+  engines keep the same flat layout, a sorted list of partitions (the
+  lazy engine's leaves) delimited by splitter composites;
 * :mod:`repro.service.frontend` —
   :class:`~repro.service.frontend.QueryFrontend`, batching mixed queries
   into one deduplicated multiselection per flush, with per-query

@@ -1,11 +1,12 @@
-"""Lazy online multiselection: refine the pivot tree only where queried.
+"""Lazy online multiselection: refine the sorted pivot set only where queried.
 
 Barbay–Gupta's observation ("Near-Optimal Online Multiselection in
 Internal and External Memory") is that an *online* sequence of selection
 queries need not pay for a full splitter construction up front: keep the
-file behind a pivot tree and refine a node — one sampling pass plus one
-distribution pass over just that node — only when a query actually lands
-in it.  Refinements are cached in the tree, so
+pivots found so far, which cut the file into a sorted run of leaves, and
+refine a leaf — one sampling pass plus one distribution pass over just
+that leaf — only when a query actually lands in it.  Refinements stay in
+the pivot set, so
 
 * a *skewed* (zipfian) trace touches few regions and repeats them: total
   I/O stays near the cost of refining the hot paths once, approaching
@@ -18,9 +19,13 @@ in it.  Refinements are cached in the tree, so
 :class:`LazyPartitionIndex` implements this over
 :func:`~repro.alg.sampling.approx_quantile_pivots` (sampling) and
 :func:`~repro.alg.distribute.distribute_by_pivots` (one-pass f-way
-distribution).  The tree is read-only with respect to the underlying
-file (never mutated, never freed); answered ranks are memoized in a
-bounded in-memory cache so repeated hot queries cost zero I/O.
+distribution).  Its leaves form one flat list, the layout
+:class:`~repro.service.index.PartitionIndex` keeps: leaf ``j`` holds the
+composites in ``(bounds[j-1], bounds[j]]``, open at both ends of the
+list, and a refinement splices a leaf's children and pivots into place.
+The underlying file is never mutated or freed; answered ranks are
+memoized in a bounded in-memory cache so repeated hot queries cost zero
+I/O.
 """
 
 from __future__ import annotations
@@ -46,25 +51,6 @@ if TYPE_CHECKING:  # pragma: no cover
 __all__ = ["LazyPartitionIndex"]
 
 
-class _LazyNode:
-    """One pivot-tree node covering a contiguous composite range.
-
-    A leaf holds a file (``owned`` unless it is the caller's input at
-    the root); an internal node holds its children plus the pivot
-    composites and cumulative child sizes that route ranks down.
-    """
-
-    __slots__ = ("file", "owned", "size", "pivots", "cum", "children")
-
-    def __init__(self, file: EMFile | None, owned: bool, size: int):
-        self.file = file
-        self.owned = owned
-        self.size = size
-        self.pivots: np.ndarray | None = None
-        self.cum: np.ndarray | None = None
-        self.children: list["_LazyNode"] | None = None
-
-
 class LazyPartitionIndex:
     """Read-only online selection engine over one :class:`EMFile`.
 
@@ -73,14 +59,18 @@ class LazyPartitionIndex:
     machine, file:
         The machine and the (unsorted) input file.  The file is never
         modified or freed; refined copies of its regions are owned by
-        the tree and released by :meth:`close`.
+        the engine and released by :meth:`close`.
     k:
         Target resolution: leaves aim at ``~N/k`` records (like a
         K-partition index built fully).  Defaults to whatever fits one
         in-memory load.
 
-    Answered ranks are memoized (bounded, charged to the resident
-    lease), so repeats cost zero I/O.
+    The leaves are one sorted list: ``_files[j]`` holds the composites
+    in ``(_bounds[j-1], _bounds[j]]`` and ``_cum[j]`` counts the records
+    in leaves ``0..j``.  Bounds are non-decreasing, not strictly
+    increasing: a refinement pivot can equal its leaf's upper bound and
+    leave an empty last child.  Answered ranks are memoized (bounded,
+    charged to the resident lease), so repeats cost zero I/O.
     """
 
     def __init__(
@@ -91,7 +81,10 @@ class LazyPartitionIndex:
     ) -> None:
         n = len(file)
         self._machine = machine
-        self._root = _LazyNode(file, owned=False, size=n)
+        self._input = file
+        self._files: list[EMFile] = [file]
+        self._cum = np.array([n], dtype=np.int64)
+        self._bounds = np.empty(0, dtype=np.int64)
         self._fanout = max_distribution_fanout(machine)
         if k is None:
             leaf = machine.load_limit
@@ -115,10 +108,6 @@ class LazyPartitionIndex:
             "per-query attributed simulated I/O (block transfers)",
             labels=("engine",),
         ).labels(engine="lazy")
-        self._m_depth = metrics.histogram(
-            "svc_descend_depth",
-            "pivot-tree descent depth per uncached query group",
-        )
         lookups = metrics.counter(
             "svc_cache_lookups",
             "answer-cache lookups by result",
@@ -127,7 +116,7 @@ class LazyPartitionIndex:
         self._m_cache_hit = lookups.labels(result="hit")
         self._m_cache_miss = lookups.labels(result="miss")
         self._m_refinements = metrics.counter(
-            "svc_refinements", "lazy pivot-tree node refinements"
+            "svc_refinements", "lazy leaf refinements"
         )
         self._m_leaf_loads = metrics.counter(
             "svc_leaf_loads", "leaf loads answering uncached queries"
@@ -136,16 +125,13 @@ class LazyPartitionIndex:
     # ------------------------------------------------------------------
     @property
     def n_live(self) -> int:
-        return self._root.size
+        return int(self._cum[-1])
 
     @property
     def n_leaves(self) -> int:
-        """Current number of leaves in the lazy tree (zero I/O).
-
-        Grows as queries force refinement; the sharded router uses it to
-        offset local :meth:`partition_of` answers into a global
-        left-to-right leaf order."""
-        return self._leaf_count(self._root)
+        """Current number of leaves (zero I/O); grows as queries force
+        refinement."""
+        return len(self._files)
 
     # ------------------------------------------------------------------
     # Queries
@@ -188,19 +174,20 @@ class LazyPartitionIndex:
                 pending.append((int(rank), pos))
                 self._m_cache_miss.inc(int(dup[pos]))
         # Unique ranks are sorted, so the ranks sharing a leaf are
-        # consecutive: descend to the first uncovered rank's leaf (the
-        # descent refines lazily against the *current* memory headroom),
-        # then sweep up every following rank inside that leaf's range.
+        # consecutive: find the first uncovered rank's leaf (refining it
+        # lazily against the *current* memory headroom), then sweep up
+        # every following rank inside that leaf's range.
         i = 0
         while i < len(pending):
             rank, pos = pending[i]
             io_base = self._life_io()
-            leaf, local = self._descend(rank)
-            below = rank - local  # leaf covers global ranks (below, below+size]
-            locals_ = [local]
+            leaf = self._leaf_of_rank(rank)
+            below = int(self._cum[leaf - 1]) if leaf else 0
+            top = int(self._cum[leaf])  # leaf covers global ranks (below, top]
+            locals_ = [rank - below]
             positions = [pos]
             j = i + 1
-            while j < len(pending) and pending[j][0] <= below + leaf.size:
+            while j < len(pending) and pending[j][0] <= top:
                 locals_.append(pending[j][0] - below)
                 positions.append(pending[j][1])
                 j += 1
@@ -222,56 +209,48 @@ class LazyPartitionIndex:
     def range_count(self, lo_key: int, hi_key: int) -> int:
         """Number of elements with key in ``(lo_key, hi_key]``.
 
-        Fully covered subtrees are counted from node sizes; partially
-        covered leaves are scanned (streaming, no refinement forced).
+        Both endpoints route through the bounds to their leaves; the
+        leaves strictly between count from their sizes, and only the
+        (at most two) boundary leaves are scanned (streaming, no
+        refinement forced).
         """
         if hi_key < lo_key:
             raise SpecError("empty range: hi_key < lo_key")
         if self.n_live == 0:
             return 0
+        m = self._machine
         lo_c = composite_of(lo_key, UID_MAX)
         hi_c = composite_of(hi_key, UID_MAX)
-        with self._machine.phase("svc-range"):
-            return self._count(self._root, lo_c, hi_c, None, None)
+        with m.phase("svc-range"):
+            first = int(np.searchsorted(self._bounds, lo_c, side="right"))
+            last = int(np.searchsorted(self._bounds, hi_c, side="left"))
+            cmp_search(m, 2, max(1, len(self._bounds)))
+            total = int(self._cum[last - 1] - self._cum[first]) if last > first else 0
+            for leaf in sorted({first, last}):
+                total += self._scan_count(leaf, lo_c, hi_c)
+            return total
 
     def partition_of(self, key: int) -> int:
         """Index (in left-to-right leaf order) of the current leaf whose
         range contains ``key`` — zero I/O, no refinement."""
         if self._closed:
             raise SpecError("partition_of on a closed index")
-        c = composite_of(key, 0)
-        node = self._root
-        leaves_left = 0
-        while node.children is not None:
-            i = int(np.searchsorted(node.pivots, c, side="left"))
-            cmp_search(self._machine, 1, max(1, len(node.pivots)))
-            for child in node.children[:i]:
-                leaves_left += self._leaf_count(child)
-            node = node.children[i]
-        return leaves_left
+        leaf = int(np.searchsorted(self._bounds, composite_of(key, 0), side="left"))
+        cmp_search(self._machine, 1, max(1, len(self._bounds)))
+        return leaf
 
     # ------------------------------------------------------------------
-    # Tree mechanics
+    # Leaf mechanics
     # ------------------------------------------------------------------
-    def _descend(self, rank: int) -> tuple[_LazyNode, int]:
-        """Walk ``rank`` down to a small-enough leaf, refining as needed."""
-        m = self._machine
-        node = self._root
-        local = rank
-        depth = 0
+    def _leaf_of_rank(self, rank: int) -> int:
+        """Index of the leaf holding global ``rank``, refining that leaf
+        until it is small enough to load."""
         while True:
-            if node.children is None:
-                if node.size > self._leaf_limit():
-                    self._refine(node)
-                    continue
-                self._m_depth.observe(depth)
-                return node, local
-            i = int(np.searchsorted(node.cum, local, side="left"))
-            cmp_search(m, 1, max(1, len(node.cum)))
-            if i > 0:
-                local -= int(node.cum[i - 1])
-            node = node.children[i]
-            depth += 1
+            leaf = int(np.searchsorted(self._cum, rank, side="left"))
+            cmp_search(self._machine, 1, len(self._cum))
+            if len(self._files[leaf]) <= self._leaf_limit():
+                return leaf
+            self._refine(leaf)
 
     def _leaf_limit(self) -> int:
         """A leaf must satisfy the target *and* fit in memory right now.
@@ -309,94 +288,71 @@ class LazyPartitionIndex:
             del cache[key]
         self._sync_resident()
 
-    def _refine(self, node: _LazyNode) -> None:
-        """Split one oversized leaf: sample pivots, distribute once."""
+    def _refine(self, leaf: int) -> None:
+        """Split one oversized leaf (sample pivots, distribute once) and
+        splice its children and pivots into the list in its place."""
         m = self._machine
-        self._make_room(
-            min(node.file.num_blocks + self._fanout + 2, m.M // m.B) * m.B
-        )
+        file = self._files[leaf]
+        size = len(file)
+        self._make_room(min(file.num_blocks + self._fanout + 2, m.M // m.B) * m.B)
         with m.phase("svc-refine"):
-            want = min(
-                self._fanout - 1, max(1, -(-node.size // self._leaf_target) - 1)
-            )
-            pivots = approx_quantile_pivots(m, node.file, want)
+            want = min(self._fanout - 1, max(1, -(-size // self._leaf_target) - 1))
+            pivots = approx_quantile_pivots(m, file, want)
             comps = composite(pivots)
             if len(comps) > 1:
                 keep = np.concatenate(([True], np.diff(comps) > 0))
                 pivots = pivots[keep]
             if len(pivots) == 0:
                 raise AssertionError(
-                    "refinement found no pivots for a node of "
-                    f"{node.size} records"
+                    f"refinement found no pivots for a leaf of {size} records"
                 )
-            children = distribute_by_pivots(m, node.file, pivots, "svc-refine")
-        node.children = [
-            _LazyNode(f, owned=True, size=len(f)) for f in children
-        ]
-        node.pivots = composite(pivots).copy()
-        node.cum = np.cumsum([c.size for c in node.children]).astype(np.int64)
-        if node.owned:
-            node.file.free()
-        node.file = None
-        node.owned = False
+            children = distribute_by_pivots(m, file, pivots, "svc-refine")
+        if file is not self._input:
+            file.free()
+        below = self._cum[leaf] - size
+        self._files[leaf : leaf + 1] = children
+        self._cum = np.concatenate(
+            (
+                self._cum[:leaf],
+                below + np.cumsum([len(c) for c in children], dtype=np.int64),
+                self._cum[leaf + 1 :],
+            )
+        )
+        self._bounds = np.concatenate(
+            (self._bounds[:leaf], composite(pivots), self._bounds[leaf:])
+        )
         # Resident charge for the refinement's routing metadata: f-1
         # pivot composites plus f child sizes, one int64 each — a record
         # is three int64s, so charge (2f-1)/3 records, rounded up.
-        self._resident_records += -(-(2 * len(node.children) - 1) // 3)
+        self._resident_records += -(-(2 * len(children) - 1) // 3)
         self.stats["refinements"] += 1
         self._m_refinements.inc()
         self._sync_resident()
 
-    def _leaf_select(self, leaf: _LazyNode, local_ranks: np.ndarray) -> np.ndarray:
+    def _leaf_select(self, leaf: int, local_ranks: np.ndarray) -> np.ndarray:
         """Load one leaf and answer all its local ranks in memory."""
         m = self._machine
+        file = self._files[leaf]
         with m.phase("svc-leaf"):
-            footprint = leaf.file.num_blocks * m.B
+            footprint = file.num_blocks * m.B
             self._make_room(footprint)
             with m.memory.lease(footprint, "svc-leaf-load"):
-                recs = leaf.file.read_range(0, leaf.file.num_blocks)
+                recs = file.read_range(0, file.num_blocks)
                 self.stats["leaf_loads"] += 1
                 self._m_leaf_loads.inc()
                 return select_at_ranks(m, recs, local_ranks)
 
-    def _count(self, node, lo_c, hi_c, node_lo, node_hi) -> int:
-        """Elements of ``node`` with composite in ``(lo_c, hi_c]``.
-
-        ``node_lo``/``node_hi`` bound the node's composite range
-        (``None`` = unbounded); fully inside → node size, disjoint → 0,
-        partial leaf → streaming scan.
-        """
+    def _scan_count(self, leaf: int, lo_c: int, hi_c: int) -> int:
+        """Elements of ``leaf`` with composite in ``(lo_c, hi_c]``, by one
+        streaming scan."""
         m = self._machine
-        if node_hi is not None and node_hi <= lo_c:
-            return 0
-        if node_lo is not None and node_lo >= hi_c:
-            return 0
-        fully_inside = (
-            node_lo is not None
-            and node_lo >= lo_c
-            and node_hi is not None
-            and node_hi <= hi_c
-        )
-        if fully_inside:
-            return node.size
-        if node.children is None:
-            count = 0
-            with BlockReader(node.file, "svc-range-scan") as reader:
-                for block in reader:
-                    cmp_linear(m, 2 * len(block))
-                    comps = composite(block)
-                    count += int(((comps > lo_c) & (comps <= hi_c)).sum())
-            return count
-        total = 0
-        bounds = [node_lo, *[int(p) for p in node.pivots], node_hi]
-        for i, child in enumerate(node.children):
-            total += self._count(child, lo_c, hi_c, bounds[i], bounds[i + 1])
-        return total
-
-    def _leaf_count(self, node: _LazyNode) -> int:
-        if node.children is None:
-            return 1
-        return sum(self._leaf_count(c) for c in node.children)
+        count = 0
+        with BlockReader(self._files[leaf], "svc-range-scan") as reader:
+            for block in reader:
+                cmp_linear(m, 2 * len(block))
+                comps = composite(block)
+                count += int(((comps > lo_c) & (comps <= hi_c)).sum())
+        return count
 
     # ------------------------------------------------------------------
     # Accounting / lifecycle
@@ -415,41 +371,34 @@ class LazyPartitionIndex:
         self._resident.resize(self._resident_records + len(self._cache))
 
     def abandon(self) -> None:
-        """Drop the tree without freeing disk (simulated process death).
+        """Drop the leaf list without freeing disk (simulated process death).
 
         The lazy engine is read-only: its durable state *is* the input
         file, which survives on disk untouched.  After a crash a new
         engine over the same file answers identically (refinement
-        copies owned by the dead tree become unreachable blocks — the
-        documented cost of crashing a cache).
+        copies owned by the dead engine become unreachable blocks — the
+        documented cost of crashing a cache).  The engine then holds no
+        records.
         """
         if self._closed:
             return
-        self._root = _LazyNode(None, owned=False, size=0)
+        self._files = []
+        self._cum = np.zeros(1, dtype=np.int64)
+        self._bounds = np.empty(0, dtype=np.int64)
         self._cache = {}
         if not self._resident.released:
             self._resident.release()
         self._closed = True
 
     def close(self) -> None:
-        """Free every owned tree file and release the resident lease."""
+        """Free every owned leaf file, then drop the list as :meth:`abandon`
+        does."""
         if self._closed:
             return
-
-        def _free(node: _LazyNode) -> None:
-            if node.children is not None:
-                for child in node.children:
-                    _free(child)
-            if node.file is not None and node.owned:
-                node.file.free()
-            node.file = None
-            node.children = None
-
-        _free(self._root)
-        self._cache = {}
-        if not self._resident.released:
-            self._resident.release()
-        self._closed = True
+        for file in self._files:
+            if file is not self._input:
+                file.free()
+        self.abandon()
 
     def __enter__(self) -> "LazyPartitionIndex":
         return self

@@ -2,12 +2,11 @@
 
 Splits the record file across ``W`` shard machines by a sampled
 top-level splitter set, runs the lazy online engine per shard, and
-merges partial answers (rank offsets, bucket counts, splitter
-candidates) at the coordinator.  Communication is a first-class,
-charged resource: every message through an :class:`Endpoint` costs
-block I/O on both endpoints (:mod:`repro.em.wire`) and shows up in
-traces, metrics, and the budget gate.  The coordinator holds only
-endpoints, never a worker.  The :class:`ShardRouter` speaks the
+merges partial answers (rank offsets, bucket counts, leaf offsets) at
+the coordinator.  Communication is a first-class, charged resource:
+every message through an :class:`Endpoint` costs block I/O on both
+endpoints (:mod:`repro.em.wire`) and shows up in traces, metrics, and
+the budget gate.  The coordinator holds only endpoints, never a worker.  The :class:`ShardRouter` speaks the
 single-machine engine protocol, so the existing
 :class:`~repro.service.frontend.QueryFrontend` fronts either path
 unchanged.

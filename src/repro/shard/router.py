@@ -23,12 +23,12 @@ Merging per-shard partial answers at the coordinator:
   sealed sizes at the coordinator; only the (at most two) shards an
   endpoint falls in are asked for a local count, as the paper's
   K-splitters count whole partitions without reading them.
-* **splitter candidates** — :meth:`ShardRouter.splitter_candidates`
-  gathers per-shard approximate quantiles and merges them into one
-  global candidate set.
-* ``partition_of`` — local leaf index plus the leaf counts of the
-  shards to the left.  Leaf *structure* depends on refinement history,
-  so this (alone) is not asserted identical to the single-machine tree.
+* ``partition_of`` — the owning shard's local leaf index plus the leaf
+  counts of the nonempty shards to its left.  Every reply carries its
+  shard's current leaf count, and the router keeps the latest one, so a
+  lookup sends one ``part`` request (none for an empty shard).  Leaf
+  *structure* depends on refinement history, so this (alone) is not
+  asserted identical to the single-machine engine.
 
 Every reply's worker-side I/O envelope feeds the ``svc_shard_io``
 per-shard histogram, which works identically for in-process and
@@ -41,8 +41,8 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from ..alg.sampling import approx_quantile_pivots, pick_pivots_from_sorted
-from ..em.comparisons import cmp_search, cmp_sort
+from ..alg.sampling import approx_quantile_pivots
+from ..em.comparisons import cmp_search
 from ..em.errors import SpecError
 from ..em.records import UID_MAX, composite, composite_of, empty_records
 from ..em.streams import scan_chunks
@@ -61,16 +61,20 @@ class ShardRouter:
     """Routes engine-protocol queries across shard workers and merges
     the partial answers; construct via :func:`build_sharded_service`."""
 
-    def __init__(self, machine: "Machine", pool, splitters: np.ndarray, sizes) -> None:
+    def __init__(
+        self, machine: "Machine", pool, splitters: np.ndarray, sizes, leaves
+    ) -> None:
         self._machine = machine
         self._pool = pool
         self._splitters = np.asarray(splitters, dtype=np.int64)
         self._sizes = np.asarray(sizes, dtype=np.int64)
         self._cum = np.cumsum(self._sizes)
+        self._leaves = np.asarray(leaves, dtype=np.int64)
         # Coordinator-resident routing state: W-1 splitter composites
-        # plus W cumulative sizes, 2W-1 words = ceil((2W-1)/3) records.
+        # plus W cumulative sizes plus W leaf counts, 3W-1 words =
+        # ceil((3W-1)/3) records.
         self._resident = machine.memory.lease(
-            -(-(2 * len(self._sizes) - 1) // 3), "shard-router-resident"
+            -(-(3 * len(self._sizes) - 1) // 3), "shard-router-resident"
         )
         self._closed = False
         registry = current_registry()
@@ -100,9 +104,9 @@ class ShardRouter:
 
     def _request(self, shard: int, kind: str, payload: object = None) -> Message:
         reply = self._pool.request(shard, kind, payload)
-        if reply.io is not None:
-            reads, writes, _ = reply.io
-            self._m_shard_io.labels(shard=shard).observe(int(reads) + int(writes))
+        reads, writes, _, leaves = reply.io
+        self._m_shard_io.labels(shard=shard).observe(int(reads) + int(writes))
+        self._leaves[shard] = leaves
         return reply
 
     # ------------------------------------------------------------------
@@ -177,44 +181,31 @@ class ShardRouter:
     def partition_of(self, key: int) -> int:
         """Global left-to-right leaf index of the leaf containing ``key``:
         the owning shard's local answer offset by the leaf counts of the
-        shards to its left.  Structure-dependent (refinement history),
-        unlike selects and range counts."""
+        nonempty shards to its left.  Structure-dependent (refinement
+        history), unlike selects and range counts.
+
+        The offset comes from the leaf counts the router holds: every
+        reply carries its shard's count after handling the request, and
+        only a select changes it.  So one ``part`` request answers a
+        lookup, and none is sent for an empty shard.  A key to the right
+        of a killed shard still answers from the held count; a key
+        inside the killed shard raises :class:`ShardError`.
+        """
+        if self._closed:
+            raise ShardError("partition_of on a closed router")
         c = composite_of(int(key), 0)
         with self._machine.phase("shard-route"):
             shard = int(np.searchsorted(self._splitters, c, side="left"))
             cmp_search(self._machine, 1, max(1, len(self._splitters)))
-        leaves_left = 0
-        for left in range(shard):
-            if self._sizes[left] == 0:
-                continue
-            leaves_left += int(self._request(left, "nleaves").payload)
+        nonempty = self._sizes[:shard] > 0
+        leaves_left = int(self._leaves[:shard][nonempty].sum())
         if self._sizes[shard] == 0:
             return leaves_left
         return leaves_left + int(self._request(shard, "part", int(key)).payload)
 
     # ------------------------------------------------------------------
-    # Merged partial answers beyond the engine protocol
+    # Beyond the engine protocol
     # ------------------------------------------------------------------
-    def splitter_candidates(self, n_pivots: int) -> np.ndarray:
-        """A merged global splitter-candidate set: every shard samples
-        ``n_pivots`` approximate quantiles of its range, the coordinator
-        sorts the union and picks ``n_pivots`` evenly."""
-        if n_pivots < 1:
-            raise SpecError("need n_pivots >= 1")
-        parts = []
-        for shard in range(self.nshards):
-            if self._sizes[shard] == 0:
-                continue
-            candidates = self._request(shard, "pivots", int(n_pivots)).payload
-            if len(candidates):
-                parts.append(candidates)
-        if not parts:
-            return empty_records(0)
-        kernel = self._machine.kernel
-        merged = kernel.sort_by_composite(kernel.concat(parts))
-        cmp_sort(self._machine, len(merged))
-        return pick_pivots_from_sorted(merged, min(int(n_pivots), len(merged)))
-
     def shard_io_stats(self) -> list[dict]:
         """Each worker's live counter snapshot (reads, writes,
         comparisons, lifetime totals, engine stats) — the balance and
@@ -300,10 +291,12 @@ def build_sharded_service(
                     for bucket, group in groups:
                         pool.request(bucket, "ingest", group)
                         sent[bucket] += len(group)
-        sizes = []
+        sizes, leaves = [], []
         for shard in range(shards):
             k_w = max(1, round(k * sent[shard] / n)) if n else 1
-            sizes.append(int(pool.request(shard, "seal", k_w).payload))
+            reply = pool.request(shard, "seal", k_w)
+            sizes.append(int(reply.payload))
+            leaves.append(reply.io[3])
     except BaseException:
         try:
             pool.close()
@@ -318,4 +311,4 @@ def build_sharded_service(
         raise ShardError(
             f"sharded ingest lost records: sent {n}, sealed {sum(sizes)}"
         )
-    return ShardRouter(machine, pool, comps, sizes)
+    return ShardRouter(machine, pool, comps, sizes, leaves)

@@ -53,9 +53,11 @@ class ShardError(RuntimeError):
 class Message:
     """One coordinator↔worker message.
 
-    ``io`` rides on replies only: the worker's measured
-    ``(reads, writes, comparisons)`` delta for receiving and handling
-    the request, which the router feeds into per-shard histograms.
+    ``io`` rides on replies only: ``(reads, writes, comparisons,
+    leaves)``, the worker's measured delta for receiving and handling
+    the request, which the router feeds into per-shard histograms, and
+    its engine's leaf count after handling it, which the router keeps
+    for ``partition_of``.
     ``seq`` is stamped by the sending endpoint and checked on receipt.
     """
 

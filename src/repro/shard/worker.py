@@ -19,9 +19,11 @@ charged, so a misspelled kind fails at the coordinator call site.
 
 Every reply carries the worker's measured ``(reads, writes,
 comparisons)`` delta for receiving and handling the request (the
-reply's own transmission is charged separately), which the router
-feeds into per-shard I/O histograms — identically for in-process and
-process workers, since the numbers travel in the message envelope.
+reply's own transmission is charged separately) and the engine's leaf
+count after handling it.  The router feeds the delta into per-shard I/O
+histograms and keeps the leaf count for ``partition_of`` — identically
+for in-process and process workers, since the numbers travel in the
+message envelope.
 A failing handler replies ``error`` with the exception text; pools
 surface that as :class:`ShardError` at the coordinator.
 """
@@ -33,10 +35,8 @@ from collections import deque
 
 import numpy as np
 
-from ..alg.sampling import approx_quantile_pivots
 from ..em.kernels import KernelBackend
 from ..em.machine import Machine
-from ..em.records import empty_records
 from ..em.streams import BlockWriter
 from ..service.online import LazyPartitionIndex
 from .transport import Endpoint, Message, ShardError
@@ -100,8 +100,13 @@ class ShardWorker:
                 payload = handler(self, message.payload)
             except Exception as exc:  # noqa: BLE001 - protocol boundary
                 kind, payload = "error", f"{type(exc).__name__}: {exc}"
+        leaves = self._engine.n_leaves if self._engine is not None else 0
         self._endpoint.send(
-            Message(kind, payload, io=(cost.reads, cost.writes, cost.comparisons))
+            Message(
+                kind,
+                payload,
+                io=(cost.reads, cost.writes, cost.comparisons, leaves),
+            )
         )
         return not self._done
 
@@ -141,16 +146,6 @@ class ShardWorker:
 
     def _part(self, key) -> int:
         return self._sealed().partition_of(int(key))
-
-    def _nleaves(self, _) -> int:
-        return self._sealed().n_leaves
-
-    def _pivots(self, n_pivots) -> np.ndarray:
-        self._sealed()
-        n_pivots = int(n_pivots)
-        if n_pivots < 1 or len(self._file) == 0:
-            return empty_records(0)
-        return approx_quantile_pivots(self._machine, self._file, n_pivots)
 
     def _shutdown(self, _) -> None:
         self._done = True
@@ -194,8 +189,6 @@ PROTOCOL: dict[str, tuple] = {
     "select": (ShardWorker._select, "records"),  # local ranks -> records
     "range_count": (ShardWorker._range_count, "count"),  # (lo, hi) -> count
     "part": (ShardWorker._part, "leaf"),  # key -> local leaf index
-    "nleaves": (ShardWorker._nleaves, "nleaves"),  # -> current leaf count
-    "pivots": (ShardWorker._pivots, "pivots"),  # n_pivots -> candidates
     "io_stats": (ShardWorker._io_stats, "io_stats"),  # -> counter dict
     "shutdown": (ShardWorker._shutdown, "bye"),  # -> None
 }

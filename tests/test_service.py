@@ -9,10 +9,12 @@ offline multi-selection) would produce, including across update and
 rebalance boundaries.
 """
 
+import functools
+
 import numpy as np
 import pytest
 
-from repro.em import Machine, SpecError, make_records
+from repro.em import KEY_MAX, KEY_MIN, Machine, SpecError, make_records
 from repro.em.records import composite
 from repro.service import (
     LazyPartitionIndex,
@@ -21,6 +23,7 @@ from repro.service import (
     QueryFrontend,
 )
 from repro.workloads import load_input, random_permutation, uniform_random
+from repro.workloads.generators import few_distinct, organ_pipe, sorted_keys
 from repro.workloads.queries import (
     QUERY_TRACES,
     adversarial_trace,
@@ -304,6 +307,71 @@ class TestLazyIndex:
             assert len(answers) == 400
         f.free()
         assert mach.memory.in_use == 0
+
+
+class TestLazyLeafList:
+    """Selects, ``partition_of`` and range counts of the lazy engine
+    over a zipfian trace, against the sorted-array oracle, with the I/O,
+    leaf counts and stats the pivot-tree layout produced on the same
+    trace."""
+
+    INPUTS = {
+        "random_permutation": random_permutation,
+        "few_distinct": functools.partial(few_distinct, n_distinct=7),
+        "sorted_keys": sorted_keys,
+        "organ_pipe": organ_pipe,
+    }
+    SHAPES = [(512, 16, 6000, 16), (4096, 64, 1 << 16, 64)]
+    #: (reads, writes) after the selects, then after every query,
+    #: n_leaves and stats, keyed by (input, N).
+    TREE = {
+        ("random_permutation", 6000): ((3160, 796), (43198, 796), 27, (14, 114, 16)),
+        ("random_permutation", 65536): ((6038, 2137), (38956, 2137), 90, (31, 158, 5)),
+        ("few_distinct", 6000): ((3146, 818), (4776, 818), 28, (15, 115, 13)),
+        ("few_distinct", 65536): ((6048, 2147), (7452, 2147), 90, (31, 158, 8)),
+        ("sorted_keys", 6000): ((3191, 818), (41357, 818), 28, (15, 117, 16)),
+        ("sorted_keys", 65536): ((6018, 2144), (39042, 2144), 90, (31, 156, 5)),
+        ("organ_pipe", 6000): ((3167, 776), (45227, 776), 26, (13, 115, 16)),
+        ("organ_pipe", 65536): ((6018, 2144), (39042, 2144), 90, (31, 156, 5)),
+    }
+
+    @pytest.mark.parametrize("shape", SHAPES, ids=lambda s: f"N={s[2]}")
+    @pytest.mark.parametrize("gen", INPUTS)
+    def test_oracle_answers_and_tree_counters(self, gen, shape):
+        memory, block, n, k = shape
+        recs = self.INPUTS[gen](n, seed=3)
+        mach = Machine(memory=memory, block=block)
+        f = load_input(mach, recs)
+        mach.reset_counters()
+        comps, keys = np.sort(composite(recs)), _sorted_keys(recs)
+        trace = zipfian_trace(200, n, seed=4)
+        with LazyPartitionIndex(mach, f, k=k) as lazy:
+            for batch in np.array_split(trace, 8):
+                got = lazy.batch_select(batch)
+                assert np.array_equal(composite(got), comps[batch - 1])
+            after_selects = (mach.io.reads, mach.io.writes)
+            # Keys at every N/16-th rank and beside them, plus the ends.
+            near = keys[np.linspace(0, n - 1, 17).astype(np.int64)]
+            grid = sorted(
+                {int(x) + d for x in near for d in (-1, 0, 1)}
+                | {KEY_MIN, -1, KEY_MAX}
+            )
+            parts = [lazy.partition_of(x) for x in grid]
+            assert parts == sorted(parts)
+            assert parts[0] == 0 and parts[-1] == lazy.n_leaves - 1
+            at = np.searchsorted(keys, np.array(grid), side="right")
+            for i, lo in enumerate(grid):
+                for j in range(i, len(grid)):
+                    assert lazy.range_count(lo, grid[j]) == at[j] - at[i]
+            stats = lazy.stats
+            observed = (
+                after_selects,
+                (mach.io.reads, mach.io.writes),
+                lazy.n_leaves,
+                (stats["refinements"], stats["leaf_loads"], stats["cache_hits"]),
+            )
+        f.free()
+        assert observed == self.TREE[(gen, n)]
 
 
 class TestQueryFrontend:

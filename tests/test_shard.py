@@ -26,6 +26,7 @@ from repro.em import (
     EMFile,
     Machine,
     composite,
+    composite_of,
     observe_machines,
 )
 from repro.em.errors import SpecError
@@ -259,18 +260,6 @@ class TestDifferential:
         f.free()
         coord.close()
 
-    def test_splitter_candidates_merged_and_sorted(self):
-        records = random_permutation(2048, seed=9)
-        coord = Machine(memory=512, block=16)
-        f = load_input(coord, records)
-        with build_sharded_service(coord, f, shards=4, k=16) as router:
-            cands = router.splitter_candidates(8)
-            comps = composite(cands)
-            assert len(cands) == 8
-            assert np.all(np.diff(comps) >= 0)
-        f.free()
-        coord.close()
-
     def test_build_rejects_bad_parameters(self):
         coord = Machine(memory=512, block=16)
         f = load_input(coord, random_permutation(128, seed=0))
@@ -310,8 +299,7 @@ def _record_router_session(monkeypatch) -> list[tuple[str, str]]:
         router.select(5)
         router.batch_select(np.arange(1, 1025, 97, dtype=np.int64))
         router.range_count(10, 900)
-        router.partition_of(1000)  # a right shard: nleaves, then part
-        router.splitter_candidates(4)
+        router.partition_of(1000)
         router.shard_io_stats()
     f.free()
     coord.close()
@@ -438,6 +426,9 @@ class TestRangeCount:
         assert _range_counts(router, ends, sent) == _oracle_counts(records["key"], ends)
         sent.clear()
         assert router.range_count(2, KEY_MAX) == 0  # past the largest key
+        # Past the largest key lies empty shard 3, after one leaf in each
+        # nonempty shard.
+        assert router.partition_of(KEY_MAX) == 3
         assert sent == []
         _teardown(coord, f, router)
 
@@ -449,6 +440,8 @@ class TestRangeCount:
         ends = _edge_keys(router, records["key"])
         router.close()
         for i, lo in enumerate(ends):
+            with pytest.raises(ShardError):
+                router.partition_of(lo)
             for hi in ends[i:]:
                 with pytest.raises(ShardError):
                     router.range_count(lo, hi)
@@ -469,6 +462,63 @@ class TestRangeCount:
             router.select(int(edge[0]) + 1)
         with pytest.raises(ShardError, match="shard 1"):
             router.range_count(lo, int(keys[edge[1] - 2]))
+        _teardown(coord, f, router)
+
+
+# ----------------------------------------------------------------------
+# partition_of: one request, offset by the leaf counts replies carry
+# ----------------------------------------------------------------------
+def _shard_keys(router, records: np.ndarray) -> list[int]:
+    """The largest key of each shard, left to right (distinct keys)."""
+    keys = np.sort(records["key"])
+    return [int(keys[end - 1]) for end in np.cumsum(router.shard_sizes)]
+
+
+def _asked_leaf_index(router, key: int) -> int:
+    """``key``'s global leaf index from fresh ``part`` requests: each
+    nonempty shard left of the owner reports its last leaf's index."""
+    pool, sizes = router._pool, router.shard_sizes
+    owner = int(np.searchsorted(router.splitters, composite_of(key, 0)))
+    left = sum(
+        int(pool.request(s, "part", KEY_MAX).payload) + 1
+        for s in range(owner)
+        if sizes[s]
+    )
+    return left + int(pool.request(owner, "part", key).payload)
+
+
+class TestPartitionOf:
+    N = 3000
+
+    def test_one_request_per_lookup(self, monkeypatch):
+        records = random_permutation(self.N, seed=5)
+        sent = _record_requests(monkeypatch)
+        coord, f, router = _build(records, 4)
+        keys = _shard_keys(router, records)
+        assert all(router.shard_sizes)
+        totals = []
+        for _ in range(2):
+            for key in keys:
+                sent.clear()
+                got = router.partition_of(key)
+                assert [kind for kind, _ in sent] == ["part"]
+                assert got == _asked_leaf_index(router, key)
+            totals.append(router.partition_of(KEY_MAX))
+            # More selects refine the shards; the held counts follow.
+            router.batch_select(np.arange(1, self.N + 1, 37, dtype=np.int64))
+        assert totals[1] > totals[0]
+        _teardown(coord, f, router)
+
+    def test_killed_shard_leaves_right_shards_answering(self):
+        records = random_permutation(self.N, seed=5)
+        coord, f, router = _build(records, 4)
+        keys = _shard_keys(router, records)
+        before = [router.partition_of(key) for key in keys]
+        router._pool.kill(1)
+        assert router.partition_of(keys[3]) == before[3]
+        assert router.partition_of(keys[0]) == before[0]
+        with pytest.raises(ShardError, match="shard 1"):
+            router.partition_of(keys[1])
         _teardown(coord, f, router)
 
 
@@ -585,9 +635,11 @@ class TestProcessWorkers:
                     coord, f, shards=2, k=16, workers=workers
                 ) as router:
                     answers = QueryFrontend(coord, router).run(queries, batch=16)
+                    last_leaf = router.partition_of(KEY_MAX)
                     stats = router.shard_io_stats()
                 runs[workers] = (
                     composite(np.array(answers, dtype=records.dtype)),
+                    last_leaf,
                     coord.io.total,
                     tuple(
                         (s["lifetime_reads"], s["lifetime_writes"], s["n"])
@@ -596,7 +648,7 @@ class TestProcessWorkers:
                 )
                 f.free()
                 coord.close()
-            for workers, (got, _, _) in runs.items():
+            for workers, (got, *_) in runs.items():
                 assert np.array_equal(got, expected), (name, workers)
             assert runs["inproc"][1:] == runs["process"][1:], name
 
