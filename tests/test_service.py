@@ -2,7 +2,8 @@
 
 Covers the eager :class:`PartitionIndex` (build, queries, updates,
 rebalancing, rebuild), the lazy :class:`LazyPartitionIndex` (refinement,
-caching, memory-pressure eviction), the batching
+caching, memory-pressure eviction, and its leaf list's answers and
+counters over four input generators), the batching
 :class:`QueryFrontend`, and — throughout — *differential* identity: the
 service's answers must be element-for-element what sorting (or an
 offline multi-selection) would produce, including across update and

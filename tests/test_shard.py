@@ -4,9 +4,10 @@ Covers the charged-communication primitive (``em.wire``), the
 endpoints, the differential guarantee (sharded answers element-identical
 to the single-machine engine across shard counts, kernels, and sanitize
 mode, with counter conservation under the tracer), the declared request
-protocol, range counts that message only their boundary shards, shard
-isolation (no worker state reachable from the router), worker-failure
-behavior, real process workers, and the shard-skew trace generator.
+protocol, range counts that message only their boundary shards,
+``partition_of`` lookups that send one request, shard isolation (no
+worker state reachable from the router), worker-failure behavior, real
+process workers, and the shard-skew trace generator.
 """
 
 from __future__ import annotations
