@@ -154,7 +154,7 @@ def _run_service_index(machine: "Machine", file: "EMFile", p: dict) -> str:
             index.delete(int(key))
         index.flush_updates()
         index.batch_select((trace[q // 2 :] % index.n_live) + 1)
-        parts = index.num_partitions
+        parts = index.n_leaves
         stats = dict(index.stats)
     return (
         f"{parts} partitions after {q} queries + {q // 4 + q // 8} updates "

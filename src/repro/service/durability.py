@@ -62,7 +62,8 @@ from ..em.file import EMFile
 from ..em.records import RECORD_DTYPE, make_records
 from ..obs.metrics import current_registry
 from ..obs.recorder import current_recorder
-from .index import PartitionIndex, _Partition
+from .index import PartitionIndex
+from .online import _Leaf
 
 if TYPE_CHECKING:  # pragma: no cover
     from ..em.machine import Machine
@@ -400,7 +401,7 @@ def _encode_snapshot(index: "DurablePartitionIndex", seq: int) -> np.ndarray:
         VERSION,
         int(seq),
         index._next_uid,
-        index._n_live,
+        int(index._cum[-1]),
         index._n0,
         index._drift,
         index._k0,
@@ -410,10 +411,10 @@ def _encode_snapshot(index: "DurablePartitionIndex", seq: int) -> np.ndarray:
         _f2i(index.slack),
         _f2i(index.rebuild_threshold),
         int(index.snapshot_every),
-        len(index._parts),
+        len(index._leaves),
     ]
-    words.extend(int(s) for s in index._splitters)
-    for part in index._parts:
+    words.extend(int(s) for s in index._bounds)
+    for part in index._leaves:
         words.append(part.stored)
         words.append(len(part.tombstones))
         words.append(len(part.segments))
@@ -459,8 +460,8 @@ def _decode_snapshot(
     idx._n0 = n0
     idx._drift = drift
     idx.a, idx.b, idx._target = a, b, target
-    idx._splitters = np.array(take(max(0, n_parts - 1)), dtype=np.int64)
-    parts: list[_Partition] = []
+    idx._bounds = np.array(take(max(0, n_parts - 1)), dtype=np.int64)
+    parts: list[_Leaf] = []
     for _ in range(n_parts):
         stored, ntombs, nsegs = take(3)
         segments: list[EMFile] = []
@@ -469,10 +470,10 @@ def _decode_snapshot(
             ids = take(nblocks)
             segments.append(EMFile.adopt(machine, ids, length))
         tombs = set(take(ntombs))
-        parts.append(_Partition(segments, stored, tombs))
-    idx._parts = parts
-    idx._n_live = n_live
-    if n_live != sum(part.live for part in parts):
+        parts.append(_Leaf(segments, stored, tombs))
+    idx._leaves = parts
+    idx._resum()
+    if n_live != idx._cum[-1]:
         raise SpecError("snapshot live-count mismatch (corrupt payload)")
     idx._sync_resident()
     return idx
@@ -555,7 +556,11 @@ class DurablePartitionIndex(PartitionIndex):
         return self._store.seq
 
     def snapshot(self) -> None:
-        """Checkpoint the full index metadata now."""
+        """Checkpoint the full index metadata now (cached answers leave
+        memory first, as at a flush)."""
+        if self._cache:
+            self._cache.clear()
+            self._sync_resident()
         self._store.write_snapshot(self)
 
     def durability_stats(self) -> dict:
@@ -642,7 +647,7 @@ class DurablePartitionIndex(PartitionIndex):
         """Free every disk block this index reaches (tests/teardown)."""
         if self._closed:
             return
-        for part in self._parts:
+        for part in self._leaves:
             for seg in part.segments:
                 seg.free()
         self._store.destroy()
@@ -714,7 +719,7 @@ def recover(machine: "Machine", manifest_bid: int) -> DurablePartitionIndex:
         "recover",
         groups=len(groups),
         ops=n_ops,
-        n_live=index._n_live,
+        n_live=index.n_live,
         wal_seq=store.seq,
     )
     return index

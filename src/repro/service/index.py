@@ -2,28 +2,33 @@
 
 :class:`PartitionIndex` materializes an approximate K-partitioning of an
 :class:`~repro.em.file.EMFile` once (two-sided window ``[a, b]`` with
-``b/a = (1+slack)²``), then serves:
+``b/a = (1+slack)²``) as the sorted leaf list of
+:mod:`repro.service.online`, built to K leaves up front, and keeps it
+live under updates.
 
-* ``select(rank)`` / ``batch_select(ranks)`` / ``quantile(q)`` — the
-  record(s) at given rank(s): ``O(log K)`` comparisons to locate the
-  partition, then one partition load (``O(b/B)`` I/Os) shared by every
-  rank landing in it;
-* ``range_count(lo, hi)`` — elements with key in ``(lo, hi]``: interior
-  partitions are counted from live sizes for free, at most one partition
-  scan per endpoint;
-* ``partition_of(key)`` — pure in-memory binary search.
+**Queries: inherited, one path.**  ``select`` / ``batch_select`` /
+``quantile``, ``range_count`` and ``partition_of`` are
+:class:`~repro.service.online.LazyPartitionIndex`'s: ``O(log K)``
+comparisons to locate a leaf, one leaf load shared by every rank
+landing in it (answers cached until the next update), and a range count
+that scans at most its two boundary partitions, each once.  Where the
+lazy engine refines an oversized leaf, the eager one compacts it: the
+``[a, b]`` window owns partition sizes.  Every query first flushes the
+buffered updates below.
 
 The resident control state (splitter composites, partition sizes,
-tombstones, pending updates) is held under a machine memory lease, so
-the simulator's budget accounting covers the service like any other
-algorithm.
+tombstones, pending updates, cached answers) is held under a machine
+memory lease, so the simulator's budget accounting covers the service
+like any other algorithm.
 
 **Write path.**  :meth:`~PartitionIndex.append` and
 :meth:`~PartitionIndex.delete` buffer operations in memory; the buffer
 flushes once it holds ``max(B, M/8)`` of them, on
 :meth:`~PartitionIndex.flush_updates`, and before any query, so every
-answer reflects every prior update.  A flush applies the buffer with the
-same loop a WAL replay (:func:`repro.service.durability.recover`) runs:
+answer reflects every prior update.  A flush with buffered operations
+first empties the answer cache (cached ranks name records of the old
+state), then applies the buffer with the same loop a WAL replay
+(:func:`repro.service.durability.recover`) runs:
 
 * operations are applied **in submission order** — runs of consecutive
   appends coalesce into one routed batch, but a delete submitted before
@@ -67,21 +72,13 @@ import numpy as np
 from ..em.comparisons import cmp_linear, cmp_search, cmp_sort
 from ..em.errors import SpecError
 from ..em.file import EMFile
-from ..em.records import (
-    UID_MAX,
-    composite,
-    composite_of,
-    empty_records,
-    make_records,
-)
+from ..em.records import UID_MAX, composite, composite_of, make_records
 from ..em.streams import BlockReader, BlockWriter
-from ..alg.inmemory import select_at_ranks
 from ..alg.multipartition import multi_partition
 from ..core.partitioning import approximate_partition
 from ..core.spec import validate_params
-from ..apps.order_stats import rank_of_fraction
-from ..obs.metrics import current_registry
 from ..obs.recorder import current_recorder
+from .online import LazyPartitionIndex, _Leaf
 
 if TYPE_CHECKING:  # pragma: no cover
     from ..em.machine import Machine
@@ -95,32 +92,14 @@ def _near_equal(total: int, pieces: int) -> list[int]:
     return [base + (1 if i < extra else 0) for i in range(pieces)]
 
 
-class _Partition:
-    """One live partition: disk segments plus in-memory tombstones.
-
-    ``stored`` counts records on disk including tombstoned ones; ``live``
-    is the partition's logical size.  Tombstones are the composites of
-    deleted records, applied lazily at the next compaction.
-    """
-
-    __slots__ = ("segments", "stored", "tombstones")
-
-    def __init__(self, segments: list[EMFile], stored: int, tombstones=None):
-        self.segments = segments
-        self.stored = stored
-        self.tombstones: set[int] = tombstones if tombstones is not None else set()
-
-    @property
-    def live(self) -> int:
-        return self.stored - len(self.tombstones)
-
-
-class PartitionIndex:
+class PartitionIndex(LazyPartitionIndex):
     """A live approximate-K-partition index over one machine's disk.
 
-    Build with :meth:`build`; the index owns its partition segments (the
-    input file is left intact and may be freed by the caller).  Use as a
-    context manager or call :meth:`close` to release disk and memory.
+    The lazy engine's sorted leaf list, built to K leaves up front, that
+    also takes updates; every query is inherited.  Build with
+    :meth:`build`; the index owns its partition segments (the input file
+    is left intact and may be freed by the caller).  Use as a context
+    manager or call :meth:`close` to release disk and memory.
     """
 
     def __init__(
@@ -134,16 +113,13 @@ class PartitionIndex:
             raise SpecError("service slack must be positive")
         if rebuild_threshold <= 0:
             raise SpecError("rebuild threshold must be positive")
-        self._machine = machine
+        self._open(machine, "eager")
         self._k0 = int(k)
         self.slack = float(slack)
         self.rebuild_threshold = float(rebuild_threshold)
         self.a = 1
         self.b = 1
         self._target = 1
-        self._parts: list[_Partition] = []
-        self._splitters = np.empty(0, dtype=np.int64)
-        self._n_live = 0
         self._n0 = 0
         self._drift = 0
         self._next_uid = 0
@@ -154,24 +130,13 @@ class PartitionIndex:
         self._n_appends = 0
         self._n_deletes = 0
         self._m_pending = None  # write-path telemetry, bound on first update
-        self._resident = machine.memory.lease(0, "svc-resident")
-        self._closed = False
-        self.stats = {
-            "splits": 0,
-            "merges": 0,
-            "rebuilds": 0,
-            "compactions": 0,
-            "update_flushes": 0,
-        }
+        self.stats.update(
+            splits=0, merges=0, rebuilds=0, compactions=0, update_flushes=0
+        )
         # Telemetry: bound to the ambient registry at construction.
         # Bookkeeping reads only lifetime counters / plain ints — no
         # model charge flows through any instrument.
-        metrics = self._metrics = current_registry()
-        self._m_query_io = metrics.histogram(
-            "svc_query_io",
-            "per-query attributed simulated I/O (block transfers)",
-            labels=("engine",),
-        ).labels(engine="eager")
+        metrics = self._metrics
         self._m_drift = metrics.gauge(
             "svc_drift", "updates applied since the last (re)build"
         )
@@ -224,9 +189,9 @@ class PartitionIndex:
         self._drift = 0
         self._m_drift.set(0)
         if n == 0:
-            self._parts = [_Partition([], 0)]
-            self._splitters = np.empty(0, dtype=np.int64)
-            self._n_live = 0
+            self._leaves = [_Leaf([], 0)]
+            self._bounds = np.empty(0, dtype=np.int64)
+            self._cum = np.zeros(1, dtype=np.int64)
             self._sync_resident()
             if free_input:
                 file.free()
@@ -235,7 +200,7 @@ class PartitionIndex:
         with m.phase("svc-build"):
             pf = approximate_partition(m, file, k, self.a, self.b)
             parts = [
-                _Partition(pf.segments_of(p), pf.partition_sizes[p])
+                _Leaf(pf.segments_of(p), pf.partition_sizes[p])
                 for p in range(pf.num_partitions)
             ]
             # One scan extracts the splitter composites (the max composite
@@ -255,9 +220,9 @@ class PartitionIndex:
             except BaseException:
                 pf.free()
                 raise
-        self._parts = parts
-        self._splitters = np.array(maxima[:-1], dtype=np.int64)
-        self._n_live = n
+        self._leaves = parts
+        self._bounds = np.array(maxima[:-1], dtype=np.int64)
+        self._resum()
         self._next_uid = max(self._next_uid, max_uid + 1)
         if free_input:
             file.free()
@@ -269,101 +234,14 @@ class PartitionIndex:
     @property
     def n_live(self) -> int:
         """Logical number of records (pending updates included)."""
-        return self._n_live + self._n_appends - self._n_deletes
+        return int(self._cum[-1]) + self._n_appends - self._n_deletes
 
-    @property
-    def num_partitions(self) -> int:
-        return len(self._parts)
-
-    @property
-    def drift(self) -> int:
-        """Updates applied since the last (re)build."""
-        return self._drift
-
-    def partition_sizes(self) -> list[int]:
-        """Live size of every partition (pending updates not flushed)."""
-        return [p.live for p in self._parts]
-
-    # ------------------------------------------------------------------
-    # Queries
-    # ------------------------------------------------------------------
-    def select(self, rank: int):
-        """The record of 1-based ``rank`` in composite order."""
-        return self.batch_select(np.array([rank], dtype=np.int64))[0]
-
-    def quantile(self, q: float):
-        """The record at the ``q``-quantile (nearest rank)."""
-        self._flush()
-        if self._n_live == 0:
-            raise SpecError("quantile of an empty index")
-        return self.select(rank_of_fraction(self._n_live, q))
-
-    def batch_select(self, ranks) -> np.ndarray:
-        """Records at the given 1-based ``ranks`` (aligned; duplicates OK).
-
-        Deduplicates internally: each distinct partition touched is
-        loaded (or scanned) exactly once per call, however many ranks
-        land in it.
-        """
-        self._flush()
-        m = self._machine
-        ranks = np.asarray(ranks, dtype=np.int64)
-        if ranks.size == 0:
-            return empty_records(0)
-        n = self._n_live
-        if n == 0:
-            raise SpecError("select on an empty index")
-        if ranks.min() < 1 or ranks.max() > n:
-            raise SpecError(f"ranks must lie in [1, {n}]")
-        unique, inverse = np.unique(ranks, return_inverse=True)
-        dup = np.bincount(inverse, minlength=len(unique))
-        live = np.array([p.live for p in self._parts], dtype=np.int64)
-        ends = np.cumsum(live)
-        j_of = np.searchsorted(ends, unique, side="left")
-        cmp_search(m, len(unique), len(ends))
-        out = empty_records(len(unique))
-        with m.phase("svc-select"):
-            for j in np.unique(j_of):
-                mask = j_of == j
-                below = int(ends[j - 1]) if j > 0 else 0
-                local = unique[mask] - below
-                io_base = self._life_io()
-                out[mask] = self._select_in_partition(int(j), local)
-                # Attribute the partition load evenly over the queries
-                # it answered (duplicates included); observations sum
-                # back to the exact lifetime delta.
-                served = int(dup[mask].sum())
-                spent = self._life_io() - io_base
-                self._m_query_io.observe(spent / served, count=served)
-        return out[inverse]
-
-    def range_count(self, lo_key: int, hi_key: int) -> int:
-        """Number of live elements with key in ``(lo_key, hi_key]``.
-
-        Interior partitions are counted from their live sizes (free);
-        each endpoint costs at most one partition scan.
-        """
-        if hi_key < lo_key:
-            raise SpecError("empty range: hi_key < lo_key")
-        self._flush()
-        if self._n_live == 0:
-            return 0
-        with self._machine.phase("svc-range"):
-            hi = self._rank_of_composite(composite_of(hi_key, UID_MAX))
-            lo = self._rank_of_composite(composite_of(lo_key, UID_MAX))
-        return hi - lo
-
-    def partition_of(self, key: int) -> int:
-        """Index of the first partition that may contain ``key`` —
-        ``O(log K)`` comparisons, zero I/O."""
-        self._flush()
-        if not self._parts:
-            raise SpecError("partition_of on a closed index")
-        j = int(
-            np.searchsorted(self._splitters, composite_of(key, 0), side="left")
+    def _resum(self) -> None:
+        """Recompute the cumulative live sizes; called wherever live
+        sizes or the layout change."""
+        self._cum = np.cumsum(
+            [leaf.live for leaf in self._leaves], dtype=np.int64
         )
-        cmp_search(self._machine, 1, max(1, len(self._splitters)))
-        return j
 
     # ------------------------------------------------------------------
     # Updates: buffered, then applied by the loop WAL replay shares
@@ -435,8 +313,8 @@ class PartitionIndex:
         """Apply every buffered update in order; returns flush statistics
         (``None`` when nothing is buffered).
 
-        Queries call this directly.  The buffer leaves the resident lease
-        before it is applied.  On any exception the applied prefix is
+        Queries call this directly.  The buffer and the cached answers
+        leave the resident lease before it is applied.  On any exception the applied prefix is
         accounted and every unapplied operation goes back to the front
         of the buffer, except a delete with no live victim
         (:class:`SpecError`), which is dropped.  The applied prefix is
@@ -447,6 +325,7 @@ class PartitionIndex:
         m = self._machine
         ops, self._ops = self._ops, []
         self._n_appends = self._n_deletes = 0
+        self._cache.clear()
         self._sync_resident()
         touched: set[int] = set()
         applied: list[tuple] = []
@@ -530,18 +409,17 @@ class PartitionIndex:
             ops[:n] = [("append", batch)]
             # Replayed appends carry the uids their original run assigned.
             self._next_uid = max(self._next_uid, int(batch["uid"].max()) + 1)
-            j_of = np.searchsorted(self._splitters, composite(batch), "left")
-            cmp_search(m, len(batch), max(1, len(self._splitters)))
+            j_of = np.searchsorted(self._bounds, composite(batch), "left")
+            cmp_search(m, len(batch), max(1, len(self._bounds)))
             done = np.zeros(len(batch), dtype=bool)
             try:
                 for j in np.unique(j_of).tolist():
                     sel = j_of == j
                     recs = batch[sel]
                     seg = self._write_segment(recs, "svc-append")
-                    part = self._parts[j]
+                    part = self._leaves[j]
                     part.segments.append(seg)
                     part.stored += len(recs)
-                    self._n_live += len(recs)
                     touched.add(j)
                     applied.append(("append", recs))
                     done |= sel
@@ -562,14 +440,14 @@ class PartitionIndex:
         highest possible composite is scanned until the victim is found.
         """
         m = self._machine
-        splitters = self._splitters
+        splitters = self._bounds
         j_lo = int(np.searchsorted(splitters, composite_of(key, 0), "left"))
         j_hi = int(
             np.searchsorted(splitters, composite_of(key, UID_MAX), "left")
         )
         cmp_search(m, 2, max(1, len(splitters)))
-        for j in range(j_lo, min(j_hi, len(self._parts) - 1) + 1):
-            part = self._parts[j]
+        for j in range(j_lo, min(j_hi, len(self._leaves) - 1) + 1):
+            part = self._leaves[j]
             for seg in part.segments:
                 with BlockReader(seg, "svc-delete-scan") as reader:
                     for block in reader:
@@ -578,19 +456,22 @@ class PartitionIndex:
                             c = composite_of(key, hit)
                             if uid in (None, hit) and c not in part.tombstones:
                                 part.tombstones.add(c)
-                                self._n_live -= 1
                                 self._sync_resident()
                                 return j, hit
         victim = f"with key {key}" if uid is None else f"({key}, {uid})"
         raise SpecError(f"delete: no live element {victim}")
 
     def _account(self, applied: list, touched: set) -> tuple[int, int]:
-        """Add applied operations to drift and rebalance what they
-        touched; returns ``(appended, deleted)`` record counts."""
+        """Add applied operations to drift, rebalance what they touched
+        and recompute the cumulative sizes; returns ``(appended,
+        deleted)`` record counts."""
         n_app = sum(len(op[1]) for op in applied if op[0] == "append")
         n_del = sum(1 for op in applied if op[0] == "delete")
         self._drift += n_app + n_del
-        self._rebalance(touched)
+        try:
+            self._rebalance(touched)
+        finally:
+            self._resum()
         return n_app, n_del
 
     def _end_flush(self) -> bool:
@@ -630,91 +511,23 @@ class PartitionIndex:
     # ------------------------------------------------------------------
     # Partition access
     # ------------------------------------------------------------------
-    @staticmethod
-    def _footprint(part: _Partition) -> int:
-        """Buffer records needed to load the partition (whole blocks)."""
-        return sum(
-            seg.num_blocks * seg.machine.B for seg in part.segments
-        )
-
-    def _select_in_partition(self, j: int, local_ranks: np.ndarray) -> np.ndarray:
-        """Records at 1-based ``local_ranks`` within partition ``j``."""
-        m = self._machine
-        part = self._parts[j]
-        if self._footprint(part) > m.load_limit:
+    def _leaf_of_rank(self, rank: int) -> int:
+        """Index of the partition holding global ``rank``, compacted when
+        it does not fit: the ``[a, b]`` window owns partition sizes, so
+        an eager partition is never refined.  One still too big is
+        answered by external multi-selection (:meth:`_leaf_select`)."""
+        j = int(np.searchsorted(self._cum, rank, side="left"))
+        cmp_search(self._machine, 1, len(self._cum))
+        if not self._fits(self._leaves[j]):
             self._compact(j)
-        footprint = self._footprint(part)
-        if footprint <= m.load_limit:
-            with m.memory.lease(footprint, "svc-partition-load"):
-                recs = self._read_segments(part.segments)
-                recs = self._drop_tombstoned(recs, self._tomb_array(part))
-                return select_at_ranks(m, recs, local_ranks)
-        # Oversized even when compacted (only possible for b >> M):
-        # fall back to external multi-selection on the single segment.
-        return np.asarray(multi_select_em(m, part.segments[0], local_ranks))
-
-    def _read_segments(self, segments: list[EMFile]) -> np.ndarray:
-        """Counted read of all segments into memory (caller holds lease)."""
-        parts = [
-            seg.read_range(0, seg.num_blocks) for seg in segments if len(seg)
-        ]
-        if not parts:
-            return empty_records(0)
-        if len(parts) == 1:
-            return parts[0]
-        out = empty_records(sum(len(p) for p in parts))
-        off = 0
-        for p in parts:
-            out[off : off + len(p)] = p
-            off += len(p)
-        return out
-
-    def _drop_tombstoned(self, recs: np.ndarray, tomb: np.ndarray):
-        """``recs`` minus the records whose composites are in ``tomb`` (a
-        partition's sorted tombstones); partition loads and compaction
-        streams share this filter."""
-        if not len(tomb):
-            return recs
-        comps = composite(recs)
-        cmp_search(self._machine, len(recs), len(tomb))
-        pos = np.minimum(np.searchsorted(tomb, comps), len(tomb) - 1)
-        return recs[tomb[pos] != comps]
-
-    @staticmethod
-    def _tomb_array(part: _Partition) -> np.ndarray:
-        tomb = np.fromiter(
-            part.tombstones, dtype=np.int64, count=len(part.tombstones)
-        )
-        tomb.sort()
-        return tomb
-
-    def _rank_of_composite(self, c: int) -> int:
-        """Number of live elements with composite ``<= c``."""
-        m = self._machine
-        j = int(np.searchsorted(self._splitters, c, side="left"))
-        cmp_search(m, 1, max(1, len(self._splitters)))
-        below = sum(self._parts[i].live for i in range(j))
-        part = self._parts[j]
-        if part.stored == 0:
-            return below
-        count = 0
-        for seg in part.segments:
-            with BlockReader(seg, "svc-range-scan") as reader:
-                for block in reader:
-                    cmp_linear(m, len(block))
-                    count += int((composite(block) <= c).sum())
-        if part.tombstones:
-            tomb = self._tomb_array(part)
-            cmp_search(m, 1, len(tomb))
-            count -= int(np.searchsorted(tomb, c, side="right"))
-        return below + count
+        return j
 
     # ------------------------------------------------------------------
     # Maintenance (compaction, split, merge, rebuild)
     # ------------------------------------------------------------------
-    def _write_live(self, writer: BlockWriter, part: _Partition) -> None:
+    def _write_live(self, writer: BlockWriter, part: _Leaf) -> None:
         """Stream a partition's live records into ``writer``."""
-        tomb = self._tomb_array(part)
+        tomb = part.tomb_array()
         for seg in part.segments:
             with BlockReader(seg, "svc-compact-in") as reader:
                 for block in reader:
@@ -732,7 +545,7 @@ class PartitionIndex:
 
     def _compact(self, j: int) -> None:
         """Rewrite partition ``j`` as one segment, applying tombstones."""
-        part = self._parts[j]
+        part = self._leaves[j]
         if len(part.segments) <= 1 and not part.tombstones:
             return
         m = self._machine
@@ -764,12 +577,12 @@ class PartitionIndex:
         never invalidate a later (smaller) index.
         """
         for j in sorted(set(touched), reverse=True):
-            if j >= len(self._parts):
+            if j >= len(self._leaves):
                 continue
-            part = self._parts[j]
+            part = self._leaves[j]
             if part.live > self.b:
                 self._split(j)
-            elif part.live < self.a and len(self._parts) > 1:
+            elif part.live < self.a and len(self._leaves) > 1:
                 self._merge(j)
 
     def _split(self, j: int) -> None:
@@ -777,21 +590,21 @@ class PartitionIndex:
         m = self._machine
         with m.phase("svc-rebalance"):
             self._compact(j)
-            part = self._parts[j]
+            part = self._leaves[j]
             live = part.stored
             pieces = max(2, int(round(live / self._target)))
             sizes = _near_equal(live, pieces)
-            if self._footprint(part) <= m.load_limit:
+            if part.footprint <= m.load_limit:
                 new_parts, maxima = self._split_in_memory(part, sizes)
             else:
                 new_parts, maxima = self._split_external(part, sizes)
         old_segments = part.segments
-        self._parts[j : j + 1] = new_parts
-        self._splitters = np.concatenate(
+        self._leaves[j : j + 1] = new_parts
+        self._bounds = np.concatenate(
             [
-                self._splitters[:j],
+                self._bounds[:j],
                 np.array(maxima[:-1], dtype=np.int64),
-                self._splitters[j:],
+                self._bounds[j:],
             ]
         )
         for seg in old_segments:
@@ -800,27 +613,27 @@ class PartitionIndex:
         self._m_maint.labels(op="split").inc()
         self._sync_resident()
 
-    def _split_in_memory(self, part: _Partition, sizes: list[int]):
+    def _split_in_memory(self, part: _Leaf, sizes: list[int]):
         m = self._machine
-        with m.memory.lease(self._footprint(part), "svc-split-load"):
-            recs = self._read_segments(part.segments)
+        with m.memory.lease(part.footprint, "svc-split-load"):
+            recs = part.read()
             cmp_sort(m, len(recs))
             recs = m.kernel.sort_by_composite(recs)
-            new_parts: list[_Partition] = []
+            new_parts: list[_Leaf] = []
             maxima: list[int] = []
             off = 0
             for s in sizes:
                 piece = recs[off : off + s]
                 off += s
                 f = self._write_segment(piece, "svc-split-out")
-                new_parts.append(_Partition([f], s))
+                new_parts.append(_Leaf([f], s))
                 maxima.append(int(composite(piece[-1:])[0]))
         return new_parts, maxima
 
-    def _split_external(self, part: _Partition, sizes: list[int]):
+    def _split_external(self, part: _Leaf, sizes: list[int]):
         m = self._machine
         pf = multi_partition(m, part.segments[0], sizes)
-        new_parts: list[_Partition] = []
+        new_parts: list[_Leaf] = []
         maxima: list[int] = []
         for p in range(pf.num_partitions):
             segs = pf.segments_of(p)
@@ -830,7 +643,7 @@ class PartitionIndex:
                     for block in reader:
                         cmp_linear(m, len(block))
                         piece_max = max(piece_max, int(composite(block).max()))
-            new_parts.append(_Partition(segs, pf.partition_sizes[p]))
+            new_parts.append(_Leaf(segs, pf.partition_sizes[p]))
             maxima.append(piece_max)
         return new_parts, maxima
 
@@ -842,7 +655,7 @@ class PartitionIndex:
         stays under ``a`` (mass deletes), and re-splits if it overshoots
         ``b``.
         """
-        parts = self._parts
+        parts = self._leaves
         while len(parts) > 1 and parts[j].live < self.a:
             if j == 0:
                 nb = 1
@@ -851,13 +664,13 @@ class PartitionIndex:
             else:
                 nb = j - 1 if parts[j - 1].live <= parts[j + 1].live else j + 1
             lo, hi = min(j, nb), max(j, nb)
-            merged = _Partition(
+            merged = _Leaf(
                 parts[lo].segments + parts[hi].segments,
                 parts[lo].stored + parts[hi].stored,
                 parts[lo].tombstones | parts[hi].tombstones,
             )
             parts[lo : hi + 1] = [merged]
-            self._splitters = np.delete(self._splitters, lo)
+            self._bounds = np.delete(self._bounds, lo)
             self.stats["merges"] += 1
             self._m_maint.labels(op="merge").inc()
             j = lo
@@ -872,13 +685,13 @@ class PartitionIndex:
         with m.phase("svc-rebuild"):
             writer = BlockWriter(m, "svc-rebuild-stage")
             try:
-                for part in self._parts:
+                for part in self._leaves:
                     self._write_live(writer, part)
                 stage = writer.close()
             except BaseException:
                 writer.abort()
                 raise
-            for part in self._parts:
+            for part in self._leaves:
                 for seg in part.segments:
                     self._discard_segment(seg)
             self._install(stage, self._k0, free_input=True)
@@ -888,25 +701,11 @@ class PartitionIndex:
     # ------------------------------------------------------------------
     # Accounting / lifecycle
     # ------------------------------------------------------------------
-    def _life_io(self) -> int:
-        """Lifetime I/O total — the metrics attribution baseline.
-
-        Lifetime counters are public and survive ``reset_counters``, so
-        reading them here charges nothing to the model (same contract
-        the tracer's conservation check relies on).
-        """
-        life = self._machine.disk.lifetime
-        return life.reads + life.writes
-
     def _resident_total(self) -> int:
-        """Records of control state held resident (lease size)."""
-        total = len(self._splitters) + len(self._parts)
-        total += sum(len(p.tombstones) for p in self._parts)
+        """Records of control state held resident, cached answers aside."""
+        total = len(self._bounds) + len(self._leaves)
+        total += sum(len(p.tombstones) for p in self._leaves)
         return total + self._n_appends + self._n_deletes
-
-    def _sync_resident(self) -> None:
-        """Size the resident lease to the control state actually held."""
-        self._resident.resize(self._resident_total())
 
     def check_invariants(self) -> bool:
         """Verify structural invariants (uncounted; tests only).
@@ -915,15 +714,15 @@ class PartitionIndex:
         tombstone containment, size bookkeeping, and — whenever more
         than one partition exists — the ``[a, b]`` window.
         """
-        assert len(self._splitters) == max(0, len(self._parts) - 1)
-        if len(self._splitters) > 1:
-            assert bool(np.all(np.diff(self._splitters) > 0))
-        total = 0
+        assert len(self._bounds) == max(0, len(self._leaves) - 1)
+        if len(self._bounds) > 1:
+            assert bool(np.all(np.diff(self._bounds) > 0))
+        sizes = []
         with self._machine.uncounted():  # emlint: disable=R2 — invariant checker, tests only
-            for j, part in enumerate(self._parts):
+            for j, part in enumerate(self._leaves):
                 assert part.live >= 0
                 assert sum(len(s) for s in part.segments) == part.stored
-                total += part.live
+                sizes.append(part.live)
                 recs = [s.to_numpy(counted=False) for s in part.segments]  # emlint: disable=R2 — invariant checker, tests only
                 comps = (
                     np.concatenate([composite(r) for r in recs])
@@ -931,52 +730,24 @@ class PartitionIndex:
                     else np.empty(0, dtype=np.int64)
                 )
                 if j > 0 and len(comps):
-                    assert comps.min() > self._splitters[j - 1]
-                if j < len(self._parts) - 1 and len(comps):
-                    assert comps.max() <= self._splitters[j]
+                    assert comps.min() > self._bounds[j - 1]
+                if j < len(self._leaves) - 1 and len(comps):
+                    assert comps.max() <= self._bounds[j]
                 assert part.tombstones <= set(int(c) for c in comps)
-                if len(self._parts) > 1:
+                if len(self._leaves) > 1:
                     assert self.a <= part.live <= self.b
-        assert total == self._n_live
+        assert np.array_equal(self._cum, np.cumsum(sizes))
         return True
 
     def abandon(self) -> None:
         """Drop the in-memory handle without freeing any disk blocks.
 
-        Simulates process death: every lease is released (memory
-        vanishes with the process) but the partition segments stay
-        allocated on disk.  Only meaningful for a durable index — the
-        blocks are reachable again through its manifest — but defined
-        here so crash tests can abandon a volatile shadow too.
+        Simulates process death as the lazy engine's :meth:`abandon`
+        does; buffered updates vanish with it.  Only meaningful for a
+        durable index — the blocks are reachable again through its
+        manifest — but defined here so crash tests can abandon a
+        volatile shadow too.
         """
-        if self._closed:
-            return
-        self._parts = []
-        self._splitters = np.empty(0, dtype=np.int64)
-        self._n_live = 0
         self._ops = []
         self._n_appends = self._n_deletes = 0
-        if not self._resident.released:
-            self._resident.release()
-        self._closed = True
-
-    def close(self) -> None:
-        """Free every partition segment and release the resident lease."""
-        if not self._closed:
-            for part in self._parts:
-                for seg in part.segments:
-                    seg.free()
-        PartitionIndex.abandon(self)
-
-    def __enter__(self) -> "PartitionIndex":
-        return self
-
-    def __exit__(self, *exc) -> None:
-        self.close()
-
-
-def multi_select_em(machine: "Machine", file: EMFile, ranks: np.ndarray):
-    """Late import wrapper for the offline fallback (rarely taken)."""
-    from ..core.multiselect import multi_select
-
-    return multi_select(machine, file, ranks)
+        super().abandon()

@@ -1,4 +1,12 @@
-"""Lazy online multiselection: refine the sorted pivot set only where queried.
+"""The sorted leaf list, its one query path, and lazy online refinement.
+
+Both service engines keep the paper's K-partitioning as one sorted list
+of leaves (:class:`_Leaf`): leaf ``j`` holds the composites in
+``(bounds[j-1], bounds[j]]``, open at both ends of the list.
+:class:`LazyPartitionIndex` answers every query over it for both
+engines; the eager :class:`~repro.service.index.PartitionIndex` is the
+same list built to K leaves up front that also takes updates, and
+inherits every query.
 
 Barbay–Gupta's observation ("Near-Optimal Online Multiselection in
 Internal and External Memory") is that an *online* sequence of selection
@@ -19,13 +27,10 @@ the pivot set, so
 :class:`LazyPartitionIndex` implements this over
 :func:`~repro.alg.sampling.approx_quantile_pivots` (sampling) and
 :func:`~repro.alg.distribute.distribute_by_pivots` (one-pass f-way
-distribution).  Its leaves form one flat list, the layout
-:class:`~repro.service.index.PartitionIndex` keeps: leaf ``j`` holds the
-composites in ``(bounds[j-1], bounds[j]]``, open at both ends of the
-list, and a refinement splices a leaf's children and pivots into place.
-The underlying file is never mutated or freed; answered ranks are
-memoized in a bounded in-memory cache so repeated hot queries cost zero
-I/O.
+distribution); a refinement splices a leaf's children and pivots into
+place.  The underlying file is never mutated or freed; answered ranks
+are memoized in a bounded in-memory cache so repeated hot queries cost
+zero I/O.
 """
 
 from __future__ import annotations
@@ -43,12 +48,53 @@ from ..alg.inmemory import select_at_ranks
 from ..alg.sampling import approx_quantile_pivots, max_distribution_fanout
 from ..alg.distribute import distribute_by_pivots
 from ..apps.order_stats import rank_of_fraction
+from ..core.multiselect import multi_select
 from ..obs.metrics import current_registry
 
 if TYPE_CHECKING:  # pragma: no cover
     from ..em.machine import Machine
 
 __all__ = ["LazyPartitionIndex"]
+
+
+class _Leaf:
+    """One leaf of the sorted list: disk segments plus in-memory tombstones.
+
+    ``stored`` counts records on disk including tombstoned ones; ``live``
+    is the leaf's logical size.  Tombstones are the composites of deleted
+    records, applied lazily at the leaf's next compaction.  A lazy leaf
+    is one segment with no tombstones; an eager leaf gains overflow
+    segments from appends and tombstones from deletes.
+    """
+
+    __slots__ = ("segments", "stored", "tombstones")
+
+    def __init__(self, segments: list[EMFile], stored: int, tombstones=None):
+        self.segments = segments
+        self.stored = stored
+        self.tombstones: set[int] = tombstones if tombstones is not None else set()
+
+    @property
+    def live(self) -> int:
+        return self.stored - len(self.tombstones)
+
+    @property
+    def footprint(self) -> int:
+        """Buffer records needed to load the leaf (whole blocks)."""
+        return sum(seg.num_blocks * seg.machine.B for seg in self.segments)
+
+    def tomb_array(self) -> np.ndarray:
+        """The tombstones as a sorted array."""
+        tombs = self.tombstones
+        return np.sort(np.fromiter(tombs, dtype=np.int64, count=len(tombs)))
+
+    def read(self) -> np.ndarray:
+        """Counted read of every segment into memory (caller holds the
+        lease); tombstoned records included."""
+        parts = [seg.read_range(0, seg.num_blocks) for seg in self.segments if len(seg)]
+        if len(parts) == 1:
+            return parts[0]
+        return np.concatenate(parts) if parts else empty_records(0)
 
 
 class LazyPartitionIndex:
@@ -65,9 +111,9 @@ class LazyPartitionIndex:
         K-partition index built fully).  Defaults to whatever fits one
         in-memory load.
 
-    The leaves are one sorted list: ``_files[j]`` holds the composites
-    in ``(_bounds[j-1], _bounds[j]]`` and ``_cum[j]`` counts the records
-    in leaves ``0..j``.  Bounds are non-decreasing, not strictly
+    The leaves are one sorted list: ``_leaves[j]`` holds the composites
+    in ``(_bounds[j-1], _bounds[j]]`` and ``_cum[j]`` counts the live
+    records in leaves ``0..j``.  Bounds are non-decreasing, not strictly
     increasing: a refinement pivot can equal its leaf's upper bound and
     leave an empty last child.  Answered ranks are memoized (bounded,
     charged to the resident lease), so repeats cost zero I/O.
@@ -79,24 +125,32 @@ class LazyPartitionIndex:
         file: EMFile,
         k: int | None = None,
     ) -> None:
+        if k is not None and k < 1:
+            raise SpecError("need k >= 1")
+        self._open(machine, "lazy")
         n = len(file)
-        self._machine = machine
         self._input = file
-        self._files: list[EMFile] = [file]
+        self._leaves = [_Leaf([file], n)]
         self._cum = np.array([n], dtype=np.int64)
-        self._bounds = np.empty(0, dtype=np.int64)
         self._fanout = max_distribution_fanout(machine)
-        if k is None:
-            leaf = machine.load_limit
-        else:
-            if k < 1:
-                raise SpecError("need k >= 1")
-            leaf = max(machine.B, -(-n // int(k)))
+        leaf = machine.load_limit if k is None else max(machine.B, -(-n // int(k)))
         self._leaf_target = max(machine.B, leaf)
+        self._resident_records = 0
+        self._m_refinements = self._metrics.counter(
+            "svc_refinements", "lazy leaf refinements"
+        )
+
+    def _open(self, machine: "Machine", engine: str) -> None:
+        """Set up what every query reads: an empty leaf list, the answer
+        cache, the resident lease and the query telemetry."""
+        self._machine = machine
+        self._input: EMFile | None = None
+        self._leaves: list[_Leaf] = []
+        self._bounds = np.empty(0, dtype=np.int64)
+        self._cum = np.zeros(1, dtype=np.int64)
         self._cache: dict[int, np.void] = {}
         self._cache_cap = max(machine.B, machine.M // 8)
-        self._resident = machine.memory.lease(0, "svc-lazy-resident")
-        self._resident_records = 0
+        self._resident = machine.memory.lease(0, "svc-resident")
         self._closed = False
         self.stats = {"refinements": 0, "leaf_loads": 0, "cache_hits": 0}
         # Telemetry: bound to the ambient registry at construction; all
@@ -107,7 +161,7 @@ class LazyPartitionIndex:
             "svc_query_io",
             "per-query attributed simulated I/O (block transfers)",
             labels=("engine",),
-        ).labels(engine="lazy")
+        ).labels(engine=engine)
         lookups = metrics.counter(
             "svc_cache_lookups",
             "answer-cache lookups by result",
@@ -115,9 +169,6 @@ class LazyPartitionIndex:
         )
         self._m_cache_hit = lookups.labels(result="hit")
         self._m_cache_miss = lookups.labels(result="miss")
-        self._m_refinements = metrics.counter(
-            "svc_refinements", "lazy leaf refinements"
-        )
         self._m_leaf_loads = metrics.counter(
             "svc_leaf_loads", "leaf loads answering uncached queries"
         )
@@ -131,7 +182,12 @@ class LazyPartitionIndex:
     def n_leaves(self) -> int:
         """Current number of leaves (zero I/O); grows as queries force
         refinement."""
-        return len(self._files)
+        return len(self._leaves)
+
+    def _flush(self) -> dict | None:
+        """Apply buffered updates before a query; the read-only engine
+        buffers none."""
+        return None
 
     # ------------------------------------------------------------------
     # Queries
@@ -142,9 +198,11 @@ class LazyPartitionIndex:
 
     def quantile(self, q: float):
         """The record at the ``q``-quantile (nearest rank)."""
-        if self.n_live == 0:
+        self._flush()
+        n = self.n_live
+        if n == 0:
             raise SpecError("quantile of an empty index")
-        return self.select(rank_of_fraction(self.n_live, q))
+        return self.select(rank_of_fraction(n, q))
 
     def batch_select(self, ranks) -> np.ndarray:
         """Records at the given 1-based ``ranks`` (aligned; duplicates OK).
@@ -152,6 +210,7 @@ class LazyPartitionIndex:
         Distinct ranks sharing a leaf share one leaf load; cached ranks
         cost zero I/O.
         """
+        self._flush()
         ranks = np.asarray(ranks, dtype=np.int64)
         if ranks.size == 0:
             return empty_records(0)
@@ -207,7 +266,7 @@ class LazyPartitionIndex:
         return out[inverse]
 
     def range_count(self, lo_key: int, hi_key: int) -> int:
-        """Number of elements with key in ``(lo_key, hi_key]``.
+        """Number of live elements with key in ``(lo_key, hi_key]``.
 
         Both endpoints route through the bounds to their leaves; the
         leaves strictly between count from their sizes, and only the
@@ -216,6 +275,7 @@ class LazyPartitionIndex:
         """
         if hi_key < lo_key:
             raise SpecError("empty range: hi_key < lo_key")
+        self._flush()
         if self.n_live == 0:
             return 0
         m = self._machine
@@ -231,8 +291,9 @@ class LazyPartitionIndex:
             return total
 
     def partition_of(self, key: int) -> int:
-        """Index (in left-to-right leaf order) of the current leaf whose
-        range contains ``key`` — zero I/O, no refinement."""
+        """Index (in left-to-right leaf order) of the first leaf whose
+        range may contain ``key`` — zero I/O, no refinement."""
+        self._flush()
         if self._closed:
             raise SpecError("partition_of on a closed index")
         leaf = int(np.searchsorted(self._bounds, composite_of(key, 0), side="left"))
@@ -248,7 +309,7 @@ class LazyPartitionIndex:
         while True:
             leaf = int(np.searchsorted(self._cum, rank, side="left"))
             cmp_search(self._machine, 1, len(self._cum))
-            if len(self._files[leaf]) <= self._leaf_limit():
+            if self._leaves[leaf].stored <= self._leaf_limit():
                 return leaf
             self._refine(leaf)
 
@@ -264,11 +325,13 @@ class LazyPartitionIndex:
         shrinks it further (a feedback spiral down to deadlock).
         """
         m = self._machine
-        headroom = m.load_limit + self._evictable() - m.B
+        headroom = m.load_limit + len(self._cache) - m.B
         return max(m.B, min(self._leaf_target, headroom))
 
-    def _evictable(self) -> int:
-        return len(self._cache)
+    def _fits(self, leaf: _Leaf) -> bool:
+        """Whether ``leaf`` loads into memory now, counting cached answers
+        as headroom, as :meth:`_leaf_limit` does."""
+        return leaf.footprint <= self._machine.load_limit + len(self._cache)
 
     def _make_room(self, needed: int) -> None:
         """Evict cached answers (oldest first) until ``needed`` records
@@ -292,7 +355,7 @@ class LazyPartitionIndex:
         """Split one oversized leaf (sample pivots, distribute once) and
         splice its children and pivots into the list in its place."""
         m = self._machine
-        file = self._files[leaf]
+        file = self._leaves[leaf].segments[0]
         size = len(file)
         self._make_room(min(file.num_blocks + self._fanout + 2, m.M // m.B) * m.B)
         with m.phase("svc-refine"):
@@ -310,7 +373,7 @@ class LazyPartitionIndex:
         if file is not self._input:
             file.free()
         below = self._cum[leaf] - size
-        self._files[leaf : leaf + 1] = children
+        self._leaves[leaf : leaf + 1] = [_Leaf([c], len(c)) for c in children]
         self._cum = np.concatenate(
             (
                 self._cum[:leaf],
@@ -332,26 +395,50 @@ class LazyPartitionIndex:
     def _leaf_select(self, leaf: int, local_ranks: np.ndarray) -> np.ndarray:
         """Load one leaf and answer all its local ranks in memory."""
         m = self._machine
-        file = self._files[leaf]
+        part = self._leaves[leaf]
         with m.phase("svc-leaf"):
-            footprint = file.num_blocks * m.B
+            if not self._fits(part):
+                # An eager partition too big even when compacted (only
+                # possible for b >> M): external multi-selection on its
+                # one segment, with the whole memory back from the cache.
+                self._make_room(m.M)
+                return np.asarray(multi_select(m, part.segments[0], local_ranks))
+            footprint = part.footprint
             self._make_room(footprint)
             with m.memory.lease(footprint, "svc-leaf-load"):
-                recs = file.read_range(0, file.num_blocks)
+                recs = self._drop_tombstoned(part.read(), part.tomb_array())
                 self.stats["leaf_loads"] += 1
                 self._m_leaf_loads.inc()
                 return select_at_ranks(m, recs, local_ranks)
 
+    def _drop_tombstoned(self, recs: np.ndarray, tomb: np.ndarray) -> np.ndarray:
+        """``recs`` minus the records whose composites are in ``tomb`` (a
+        leaf's sorted tombstones); leaf loads and compaction streams
+        share this filter."""
+        if not len(tomb):
+            return recs
+        comps = composite(recs)
+        cmp_search(self._machine, len(recs), len(tomb))
+        pos = np.minimum(np.searchsorted(tomb, comps), len(tomb) - 1)
+        return recs[tomb[pos] != comps]
+
     def _scan_count(self, leaf: int, lo_c: int, hi_c: int) -> int:
-        """Elements of ``leaf`` with composite in ``(lo_c, hi_c]``, by one
-        streaming scan."""
+        """Live elements of ``leaf`` with composite in ``(lo_c, hi_c]``,
+        by one streaming scan."""
         m = self._machine
+        part = self._leaves[leaf]
         count = 0
-        with BlockReader(self._files[leaf], "svc-range-scan") as reader:
-            for block in reader:
-                cmp_linear(m, 2 * len(block))
-                comps = composite(block)
-                count += int(((comps > lo_c) & (comps <= hi_c)).sum())
+        for seg in part.segments:
+            with BlockReader(seg, "svc-range-scan") as reader:
+                for block in reader:
+                    cmp_linear(m, 2 * len(block))
+                    comps = composite(block)
+                    count += int(((comps > lo_c) & (comps <= hi_c)).sum())
+        if part.tombstones:
+            tomb = part.tomb_array()
+            cmp_search(m, 2, len(tomb))
+            dead = np.searchsorted(tomb, [lo_c, hi_c], side="right")
+            count -= int(dead[1] - dead[0])
         return count
 
     # ------------------------------------------------------------------
@@ -367,22 +454,31 @@ class LazyPartitionIndex:
         life = self._machine.disk.lifetime
         return life.reads + life.writes
 
+    def _resident_total(self) -> int:
+        """Records of control state held resident, cached answers aside:
+        the refinements' routing metadata."""
+        return self._resident_records
+
     def _sync_resident(self) -> None:
-        self._resident.resize(self._resident_records + len(self._cache))
+        """Size the resident lease to the control state and cached
+        answers actually held."""
+        self._resident.resize(self._resident_total() + len(self._cache))
 
     def abandon(self) -> None:
         """Drop the leaf list without freeing disk (simulated process death).
 
-        The lazy engine is read-only: its durable state *is* the input
-        file, which survives on disk untouched.  After a crash a new
+        Every lease is released — memory vanishes with the process — but
+        every leaf's blocks stay allocated.  The lazy engine is
+        read-only: its durable state *is* the input file, so a new
         engine over the same file answers identically (refinement
         copies owned by the dead engine become unreachable blocks — the
-        documented cost of crashing a cache).  The engine then holds no
-        records.
+        documented cost of crashing a cache).  A durable eager index
+        reaches its blocks again through its manifest.  The engine then
+        holds no records.
         """
         if self._closed:
             return
-        self._files = []
+        self._leaves = []
         self._cum = np.zeros(1, dtype=np.int64)
         self._bounds = np.empty(0, dtype=np.int64)
         self._cache = {}
@@ -391,13 +487,14 @@ class LazyPartitionIndex:
         self._closed = True
 
     def close(self) -> None:
-        """Free every owned leaf file, then drop the list as :meth:`abandon`
-        does."""
+        """Free every owned leaf segment, then drop the list as
+        :meth:`abandon` does."""
         if self._closed:
             return
-        for file in self._files:
-            if file is not self._input:
-                file.free()
+        for leaf in self._leaves:
+            for seg in leaf.segments:
+                if seg is not self._input:
+                    seg.free()
         self.abandon()
 
     def __enter__(self) -> "LazyPartitionIndex":

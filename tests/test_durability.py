@@ -231,7 +231,7 @@ class TestDurableRoundtrip:
         recs = few_distinct(4096, seed=11, n_distinct=8)
         index = _build_durable(mach, recs, k=16)
         key = 3
-        splitters = index._splitters
+        splitters = index._bounds
         j_lo, j_hi = np.searchsorted(
             splitters, [composite_of(key, 0), composite_of(key, UID_MAX)]
         )

@@ -294,12 +294,11 @@ _CHARGING_FUNCTIONS = [
     ("repro/core/intermixed.py", "_solve"),
     ("repro/core/intermixed.py", "_median_pass"),
     ("repro/core/splitters.py", "_split_at"),
-    ("repro/service/index.py", "PartitionIndex.partition_of"),
+    ("repro/service/online.py", "LazyPartitionIndex.partition_of"),
     ("repro/service/index.py", "PartitionIndex._apply"),
     ("repro/service/index.py", "PartitionIndex._tombstone"),
     ("repro/service/index.py", "PartitionIndex._split_external"),
     ("repro/service/index.py", "PartitionIndex._install"),
-    ("repro/service/index.py", "PartitionIndex._rank_of_composite"),
 ]
 
 

@@ -3,11 +3,12 @@
 Covers the eager :class:`PartitionIndex` (build, queries, updates,
 rebalancing, rebuild), the lazy :class:`LazyPartitionIndex` (refinement,
 caching, memory-pressure eviction, and its leaf list's answers and
-counters over four input generators), the batching
-:class:`QueryFrontend`, and — throughout — *differential* identity: the
-service's answers must be element-for-element what sorting (or an
-offline multi-selection) would produce, including across update and
-rebalance boundaries.
+counters over four input generators), the one query path both engines
+share (every engine over every input generator, boundary-leaf reads and
+charges, the eager answer cache), the batching :class:`QueryFrontend`,
+and — throughout — *differential* identity: the service's answers must
+be element-for-element what sorting (or an offline multi-selection)
+would produce, including across update and rebalance boundaries.
 """
 
 import functools
@@ -23,13 +24,24 @@ from repro.service import (
     Query,
     QueryFrontend,
 )
-from repro.workloads import load_input, random_permutation, uniform_random
-from repro.workloads.generators import few_distinct, organ_pipe, sorted_keys
+from repro.workloads import (
+    WORKLOADS,
+    load_input,
+    random_permutation,
+    uniform_random,
+)
+from repro.workloads.generators import (
+    few_distinct,
+    hard_permutation,
+    organ_pipe,
+    sorted_keys,
+)
 from repro.workloads.queries import (
     QUERY_TRACES,
     adversarial_trace,
     mixed_query_trace,
     uniform_trace,
+    update_batches,
     zipfian_trace,
 )
 
@@ -79,7 +91,7 @@ class TestPartitionIndex:
         with pytest.raises(SpecError):
             index.range_count(10, 5)
         j = index.partition_of(int(keys[0]))
-        assert 0 <= j < index.num_partitions
+        assert 0 <= j < index.n_leaves
         index.close()
 
     def test_quantile_edges(self):
@@ -184,11 +196,11 @@ class TestUpdates:
 
     def test_hot_appends_force_split(self):
         mach, recs, index = _build_eager(n=4000, k=16)
-        k0 = index.num_partitions
+        k0 = index.n_leaves
         index.append(np.full(600, 42, dtype=np.int64))
         index.flush_updates()
         assert index.stats["splits"] >= 1
-        assert index.num_partitions > k0
+        assert index.n_leaves > k0
         index.check_invariants()
         index.close()
 
@@ -373,6 +385,117 @@ class TestLazyLeafList:
             )
         f.free()
         assert observed == self.TREE[(gen, n)]
+
+
+class TestOneQueryPath:
+    """Both engines answer through the lazy engine's one query path:
+    every engine over every input generator agrees with the sorted-array
+    oracle, and an eager query reads and charges as the leaf list does."""
+
+    N, K = 4096, 16
+    INPUTS = {**WORKLOADS, "hard": functools.partial(hard_permutation, block=16)}
+    ENGINES = ("lazy", "eager", "eager-updated")
+
+    def _engine(self, kind, mach, f, recs):
+        """The engine and its live keys, sorted."""
+        keys = _sorted_keys(recs)
+        if kind == "lazy":
+            return LazyPartitionIndex(mach, f, k=self.K), keys
+        index = PartitionIndex.build(mach, f, self.K)
+        if kind == "eager":
+            return index, keys
+        live = list(keys)
+        for batch in update_batches(recs["key"], 3, 300, 100, seed=7):
+            for op, arg in batch:
+                if op == "append":
+                    index.append(arg)
+                    live.extend(int(k) for k in arg)
+                else:
+                    index.delete(arg)
+                    live.remove(arg)
+            index.flush_updates()
+        index.check_invariants()
+        return index, np.sort(np.array(live, dtype=np.int64))
+
+    @pytest.mark.parametrize("gen", INPUTS)
+    def test_every_engine_matches_the_oracle(self, gen):
+        recs = self.INPUTS[gen](self.N, seed=3)
+        mach = _machine()
+        f = load_input(mach, recs)
+        # Appends go past the largest key, and zipf's is KEY_MAX already.
+        engines = self.ENGINES[:2] if gen == "zipf" else self.ENGINES
+        for kind in engines:
+            engine, keys = self._engine(kind, mach, f, recs)
+            n = len(keys)
+            assert engine.n_live == n, kind
+            trace = zipfian_trace(200, n, seed=4)
+            for batch in np.array_split(trace, 4):
+                got = engine.batch_select(batch)
+                assert np.array_equal(got["key"], keys[batch - 1]), kind
+            # Keys at every N/8-th rank and beside them, the ends of the
+            # key domain and keys past both ends of the data.
+            near = keys[np.linspace(0, n - 1, 9).astype(np.int64)]
+            grid = sorted(
+                {int(x) + d for x in near for d in (-1, 0, 1)}
+                | {KEY_MIN, -1, KEY_MAX}
+            )
+            grid = [x for x in grid if KEY_MIN <= x <= KEY_MAX]
+            parts = [engine.partition_of(x) for x in grid]
+            assert parts == sorted(parts), kind
+            assert parts[0] == 0 and parts[-1] == engine.n_leaves - 1, kind
+            at = np.searchsorted(keys, np.array(grid), side="right")
+            for i, lo in enumerate(grid):
+                for j in range(i, len(grid)):
+                    assert engine.range_count(lo, grid[j]) == at[j] - at[i], (
+                        kind, lo, grid[j],
+                    )
+            engine.close()
+        f.free()
+        assert mach.memory.in_use == 0
+
+    def test_eager_range_in_one_partition_reads_it_once(self):
+        mach, recs, index = _build_eager(n=20_000, k=16)
+        # Keys are 0..N-1, so key x has rank x + 1; the range lies
+        # inside one partition, and a select loads that partition once.
+        lo, hi = 10_000, 10_010
+        assert index.partition_of(lo) == index.partition_of(hi + 1)
+        mach.reset_counters()
+        index.select(lo + 1)
+        blocks = mach.io.reads
+        mach.reset_counters()
+        assert index.range_count(lo, hi) == hi - lo
+        assert (mach.io.reads, mach.io.writes) == (blocks, 0)
+        index.close()
+
+    def test_eager_cache_dropped_by_updates(self):
+        mach, recs, index = _build_eager(n=2000, k=8)  # keys 0..1999
+        assert int(index.select(100)["key"]) == 99
+        mach.reset_counters()
+        assert int(index.select(100)["key"]) == 99
+        assert mach.io.total == 0  # answered from the cache
+        index.append(np.array([-1]))
+        assert int(index.select(100)["key"]) == 98
+        index.delete(-1)
+        assert int(index.select(100)["key"]) == 99
+        assert index.stats["cache_hits"] == 1
+        index.close()
+
+    @pytest.mark.parametrize("kind", ENGINES[:2])
+    def test_range_count_charges_two_comparisons_per_scanned_record(self, kind):
+        recs = random_permutation(8000, seed=1)
+        mach = _machine()
+        f = load_input(mach, recs)
+        engine, _ = self._engine(kind, mach, f, recs)
+        engine.batch_select(np.arange(1, 8001, 500))  # refines the lazy one
+        lo, hi = 1000, 6000
+        first, last = engine.partition_of(lo), engine.partition_of(hi)
+        assert first < last
+        scanned = engine._leaves[first].stored + engine._leaves[last].stored
+        mach.reset_counters()
+        assert engine.range_count(lo, hi) == hi - lo
+        assert mach.comparisons >= 2 * scanned
+        engine.close()
+        f.free()
 
 
 class TestQueryFrontend:
