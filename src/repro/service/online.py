@@ -271,12 +271,12 @@ class LazyPartitionIndex:
         Both endpoints route through the bounds to their leaves; the
         leaves strictly between count from their sizes, and only the
         (at most two) boundary leaves are scanned (streaming, no
-        refinement forced).
+        refinement forced).  An empty interval ``(k, k]`` costs nothing.
         """
         if hi_key < lo_key:
             raise SpecError("empty range: hi_key < lo_key")
         self._flush()
-        if self.n_live == 0:
+        if lo_key == hi_key or self.n_live == 0:
             return 0
         m = self._machine
         lo_c = composite_of(lo_key, UID_MAX)

@@ -161,12 +161,15 @@ class ShardRouter:
         none for an empty shard.  A shard is read-only after ``seal``,
         so an interior shard's size stays exact even once its worker
         has died: a range covering a killed shard still answers, while
-        a range ending inside it raises :class:`ShardError`.
+        a range ending inside it raises :class:`ShardError`.  An empty
+        interval ``(k, k]`` answers 0 without a message.
         """
         if hi_key < lo_key:
             raise SpecError("empty range: hi_key < lo_key")
         if self._closed:
             raise ShardError("range_count on a closed router")
+        if lo_key == hi_key:
+            return 0
         ends = [composite_of(lo_key, UID_MAX), composite_of(hi_key, UID_MAX)]
         with self._machine.phase("shard-route"):
             first, last = (int(s) for s in np.searchsorted(self._splitters, ends))

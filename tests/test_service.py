@@ -326,7 +326,8 @@ class TestLazyLeafList:
     """Selects, ``partition_of`` and range counts of the lazy engine
     over a zipfian trace, against the sorted-array oracle, with the I/O,
     leaf counts and stats the pivot-tree layout produced on the same
-    trace."""
+    trace; only the reads after every query are lower, since an empty
+    interval ``(k, k]`` scans nothing."""
 
     INPUTS = {
         "random_permutation": random_permutation,
@@ -338,14 +339,14 @@ class TestLazyLeafList:
     #: (reads, writes) after the selects, then after every query,
     #: n_leaves and stats, keyed by (input, N).
     TREE = {
-        ("random_permutation", 6000): ((3160, 796), (43198, 796), 27, (14, 114, 16)),
-        ("random_permutation", 65536): ((6038, 2137), (38956, 2137), 90, (31, 158, 5)),
-        ("few_distinct", 6000): ((3146, 818), (4776, 818), 28, (15, 115, 13)),
-        ("few_distinct", 65536): ((6048, 2147), (7452, 2147), 90, (31, 158, 8)),
-        ("sorted_keys", 6000): ((3191, 818), (41357, 818), 28, (15, 117, 16)),
-        ("sorted_keys", 65536): ((6018, 2144), (39042, 2144), 90, (31, 156, 5)),
-        ("organ_pipe", 6000): ((3167, 776), (45227, 776), 26, (13, 115, 16)),
-        ("organ_pipe", 65536): ((6018, 2144), (39042, 2144), 90, (31, 156, 5)),
+        ("random_permutation", 6000): ((3160, 796), (42427, 796), 27, (14, 114, 16)),
+        ("random_permutation", 65536): ((6038, 2137), (38322, 2137), 90, (31, 158, 5)),
+        ("few_distinct", 6000): ((3146, 818), (4623, 818), 28, (15, 115, 13)),
+        ("few_distinct", 65536): ((6048, 2147), (7320, 2147), 90, (31, 158, 8)),
+        ("sorted_keys", 6000): ((3191, 818), (40622, 818), 28, (15, 117, 16)),
+        ("sorted_keys", 65536): ((6018, 2144), (38406, 2144), 90, (31, 156, 5)),
+        ("organ_pipe", 6000): ((3167, 776), (44417, 776), 26, (13, 115, 16)),
+        ("organ_pipe", 65536): ((6018, 2144), (38406, 2144), 90, (31, 156, 5)),
     }
 
     @pytest.mark.parametrize("shape", SHAPES, ids=lambda s: f"N={s[2]}")
@@ -479,6 +480,19 @@ class TestOneQueryPath:
         assert int(index.select(100)["key"]) == 99
         assert index.stats["cache_hits"] == 1
         index.close()
+
+    @pytest.mark.parametrize("kind", ENGINES[:2])
+    def test_empty_interval_reads_nothing(self, kind):
+        recs = random_permutation(8000, seed=1)
+        mach = _machine()
+        f = load_input(mach, recs)
+        engine, _ = self._engine(kind, mach, f, recs)
+        mach.reset_counters()
+        for key in (-1, 0, 4000, 7999, KEY_MAX):
+            assert engine.range_count(key, key) == 0
+        assert mach.io.total == 0
+        engine.close()
+        f.free()
 
     @pytest.mark.parametrize("kind", ENGINES[:2])
     def test_range_count_charges_two_comparisons_per_scanned_record(self, kind):

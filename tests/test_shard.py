@@ -433,6 +433,16 @@ class TestRangeCount:
         assert sent == []
         _teardown(coord, f, router)
 
+    def test_empty_interval_sends_no_message(self, monkeypatch):
+        records = random_permutation(self.N, seed=5)
+        sent = _record_requests(monkeypatch)
+        coord, f, router = _build(records, 4)
+        sent.clear()
+        for key in _edge_keys(router, records["key"]):
+            assert router.range_count(key, key) == 0
+        assert sent == []
+        _teardown(coord, f, router)
+
     def test_closed_router_raises(self):
         # With empty shards, some ranges need no message, so the closed
         # check cannot rest on a dead endpoint alone.
