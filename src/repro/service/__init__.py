@@ -4,18 +4,18 @@ The offline algorithms answer one batch of ranks and exit; this package
 keeps the approximate partitioning *alive* and serves traffic against
 it:
 
-* :mod:`repro.service.index` — :class:`~repro.service.index.PartitionIndex`,
-  an eagerly built approximate-K-partition index answering selection,
-  quantile, range-count, and partition-lookup queries with ``O(log K)``
-  in-memory comparisons plus at most one partition scan each, and
-  taking buffered appends/deletes with local split/merge rebalancing
-  and a drift-triggered full rebuild;
-* :mod:`repro.service.online` —
-  :class:`~repro.service.online.LazyPartitionIndex`, Barbay–Gupta-style
+* :mod:`repro.service.online` — the sorted leaf list (leaves delimited
+  by splitter composites) and the one query path over it: selection,
+  quantile, range-count, and partition-lookup queries with
+  ``O(log K)`` in-memory comparisons plus at most one leaf load or two
+  boundary-leaf scans each.  Its
+  :class:`~repro.service.online.LazyPartitionIndex` is Barbay–Gupta-style
   lazy refinement: the sorted pivot set grows only where queries land,
-  so skewed traces pay far less than building the full index.  Both
-  engines keep the same flat layout, a sorted list of partitions (the
-  lazy engine's leaves) delimited by splitter composites;
+  so skewed traces pay far less than building the full index;
+* :mod:`repro.service.index` — :class:`~repro.service.index.PartitionIndex`,
+  the same leaf list built eagerly to K approximate partitions, which
+  inherits every query and adds buffered appends/deletes with local
+  split/merge rebalancing and a drift-triggered full rebuild;
 * :mod:`repro.service.frontend` —
   :class:`~repro.service.frontend.QueryFrontend`, batching mixed queries
   into one deduplicated multiselection per flush, with per-query

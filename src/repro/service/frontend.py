@@ -20,7 +20,7 @@ answers the whole queue at once:
 
 Under a :class:`repro.obs.tracer.Tracer` every flush appears as a
 ``svc-flush`` span whose children are the engine's phases
-(``svc-refine``, ``svc-leaf``, ``svc-select``, ...), so a Perfetto
+(``svc-refine``, ``svc-leaf``, ``svc-range``, ...), so a Perfetto
 timeline shows exactly where each batch's I/O went.
 """
 

@@ -133,14 +133,10 @@ class PartitionIndex(LazyPartitionIndex):
         self.stats.update(
             splits=0, merges=0, rebuilds=0, compactions=0, update_flushes=0
         )
-        # Telemetry: bound to the ambient registry at construction.
-        # Bookkeeping reads only lifetime counters / plain ints — no
-        # model charge flows through any instrument.
-        metrics = self._metrics
-        self._m_drift = metrics.gauge(
+        self._m_drift = self._metrics.gauge(
             "svc_drift", "updates applied since the last (re)build"
         )
-        self._m_maint = metrics.counter(
+        self._m_maint = self._metrics.counter(
             "svc_maintenance",
             "partition maintenance operations by kind",
             labels=("op",),
@@ -191,7 +187,7 @@ class PartitionIndex(LazyPartitionIndex):
         if n == 0:
             self._leaves = [_Leaf([], 0)]
             self._bounds = np.empty(0, dtype=np.int64)
-            self._cum = np.zeros(1, dtype=np.int64)
+            self._resum()
             self._sync_resident()
             if free_input:
                 file.free()
@@ -314,11 +310,12 @@ class PartitionIndex(LazyPartitionIndex):
         (``None`` when nothing is buffered).
 
         Queries call this directly.  The buffer and the cached answers
-        leave the resident lease before it is applied.  On any exception the applied prefix is
-        accounted and every unapplied operation goes back to the front
-        of the buffer, except a delete with no live victim
-        (:class:`SpecError`), which is dropped.  The applied prefix is
-        logged to a durable index's WAL unless the flush crashed.
+        leave the resident lease before it is applied.  On any exception
+        the applied prefix is accounted and every unapplied operation
+        goes back to the front of the buffer, except a delete with no
+        live victim (:class:`SpecError`), which is dropped.  The applied
+        prefix is logged to a durable index's WAL unless the flush
+        crashed.
         """
         if not self._ops:
             return None
@@ -440,12 +437,10 @@ class PartitionIndex(LazyPartitionIndex):
         highest possible composite is scanned until the victim is found.
         """
         m = self._machine
-        splitters = self._bounds
-        j_lo = int(np.searchsorted(splitters, composite_of(key, 0), "left"))
-        j_hi = int(
-            np.searchsorted(splitters, composite_of(key, UID_MAX), "left")
-        )
-        cmp_search(m, 2, max(1, len(splitters)))
+        bounds = self._bounds
+        j_lo = int(np.searchsorted(bounds, composite_of(key, 0), "left"))
+        j_hi = int(np.searchsorted(bounds, composite_of(key, UID_MAX), "left"))
+        cmp_search(m, 2, max(1, len(bounds)))
         for j in range(j_lo, min(j_hi, len(self._leaves) - 1) + 1):
             part = self._leaves[j]
             for seg in part.segments:

@@ -98,7 +98,8 @@ class _Leaf:
 
 
 class LazyPartitionIndex:
-    """Read-only online selection engine over one :class:`EMFile`.
+    """Read-only online selection engine over one :class:`EMFile`, and
+    the query path :class:`~repro.service.index.PartitionIndex` inherits.
 
     Parameters
     ----------

@@ -254,6 +254,30 @@ class TestDurableRoundtrip:
         rec.destroy()
         mach.close()
 
+    def test_snapshot_drops_cached_answers(self):
+        mach = _machine()
+        index = _build_durable(mach, random_permutation(4096, seed=15))
+        before = mach.memory.in_use
+        index.batch_select(np.arange(1, 4097, 64))
+        assert mach.memory.in_use == before + 64  # one cached record each
+        index.snapshot()
+        assert mach.memory.in_use == before
+        index.destroy()
+        mach.close()
+
+    def test_snapshot_with_pending_updates_keeps_the_applied_count(self):
+        mach = _machine()
+        index = _build_durable(mach, random_permutation(4096, seed=15))
+        index.append(np.array([-1, -2], dtype=np.int64))
+        index.snapshot()  # the appends are still buffered
+        manifest = index.manifest_block
+        index.abandon()
+        rec = recover(mach, manifest)
+        assert rec.n_live == 4096
+        rec.check_invariants()
+        rec.destroy()
+        mach.close()
+
     def test_snapshot_cadence(self):
         mach = _machine()
         recs = random_permutation(4096, seed=15)
