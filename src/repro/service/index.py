@@ -513,7 +513,7 @@ class PartitionIndex(LazyPartitionIndex):
         answered by external multi-selection (:meth:`_leaf_select`)."""
         j = int(np.searchsorted(self._cum, rank, side="left"))
         cmp_search(self._machine, 1, len(self._cum))
-        if not self._fits(self._leaves[j]):
+        if self._leaves[j].footprint > self._headroom():
             self._compact(j)
         return j
 

@@ -94,7 +94,14 @@ class _Leaf:
         parts = [seg.read_range(0, seg.num_blocks) for seg in self.segments if len(seg)]
         if len(parts) == 1:
             return parts[0]
-        return np.concatenate(parts) if parts else empty_records(0)
+        # A slice copy per part: np.concatenate promotes structured
+        # dtypes field by field, several times slower on many segments.
+        out = empty_records(sum(len(p) for p in parts))
+        off = 0
+        for p in parts:
+            out[off : off + len(p)] = p
+            off += len(p)
+        return out
 
 
 class LazyPartitionIndex:
@@ -326,13 +333,12 @@ class LazyPartitionIndex:
         shrinks it further (a feedback spiral down to deadlock).
         """
         m = self._machine
-        headroom = m.load_limit + len(self._cache) - m.B
-        return max(m.B, min(self._leaf_target, headroom))
+        return max(m.B, min(self._leaf_target, self._headroom() - m.B))
 
-    def _fits(self, leaf: _Leaf) -> bool:
-        """Whether ``leaf`` loads into memory now, counting cached answers
-        as headroom, as :meth:`_leaf_limit` does."""
-        return leaf.footprint <= self._machine.load_limit + len(self._cache)
+    def _headroom(self) -> int:
+        """Records a leaf load may take now: cached answers count, since
+        :meth:`_make_room` evicts them on demand."""
+        return self._machine.load_limit + len(self._cache)
 
     def _make_room(self, needed: int) -> None:
         """Evict cached answers (oldest first) until ``needed`` records
@@ -398,16 +404,18 @@ class LazyPartitionIndex:
         m = self._machine
         part = self._leaves[leaf]
         with m.phase("svc-leaf"):
-            if not self._fits(part):
+            footprint = part.footprint
+            if footprint > self._headroom():
                 # An eager partition too big even when compacted (only
                 # possible for b >> M): external multi-selection on its
                 # one segment, with the whole memory back from the cache.
                 self._make_room(m.M)
                 return np.asarray(multi_select(m, part.segments[0], local_ranks))
-            footprint = part.footprint
             self._make_room(footprint)
             with m.memory.lease(footprint, "svc-leaf-load"):
-                recs = self._drop_tombstoned(part.read(), part.tomb_array())
+                recs = part.read()
+                if part.tombstones:
+                    recs = self._drop_tombstoned(recs, part.tomb_array())
                 self.stats["leaf_loads"] += 1
                 self._m_leaf_loads.inc()
                 return select_at_ranks(m, recs, local_ranks)
