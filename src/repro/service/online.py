@@ -231,14 +231,14 @@ class LazyPartitionIndex:
         dup = np.bincount(inverse, minlength=len(unique))
         out = empty_records(len(unique))
         pending: list[tuple[int, int]] = []
-        for pos, rank in enumerate(unique):
-            if int(rank) in self._cache:
-                out[pos] = self._cache[int(rank)]
+        for pos, rank in enumerate(unique.tolist()):
+            if rank in self._cache:
+                out[pos] = self._cache[rank]
                 self.stats["cache_hits"] += 1
                 self._m_cache_hit.inc(int(dup[pos]))
                 self._m_query_io.observe(0, count=int(dup[pos]))
             else:
-                pending.append((int(rank), pos))
+                pending.append((rank, pos))
                 self._m_cache_miss.inc(int(dup[pos]))
         # Unique ranks are sorted, so the ranks sharing a leaf are
         # consecutive: find the first uncovered rank's leaf (refining it
@@ -259,11 +259,14 @@ class LazyPartitionIndex:
                 positions.append(pending[j][1])
                 j += 1
             answers = self._leaf_select(leaf, np.array(locals_, dtype=np.int64))
+            cached = len(self._cache)
             for p, rec in zip(positions, answers):
                 out[p] = rec
                 if len(self._cache) < self._cache_cap:
                     self._cache[int(unique[p])] = rec.copy()
-            self._sync_resident()
+            # Only the cache grew since the lease was last sized: grow the
+            # lease by the new answers rather than re-sum the control state.
+            self._resident.resize(self._resident.size + len(self._cache) - cached)
             # Attribute this group's I/O evenly across the queries it
             # served (duplicates included): observations sum back to the
             # exact lifetime delta, so the histogram conserves totals.

@@ -433,6 +433,9 @@ class TestOneQueryPath:
             for batch in np.array_split(trace, 4):
                 got = engine.batch_select(batch)
                 assert np.array_equal(got["key"], keys[batch - 1]), kind
+            # The resident lease holds the control state and the cache.
+            held = engine._resident_total() + len(engine._cache)
+            assert engine._resident.size == held, kind
             # Keys at every N/8-th rank and beside them, the ends of the
             # key domain and keys past both ends of the data.
             near = keys[np.linspace(0, n - 1, 9).astype(np.int64)]
