@@ -184,38 +184,31 @@ class PartitionIndex(LazyPartitionIndex):
         self._n0 = n
         self._drift = 0
         self._m_drift.set(0)
-        if n == 0:
-            self._leaves = [_Leaf([], 0)]
-            self._bounds = np.empty(0, dtype=np.int64)
-            self._resum()
-            self._sync_resident()
-            if free_input:
-                file.free()
-            return
-        validate_params(n, k, self.a, self.b)
-        with m.phase("svc-build"):
-            pf = approximate_partition(m, file, k, self.a, self.b)
-            parts = [
-                _Leaf(pf.segments_of(p), pf.partition_sizes[p])
-                for p in range(pf.num_partitions)
-            ]
-            # One scan extracts the splitter composites (the max composite
-            # of every partition) and the uid high-water mark for appends.
-            maxima: list[int] = []
-            max_uid = -1
-            try:
-                for part in parts:
-                    part_max = -(1 << 62)
-                    for seg in part.segments:
-                        with BlockReader(seg, "svc-build-splitters") as reader:
-                            for block in reader:
-                                cmp_linear(m, 2 * len(block))
-                                part_max = max(part_max, int(composite(block).max()))
-                                max_uid = max(max_uid, int(block["uid"].max()))
-                    maxima.append(part_max)
-            except BaseException:
-                pf.free()
-                raise
+        parts, maxima, max_uid = [_Leaf([], 0)], [], -1
+        if n:
+            validate_params(n, k, self.a, self.b)
+            with m.phase("svc-build"):
+                pf = approximate_partition(m, file, k, self.a, self.b)
+                parts = [
+                    _Leaf(pf.segments_of(p), pf.partition_sizes[p])
+                    for p in range(pf.num_partitions)
+                ]
+                # One scan extracts the splitter composites (the max
+                # composite of every partition) and the uid high-water
+                # mark for appends.
+                try:
+                    for part in parts:
+                        part_max = -(1 << 62)
+                        for seg in part.segments:
+                            with BlockReader(seg, "svc-build-splitters") as reader:
+                                for block in reader:
+                                    cmp_linear(m, 2 * len(block))
+                                    part_max = max(part_max, int(composite(block).max()))
+                                    max_uid = max(max_uid, int(block["uid"].max()))
+                        maxima.append(part_max)
+                except BaseException:
+                    pf.free()
+                    raise
         self._leaves = parts
         self._bounds = np.array(maxima[:-1], dtype=np.int64)
         self._resum()

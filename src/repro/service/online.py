@@ -81,7 +81,8 @@ class _Leaf:
     @property
     def footprint(self) -> int:
         """Buffer records needed to load the leaf (whole blocks)."""
-        return sum(seg.num_blocks * seg.machine.B for seg in self.segments)
+        segs = self.segments
+        return segs[0].machine.B * sum(s.num_blocks for s in segs) if segs else 0
 
     def tomb_array(self) -> np.ndarray:
         """The tombstones as a sorted array."""
@@ -263,7 +264,7 @@ class LazyPartitionIndex:
             for p, rec in zip(positions, answers):
                 out[p] = rec
                 if len(self._cache) < self._cache_cap:
-                    self._cache[int(unique[p])] = rec.copy()
+                    self._cache[int(unique[p])] = rec
             # Only the cache grew since the lease was last sized: grow the
             # lease by the new answers rather than re-sum the control state.
             self._resident.resize(self._resident.size + len(self._cache) - cached)
