@@ -11,7 +11,8 @@ live under updates.
 :class:`~repro.service.online.LazyPartitionIndex`'s: ``O(log K)``
 comparisons to locate a leaf, one leaf load shared by every rank
 landing in it (answers cached until the next update), and a range count
-that scans at most its two boundary partitions, each once.  Where the
+that scans at most the two partitions it cuts, each once.  Appends widen
+the leaf list's closed outer edges before they land.  Where the
 lazy engine refines an oversized leaf, the eager one compacts it: the
 ``[a, b]`` window owns partition sizes.  Every query first flushes the
 buffered updates below.
@@ -399,8 +400,14 @@ class PartitionIndex(LazyPartitionIndex):
             ops[:n] = [("append", batch)]
             # Replayed appends carry the uids their original run assigned.
             self._next_uid = max(self._next_uid, int(batch["uid"].max()) + 1)
-            j_of = np.searchsorted(self._bounds, composite(batch), "left")
+            comps = composite(batch)
+            j_of = np.searchsorted(self._bounds, comps, "left")
             cmp_search(m, len(batch), max(1, len(self._bounds)))
+            # Widen the closed edges before any record lands, so a range
+            # past a learned edge still counts what this batch adds.
+            cmp_linear(m, 2 * len(batch))
+            self._lo = min(self._lo, int(comps.min()))
+            self._hi = max(self._hi, int(comps.max()))
             done = np.zeros(len(batch), dtype=bool)
             try:
                 for j in np.unique(j_of).tolist():
@@ -698,9 +705,10 @@ class PartitionIndex(LazyPartitionIndex):
     def check_invariants(self) -> bool:
         """Verify structural invariants (uncounted; tests only).
 
-        Checks splitter monotonicity, per-partition composite ranges,
-        tombstone containment, size bookkeeping, and — whenever more
-        than one partition exists — the ``[a, b]`` window.
+        Checks splitter monotonicity, per-partition composite ranges
+        (inside the closed edges too), tombstone containment, size
+        bookkeeping, and — whenever more than one partition exists —
+        the ``[a, b]`` window.
         """
         assert len(self._bounds) == max(0, len(self._leaves) - 1)
         if len(self._bounds) > 1:
@@ -721,6 +729,9 @@ class PartitionIndex(LazyPartitionIndex):
                     assert comps.min() > self._bounds[j - 1]
                 if j < len(self._leaves) - 1 and len(comps):
                     assert comps.max() <= self._bounds[j]
+                if len(comps):
+                    assert self._lo <= int(comps.min())
+                    assert int(comps.max()) <= self._hi
                 assert part.tombstones <= set(int(c) for c in comps)
                 if len(self._leaves) > 1:
                     assert self.a <= part.live <= self.b

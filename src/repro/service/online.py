@@ -2,11 +2,18 @@
 
 Both service engines keep the paper's K-partitioning as one sorted list
 of leaves (:class:`_Leaf`): leaf ``j`` holds the composites in
-``(bounds[j-1], bounds[j]]``, open at both ends of the list.
-:class:`LazyPartitionIndex` answers every query over it for both
-engines; the eager :class:`~repro.service.index.PartitionIndex` is the
-same list built to K leaves up front that also takes updates, and
-inherits every query.
+``(bounds[j-1], bounds[j]]``, and the two outer edges are closed by the
+smallest and largest composite the list may hold (two words, starting
+at the ends of the composite domain and tightened by scans of the edge
+leaves).  :class:`LazyPartitionIndex` answers every query over it for
+both engines; the eager :class:`~repro.service.index.PartitionIndex` is
+the same list built to K leaves up front that also takes updates, and
+inherits every query.  A range count covers its range with the leaves
+through :func:`cover_range`, as the paper's splitters count whole
+partitions from their sizes: a range outside the data costs nothing,
+an edge leaf it spans counts from its size, and only the (at most two)
+leaves it cuts are scanned.  The shard router applies the same rule to
+its shards.
 
 Barbay–Gupta's observation ("Near-Optimal Online Multiselection in
 Internal and External Memory") is that an *online* sequence of selection
@@ -42,7 +49,14 @@ import numpy as np
 from ..em.comparisons import cmp_linear, cmp_search
 from ..em.errors import SpecError
 from ..em.file import EMFile
-from ..em.records import UID_MAX, composite, composite_of, empty_records
+from ..em.records import (
+    KEY_MAX,
+    KEY_MIN,
+    UID_MAX,
+    composite,
+    composite_of,
+    empty_records,
+)
 from ..em.streams import BlockReader
 from ..alg.inmemory import select_at_ranks
 from ..alg.sampling import approx_quantile_pivots, max_distribution_fanout
@@ -54,7 +68,51 @@ from ..obs.metrics import current_registry
 if TYPE_CHECKING:  # pragma: no cover
     from ..em.machine import Machine
 
-__all__ = ["LazyPartitionIndex"]
+__all__ = ["LazyPartitionIndex", "cover_range"]
+
+#: The ends of the composite domain: where an engine's edges start,
+#: since they bound every composite before anything is known.
+_LO_END = composite_of(KEY_MIN, 0)
+_HI_END = composite_of(KEY_MAX, UID_MAX)
+
+
+def cover_range(
+    machine: "Machine", bounds, cum, lo: int, hi: int, lo_c: int, hi_c: int
+) -> tuple[int, list[int]]:
+    """Cover ``(lo_c, hi_c]`` with the parts of a closed sorted list.
+
+    Part ``j`` holds the composites in ``(E[j], E[j+1]]``, where ``E =
+    (lo - 1, *bounds, hi)`` and ``lo``/``hi`` bound every composite the
+    parts hold; ``cum[j]`` counts the records of parts ``0..j``.
+    Returns the records of the parts the range spans, counted from
+    their sizes, and the nonempty parts it cuts (at most two,
+    ascending), which the caller probes.  A range that misses ``[lo,
+    hi]`` spans and cuts nothing.  The engine scans the cut leaves, the
+    router messages the cut shards.  Composites are Python ints, so
+    keys beyond the record domain compare exactly.
+    """
+    cmp_linear(machine, 2)
+    if hi_c < lo or lo_c >= hi:
+        return 0, []
+    first = int(np.searchsorted(bounds, lo_c, side="right"))
+    last = int(np.searchsorted(bounds, hi_c, side="left"))
+    cmp_search(machine, 2, max(1, len(bounds)))
+    cmp_linear(machine, 2)
+    below = lo - 1 if first == 0 else int(bounds[first - 1])
+    above = hi if last == len(bounds) else int(bounds[last])
+    spanned = int(cum[last]) - (int(cum[first - 1]) if first else 0)
+    cut = set()
+    if below < lo_c:
+        cut.add(first)
+    if above > hi_c:
+        cut.add(last)
+    probe = []
+    for j in sorted(cut):
+        size = int(cum[j]) - (int(cum[j - 1]) if j else 0)
+        spanned -= size
+        if size:
+            probe.append(j)
+    return spanned, probe
 
 
 class _Leaf:
@@ -157,6 +215,12 @@ class LazyPartitionIndex:
         self._leaves: list[_Leaf] = []
         self._bounds = np.empty(0, dtype=np.int64)
         self._cum = np.zeros(1, dtype=np.int64)
+        # The closed outer edges: every live composite lies in [_lo, _hi].
+        # They start at the domain ends and tighten as scans of the edge
+        # leaves see their records; two words, uncharged like
+        # _leaf_target.
+        self._lo = _LO_END
+        self._hi = _HI_END
         self._cache: dict[int, np.void] = {}
         self._cache_cap = max(machine.B, machine.M // 8)
         self._resident = machine.memory.lease(0, "svc-resident")
@@ -207,6 +271,7 @@ class LazyPartitionIndex:
 
     def quantile(self, q: float):
         """The record at the ``q``-quantile (nearest rank)."""
+        self._check_open("quantile")
         self._flush()
         n = self.n_live
         if n == 0:
@@ -219,6 +284,7 @@ class LazyPartitionIndex:
         Distinct ranks sharing a leaf share one leaf load; cached ranks
         cost zero I/O.
         """
+        self._check_open("select")
         self._flush()
         ranks = np.asarray(ranks, dtype=np.int64)
         if ranks.size == 0:
@@ -280,13 +346,19 @@ class LazyPartitionIndex:
     def range_count(self, lo_key: int, hi_key: int) -> int:
         """Number of live elements with key in ``(lo_key, hi_key]``.
 
-        Both endpoints route through the bounds to their leaves; the
-        leaves strictly between count from their sizes, and only the
-        (at most two) boundary leaves are scanned (streaming, no
-        refinement forced).  An empty interval ``(k, k]`` costs nothing.
+        The leaf list's outer edges are closed at ``_lo`` and ``_hi``,
+        the smallest and largest composite it may hold, so
+        :func:`cover_range` gives the count: a range that misses
+        ``[_lo, _hi]`` answers 0, every leaf it spans (an edge leaf
+        included) counts from its size, and only the (at most two)
+        nonempty leaves it cuts are scanned, streaming, with no
+        refinement forced.  The edges start at the ends of the composite
+        domain; a scan of the first or last leaf tightens them to the
+        composites it saw.  An empty interval ``(k, k]`` costs nothing.
         """
         if hi_key < lo_key:
             raise SpecError("empty range: hi_key < lo_key")
+        self._check_open("range_count")
         self._flush()
         if lo_key == hi_key or self.n_live == 0:
             return 0
@@ -294,23 +366,27 @@ class LazyPartitionIndex:
         lo_c = composite_of(lo_key, UID_MAX)
         hi_c = composite_of(hi_key, UID_MAX)
         with m.phase("svc-range"):
-            first = int(np.searchsorted(self._bounds, lo_c, side="right"))
-            last = int(np.searchsorted(self._bounds, hi_c, side="left"))
-            cmp_search(m, 2, max(1, len(self._bounds)))
-            total = int(self._cum[last - 1] - self._cum[first]) if last > first else 0
-            for leaf in sorted({first, last}):
+            total, probe = cover_range(
+                m, self._bounds, self._cum, self._lo, self._hi, lo_c, hi_c
+            )
+            for leaf in probe:
                 total += self._scan_count(leaf, lo_c, hi_c)
             return total
 
     def partition_of(self, key: int) -> int:
         """Index (in left-to-right leaf order) of the first leaf whose
         range may contain ``key`` — zero I/O, no refinement."""
+        self._check_open("partition_of")
         self._flush()
-        if self._closed:
-            raise SpecError("partition_of on a closed index")
         leaf = int(np.searchsorted(self._bounds, composite_of(key, 0), side="left"))
         cmp_search(self._machine, 1, max(1, len(self._bounds)))
         return leaf
+
+    def _check_open(self, query: str) -> None:
+        """Raise unless the engine is open: a closed one holds no leaves,
+        so any answer it gave would be wrong."""
+        if self._closed:
+            raise SpecError(f"{query} on a closed index")
 
     # ------------------------------------------------------------------
     # Leaf mechanics
@@ -437,16 +513,32 @@ class LazyPartitionIndex:
 
     def _scan_count(self, leaf: int, lo_c: int, hi_c: int) -> int:
         """Live elements of ``leaf`` with composite in ``(lo_c, hi_c]``,
-        by one streaming scan."""
+        by one streaming scan.
+
+        A scan of the first or last leaf whose edge is still at the
+        domain end also learns that edge from the composites it sees
+        (tombstoned records included, which still bound the live ones).
+        """
         m = self._machine
         part = self._leaves[leaf]
+        want_lo = leaf == 0 and self._lo == _LO_END
+        want_hi = leaf == len(self._leaves) - 1 and self._hi == _HI_END
+        lows, highs = [], []
         count = 0
         for seg in part.segments:
             with BlockReader(seg, "svc-range-scan") as reader:
                 for block in reader:
-                    cmp_linear(m, 2 * len(block))
+                    cmp_linear(m, (2 + want_lo + want_hi) * len(block))
                     comps = composite(block)
                     count += int(((comps > lo_c) & (comps <= hi_c)).sum())
+                    if want_lo:
+                        lows.append(int(comps.min()))
+                    if want_hi:
+                        highs.append(int(comps.max()))
+        if lows:
+            self._lo = max(self._lo, min(lows))
+        if highs:
+            self._hi = min(self._hi, max(highs))
         if part.tombstones:
             tomb = part.tomb_array()
             cmp_search(m, 2, len(tomb))

@@ -18,17 +18,23 @@ Merging per-shard partial answers at the coordinator:
   Select and range-count answers are determined by the input multiset,
   so they are *element-identical* to the single-machine engine (the
   differential tests assert this).
-* **bucket counts** — ``range_count`` routes both endpoints through
-  the splitters.  Shards wholly inside the range count from their
-  sealed sizes at the coordinator; only the (at most two) shards an
-  endpoint falls in are asked for a local count, as the paper's
-  K-splitters count whole partitions without reading them.
+* **bucket counts** — the paper's K-splitters count whole partitions
+  without reading them, and the router closes the two outer ones: the
+  ingest pass keeps the input's smallest and largest composite, so the
+  shards are ``(E[i], E[i+1]]`` with ``E = (min - 1, *splitters,
+  max)``.  ``range_count`` covers the range with them through
+  :func:`~repro.service.online.cover_range`, the rule the engine uses
+  for its leaves: a range that misses ``[min, max]`` answers 0, every
+  shard it spans (an edge shard included) counts from its sealed size
+  at the coordinator, and only the (at most two) nonempty shards it
+  cuts are asked for a local count.
 * ``partition_of`` — the owning shard's local leaf index plus the leaf
   counts of the nonempty shards to its left.  Every reply carries its
   shard's current leaf count, and the router keeps the latest one, so a
-  lookup sends one ``part`` request (none for an empty shard).  Leaf
-  *structure* depends on refinement history, so this (alone) is not
-  asserted identical to the single-machine engine.
+  lookup sends one ``part`` request, and none for an empty shard or a
+  key outside ``[min, max]`` (its answer is 0 or the owning shard's last
+  leaf).  Leaf *structure* depends on refinement history, so this
+  (alone) is not asserted identical to the single-machine engine.
 
 Every reply's worker-side I/O envelope feeds the ``svc_shard_io``
 per-shard histogram, which works identically for in-process and
@@ -42,11 +48,19 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from ..alg.sampling import approx_quantile_pivots
-from ..em.comparisons import cmp_search
+from ..em.comparisons import cmp_linear, cmp_search
 from ..em.errors import SpecError
-from ..em.records import UID_MAX, composite, composite_of, empty_records
+from ..em.records import (
+    KEY_MAX,
+    KEY_MIN,
+    UID_MAX,
+    composite,
+    composite_of,
+    empty_records,
+)
 from ..em.streams import scan_chunks
 from ..obs.metrics import current_registry
+from ..service.online import cover_range
 from .transport import Message, ShardError
 from .worker import make_pool
 
@@ -62,7 +76,13 @@ class ShardRouter:
     the partial answers; construct via :func:`build_sharded_service`."""
 
     def __init__(
-        self, machine: "Machine", pool, splitters: np.ndarray, sizes, leaves
+        self,
+        machine: "Machine",
+        pool,
+        splitters: np.ndarray,
+        sizes,
+        leaves,
+        edges: tuple[int, int],
     ) -> None:
         self._machine = machine
         self._pool = pool
@@ -70,9 +90,13 @@ class ShardRouter:
         self._sizes = np.asarray(sizes, dtype=np.int64)
         self._cum = np.cumsum(self._sizes)
         self._leaves = np.asarray(leaves, dtype=np.int64)
+        # The smallest and largest composite held: shard j holds
+        # (E[j], E[j+1]] with E = (lo - 1, *splitters, hi).
+        self._lo, self._hi = (int(c) for c in edges)
         # Coordinator-resident routing state: W-1 splitter composites
         # plus W cumulative sizes plus W leaf counts, 3W-1 words =
-        # ceil((3W-1)/3) records.
+        # ceil((3W-1)/3) records; the two edge words are left uncharged
+        # like the engine's.
         self._resident = machine.memory.lease(
             -(-(3 * len(self._sizes) - 1) // 3), "shard-router-resident"
         )
@@ -147,22 +171,24 @@ class ShardRouter:
         return out
 
     def range_count(self, lo_key: int, hi_key: int) -> int:
-        """Number of elements with key in ``(lo_key, hi_key]``: the two
-        boundary shards' counts plus the sizes of the shards between.
+        """Number of elements with key in ``(lo_key, hi_key]``: the
+        sizes of the shards the range spans plus the counts of the
+        shards it cuts.
 
-        Both endpoints route through the splitters as
-        :meth:`partition_of` does (shard ``i`` holds the composites in
-        ``(s_{i-1}, s_i]``).  Shards left of the ``lo_key`` endpoint's
-        shard or right of the ``hi_key`` endpoint's shard are disjoint
-        from the range and cost nothing; shards strictly between the two
-        lie inside it and are counted from their sealed sizes at the
-        coordinator.  Only the boundary shards get a ``range_count``
-        message: two at most, one when both endpoints share a shard,
-        none for an empty shard.  A shard is read-only after ``seal``,
-        so an interior shard's size stays exact even once its worker
-        has died: a range covering a killed shard still answers, while
-        a range ending inside it raises :class:`ShardError`.  An empty
-        interval ``(k, k]`` answers 0 without a message.
+        The shards form a sorted part list with closed outer edges, the
+        smallest and largest composite of the input (shard ``i`` holds
+        ``(E[i], E[i+1]]`` with ``E = (min - 1, *splitters, max)``), and
+        :func:`~repro.service.online.cover_range` covers the range with
+        them.  A range that misses ``[min, max]`` answers 0 and a shard
+        it spans counts from its sealed size at the coordinator, edge
+        shards included.  Only a nonempty shard that the range cuts gets
+        a ``range_count`` message: two at most, one when both endpoints
+        cut the same shard.  A shard is read-only after ``seal``, so a
+        spanned shard's size stays exact even once its worker has died:
+        a range covering a killed shard, or reaching past a killed edge
+        shard's outer edge, still answers, while a range ending inside
+        it raises :class:`ShardError`.  An empty interval ``(k, k]``
+        answers 0 without a message.
         """
         if hi_key < lo_key:
             raise SpecError("empty range: hi_key < lo_key")
@@ -170,15 +196,16 @@ class ShardRouter:
             raise ShardError("range_count on a closed router")
         if lo_key == hi_key:
             return 0
-        ends = [composite_of(lo_key, UID_MAX), composite_of(hi_key, UID_MAX)]
+        lo_c = composite_of(lo_key, UID_MAX)
+        hi_c = composite_of(hi_key, UID_MAX)
         with self._machine.phase("shard-route"):
-            first, last = (int(s) for s in np.searchsorted(self._splitters, ends))
-            cmp_search(self._machine, 2, len(self._splitters))
-        total = int(self._sizes[first + 1 : last].sum())
-        for shard in sorted({first, last}):
-            if self._sizes[shard]:
-                reply = self._request(shard, "range_count", (int(lo_key), int(hi_key)))
-                total += int(reply.payload)
+            total, probe = cover_range(
+                self._machine, self._splitters, self._cum,
+                self._lo, self._hi, lo_c, hi_c,
+            )
+        for shard in probe:
+            reply = self._request(shard, "range_count", (int(lo_key), int(hi_key)))
+            total += int(reply.payload)
         return total
 
     def partition_of(self, key: int) -> int:
@@ -190,9 +217,13 @@ class ShardRouter:
         The offset comes from the leaf counts the router holds: every
         reply carries its shard's count after handling the request, and
         only a select changes it.  So one ``part`` request answers a
-        lookup, and none is sent for an empty shard.  A key to the right
-        of a killed shard still answers from the held count; a key
-        inside the killed shard raises :class:`ShardError`.
+        lookup, and none is sent for an empty shard or a key outside the
+        edges: a key whose lowest composite is at or below the smallest
+        composite held answers 0, and one above the largest answers its
+        shard's last leaf, as the worker would.  A key to the right of a
+        killed shard, or past the largest key when the last shard is
+        killed, still answers from the held counts; a key inside the
+        killed shard raises :class:`ShardError`.
         """
         if self._closed:
             raise ShardError("partition_of on a closed router")
@@ -200,10 +231,13 @@ class ShardRouter:
         with self._machine.phase("shard-route"):
             shard = int(np.searchsorted(self._splitters, c, side="left"))
             cmp_search(self._machine, 1, max(1, len(self._splitters)))
+            cmp_linear(self._machine, 2)
         nonempty = self._sizes[:shard] > 0
         leaves_left = int(self._leaves[:shard][nonempty].sum())
-        if self._sizes[shard] == 0:
+        if c <= self._lo or self._sizes[shard] == 0:
             return leaves_left
+        if c > self._hi:
+            return leaves_left + int(self._leaves[shard]) - 1
         return leaves_left + int(self._request(shard, "part", int(key)).payload)
 
     # ------------------------------------------------------------------
@@ -278,6 +312,9 @@ def build_sharded_service(
 
     pool = make_pool(workers, machine, shards)
     sent = [0] * shards
+    # The input's smallest and largest composite, the router's closed
+    # edges; an empty input leaves them crossed, with every shard empty.
+    lo, hi = composite_of(KEY_MAX, UID_MAX), composite_of(KEY_MIN, 0)
     try:
         kernel = machine.kernel
         with machine.phase("shard-ingest"):
@@ -285,6 +322,10 @@ def build_sharded_service(
                 for chunk in chunks:
                     if len(chunk) == 0:
                         continue
+                    chunk_c = composite(chunk)
+                    cmp_linear(machine, 2 * len(chunk))
+                    lo = min(lo, int(chunk_c.min()))
+                    hi = max(hi, int(chunk_c.max()))
                     if len(comps):
                         idx = kernel.bucket_of(chunk, comps)
                         cmp_search(machine, len(chunk), len(comps))
@@ -314,4 +355,4 @@ def build_sharded_service(
         raise ShardError(
             f"sharded ingest lost records: sent {n}, sealed {sum(sizes)}"
         )
-    return ShardRouter(machine, pool, comps, sizes, leaves)
+    return ShardRouter(machine, pool, comps, sizes, leaves, (lo, hi))

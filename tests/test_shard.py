@@ -411,10 +411,50 @@ class TestRangeCount:
         for workers in ("inproc", "process"):
             coord, f, router = _build(records, 4, workers)
             ends = _edge_keys(router, records["key"])
-            answers[workers] = _range_counts(router, ends)
+            answers[workers] = (
+                _range_counts(router, ends),
+                [router.partition_of(key) for key in ends],
+            )
             _teardown(coord, f, router)
         assert answers["process"] == answers["inproc"]
-        assert answers["inproc"] == _oracle_counts(records["key"], ends)
+        assert answers["inproc"][0] == _oracle_counts(records["key"], ends)
+
+    @pytest.mark.parametrize("w", [1, 2, 4, 8])
+    @pytest.mark.parametrize("gen", INPUTS, ids=lambda g: g.__name__)
+    def test_ranges_outside_or_across_the_edges(self, gen, w, monkeypatch):
+        # A range that misses every key sends nothing; one reaching past
+        # the smallest or the largest key spans that edge shard and
+        # messages at most the shard its other endpoint cuts.
+        records = gen(self.N, seed=5)
+        sent = _record_requests(monkeypatch)
+        coord, f, router = _build(records, w)
+        keys = records["key"]
+        lo, hi = int(keys.min()), int(keys.max())
+        ends = _edge_keys(router, keys)
+        want = iter(_oracle_counts(keys, ends))
+        for i, a in enumerate(ends):
+            for b in ends[i:]:
+                sent.clear()
+                assert router.range_count(a, b) == next(want), (a, b)
+                asked = [kind for kind, _ in sent if kind == "range_count"]
+                if b < lo or a >= hi:
+                    assert asked == [], (a, b)
+                elif a < lo or b >= hi:
+                    assert len(asked) <= 1, (a, b)
+        _teardown(coord, f, router)
+
+    def test_killed_last_shard_leaves_ranges_past_it_answering(self):
+        records = random_permutation(self.N, seed=5)
+        coord, f, router = _build(records, 4)
+        router._pool.kill(3)
+        # Past the largest key, and over every shard: no message.
+        assert router.range_count(self.N - 1, KEY_MAX) == 0
+        assert router.range_count(self.N - 1, 10**12) == 0
+        assert router.range_count(-(10**12), 10**12) == self.N
+        # A range ending inside the dead shard still fails.
+        with pytest.raises(ShardError, match="shard 3"):
+            router.range_count(-1, self.N - 2)
+        _teardown(coord, f, router)
 
     def test_empty_shards_get_no_message(self, monkeypatch):
         # Three records over eight shards: the splitters cover three
@@ -518,6 +558,42 @@ class TestPartitionOf:
             # More selects refine the shards; the held counts follow.
             router.batch_select(np.arange(1, self.N + 1, 37, dtype=np.int64))
         assert totals[1] > totals[0]
+        _teardown(coord, f, router)
+
+    @pytest.mark.parametrize("w", [1, 2, 4, 8])
+    @pytest.mark.parametrize(
+        "gen", TestRangeCount.INPUTS, ids=lambda g: g.__name__
+    )
+    def test_keys_outside_the_edges_send_nothing(self, gen, w, monkeypatch):
+        records = gen(self.N, seed=5)
+        sent = _record_requests(monkeypatch)
+        coord, f, router = _build(records, w)
+        lo, hi = int(records["key"].min()), int(records["key"].max())
+        outside = [
+            key
+            for key in (-(10**12), KEY_MIN, lo - 1, lo, hi + 1, KEY_MAX, 10**12)
+            if key <= lo or key > hi
+        ]
+        for _ in range(2):
+            for key in outside:
+                sent.clear()
+                got = router.partition_of(key)
+                assert sent == [], key
+                assert got == _asked_leaf_index(router, key), key
+            # More selects refine the shards; the held counts follow.
+            router.batch_select(np.arange(1, self.N + 1, 37, dtype=np.int64))
+        _teardown(coord, f, router)
+
+    def test_killed_last_shard_leaves_keys_past_it_answering(self):
+        records = random_permutation(self.N, seed=5)
+        coord, f, router = _build(records, 4)
+        before = router.partition_of(KEY_MAX)
+        router._pool.kill(3)
+        assert router.partition_of(KEY_MAX) == before
+        assert router.partition_of(10**12) == before
+        assert router.partition_of(-1) == 0
+        with pytest.raises(ShardError, match="shard 3"):
+            router.partition_of(self.N - 1)
         _teardown(coord, f, router)
 
     def test_killed_shard_leaves_right_shards_answering(self):
