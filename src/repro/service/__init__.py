@@ -5,10 +5,11 @@ keeps the approximate partitioning *alive* and serves traffic against
 it:
 
 * :mod:`repro.service.online` — the sorted leaf list (leaves delimited
-  by splitter composites) and the one query path over it: selection,
+  by splitter composites, outer edges closed by the smallest and
+  largest composite) and the one query path over it: selection,
   quantile, range-count, and partition-lookup queries with
   ``O(log K)`` in-memory comparisons plus at most one leaf load or two
-  boundary-leaf scans each.  Its
+  scans of the leaves a range cuts each.  Its
   :class:`~repro.service.online.LazyPartitionIndex` is Barbay–Gupta-style
   lazy refinement: the sorted pivot set grows only where queries land,
   so skewed traces pay far less than building the full index;

@@ -360,7 +360,7 @@ class LazyPartitionIndex:
             raise SpecError("empty range: hi_key < lo_key")
         self._check_open("range_count")
         self._flush()
-        if lo_key == hi_key or self.n_live == 0:
+        if lo_key == hi_key:
             return 0
         m = self._machine
         lo_c = composite_of(lo_key, UID_MAX)

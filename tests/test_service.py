@@ -5,7 +5,8 @@ rebalancing, rebuild), the lazy :class:`LazyPartitionIndex` (refinement,
 caching, memory-pressure eviction, and its leaf list's answers and
 counters over four input generators), the one query path both engines
 share (every engine over every input generator, boundary-leaf reads and
-charges, the eager answer cache), the batching :class:`QueryFrontend`,
+charges, the eager answer cache, the closed outer edges and closed
+engines), the batching :class:`QueryFrontend`,
 and — throughout — *differential* identity: the service's answers must
 be element-for-element what sorting (or an offline multi-selection)
 would produce, including across update and rebalance boundaries.
@@ -403,7 +404,9 @@ class TestLazyLeafList:
 class TestOneQueryPath:
     """Both engines answer through the lazy engine's one query path:
     every engine over every input generator agrees with the sorted-array
-    oracle, and an eager query reads and charges as the leaf list does."""
+    oracle, an eager query reads and charges as the leaf list does, a
+    range outside the learned edges reads nothing, appends widen the
+    edges (across a crash too), and a closed engine answers nothing."""
 
     N, K = 4096, 16
     INPUTS = {**WORKLOADS, "hard": functools.partial(hard_permutation, block=16)}
@@ -525,7 +528,6 @@ class TestOneQueryPath:
         assert mach.comparisons >= 2 * scanned
         engine.close()
         f.free()
-
 
     # ------------------------------------------------------------------
     # Closed outer edges: learned by edge-leaf scans, widened by appends
@@ -692,18 +694,20 @@ class TestOneQueryPath:
         engine, _ = self._engine(kind, mach, f, recs)
         assert engine.range_count(-1, 1999) == 2000  # learns both edges
         getattr(engine, end)()
-        queries = {
-            "select": lambda: engine.select(1),
-            "select ": lambda: engine.batch_select(np.array([], dtype=np.int64)),
-            "quantile": lambda: engine.quantile(0.5),
-            "partition_of": lambda: engine.partition_of(5),
-            "range_count": lambda: engine.range_count(5, 5),
-            "range_count ": lambda: engine.range_count(2000, self.FAR),
-            "range_count  ": lambda: engine.range_count(-self.FAR, self.FAR),
-            "range_count   ": lambda: engine.range_count(10, 20),
-        }
-        for name, query in queries.items():
-            with pytest.raises(SpecError, match=f"{name.strip()} on a closed index"):
+        # Each shortcut (an empty batch or interval, a range past an
+        # edge or spanning both) comes after the check.
+        queries = [
+            ("select", lambda: engine.select(1)),
+            ("select", lambda: engine.batch_select(np.array([], dtype=np.int64))),
+            ("quantile", lambda: engine.quantile(0.5)),
+            ("partition_of", lambda: engine.partition_of(5)),
+            ("range_count", lambda: engine.range_count(5, 5)),
+            ("range_count", lambda: engine.range_count(2000, self.FAR)),
+            ("range_count", lambda: engine.range_count(-self.FAR, self.FAR)),
+            ("range_count", lambda: engine.range_count(10, 20)),
+        ]
+        for name, query in queries:
+            with pytest.raises(SpecError, match=f"{name} on a closed index"):
                 query()
         f.free()
 

@@ -4,8 +4,9 @@ Covers the charged-communication primitive (``em.wire``), the
 endpoints, the differential guarantee (sharded answers element-identical
 to the single-machine engine across shard counts, kernels, and sanitize
 mode, with counter conservation under the tracer), the declared request
-protocol, range counts that message only their boundary shards,
-``partition_of`` lookups that send one request, shard isolation (no
+protocol, range counts that message only the shards they cut (none
+outside the data), ``partition_of`` lookups that send one request (none
+outside the data), shard isolation (no
 worker state reachable from the router), worker-failure behavior, real
 process workers, and the shard-skew trace generator.
 """
