@@ -108,11 +108,15 @@ see ``repro <command> --help`` for every flag.
   `--check-budgets` it additionally runs the I/O-budget regression gate
   (`repro.obs.budget`) and exits non-zero if any algorithm exceeds its
   committed envelope.
-- `repro trace ALGORITHM [--out DIR] [--n N] [--k K] ...` — run one
-  registered solver (`repro.obs.solvers`) under the span tracer
-  (`repro.obs.tracer`) and write three artifacts: a Chrome trace-event
-  JSON loadable at <https://ui.perfetto.dev>, a rendered text tree with
-  per-span I/O shares, and the plain-dict span JSON.
+- `repro trace ALGORITHM [--json] [--out DIR] [--n N] [--k K] ...` —
+  run one registered solver (`repro.obs.solvers`) once, under the span
+  tracer (`repro.obs.tracer`) and inside a metrics scope
+  (`repro.obs.metrics`) and a flight-recorder scope
+  (`repro.obs.recorder`), and write five artifacts from that one run: a
+  Chrome trace-event JSON loadable at <https://ui.perfetto.dev>, a
+  rendered text tree with per-span I/O shares, Prometheus text, the
+  flight-recorder event dump, and the plain-dict span JSON, which also
+  carries the metrics and the flight events.
 - `repro budgets [--write] [--path FILE] [--headroom H]` —
   check every registered solver against `benchmarks/budgets.json`, or
   recalibrate and rewrite the envelopes after an intentional cost
@@ -123,17 +127,13 @@ see ``repro <command> --help`` for every flag.
   `benchmarks/`; every run checks every file.  Exits non-zero on any
   active error-severity finding (see `docs/LINTING.md` for the rule
   catalog and suppression policy).
-- `repro serve` / `repro query` — the online partition service
-  (`repro.service`): an interactive query loop over stdin, and a
-  one-shot coalesced query batch (`--shards W` answers it through `W`
-  shard workers, `repro.shard`).
-- `repro metrics ALGORITHM [--json] [--out DIR] ...` — run one
-  registered solver inside a metrics scope (`repro.obs.metrics`) and a
-  flight-recorder scope (`repro.obs.recorder`), then export the
-  telemetry three ways: Prometheus text, a JSON payload, and the
-  flight-recorder event dump.  `repro serve --durable` dumps the
-  flight recorder on any unclean exit (`--flight-dump FILE`), and
-  `repro recover --flight-dump FILE` renders such a dump.
+- `repro serve [--engine eager|lazy] [--shards W] [--input FILE]` —
+  the online partition service (`repro.service`): a query loop over
+  stdin or a command file, so a one-shot batch is a piped script
+  (`--shards W` answers through `W` shard workers, `repro.shard`).
+  `repro serve --durable` dumps the flight recorder on any unclean exit
+  (`--flight-dump FILE`), and `repro recover --flight-dump FILE`
+  renders such a dump.
 """
 
 

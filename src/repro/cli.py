@@ -19,26 +19,25 @@ Subcommands:
     Run one algorithm on a generated workload, verify the output, and
     print measured I/O, comparisons, and the phase breakdown.
 ``repro trace ALGORITHM [--out DIR] [--json] [--n N] [--k K] ...``
-    Run one registered solver under the span tracer and export the
-    recorded tree three ways: Chrome/Perfetto ``.trace.json``, a
-    rendered text tree, and the plain-dict span JSON (``--json``
-    prints that payload to stdout for CI artifacts).
-``repro metrics ALGORITHM [--out DIR] [--json] [--n N] ...``
-    Run one registered solver inside a metrics scope + flight recorder
-    and export the service telemetry: a rendered metrics table,
-    Prometheus text exposition (``.prom``), metrics JSON, and the
-    flight-recorder event dump.
+    Run one registered solver once, under the span tracer and inside a
+    metrics scope and a flight recorder, and export what that one run
+    recorded: Chrome/Perfetto ``.trace.json``, a rendered span tree,
+    Prometheus text (``.prom``), the flight-recorder dump, and the
+    plain-dict span JSON, which also carries the metrics and flight
+    events (``--json`` prints that payload to stdout for CI artifacts).
 ``repro budgets [--write] [--path FILE] [--headroom H]``
     Check every registered solver against its committed I/O envelope
     (the regression gate), or recalibrate and rewrite the envelopes.
 ``repro lint [PATH ...] [--json] [--rule RULE ...]``
     Run the emlint EM-conformance rules (R1–R6) over the source tree;
     non-zero exit on any active error-severity finding.
-``repro serve --n N --k K [--engine eager|lazy] [--durable] ...``
-    Interactive partition service: build an index over a generated
-    workload and answer queries (and, with the eager engine, apply
-    appends/deletes) read line-by-line from stdin.  ``--durable`` adds
-    WAL + snapshot persistence and the ``snapshot``/``crash``/``abort``/
+``repro serve --n N --k K [--engine eager|lazy] [--shards W] [--durable] ...``
+    Partition service: build an index over a generated workload and
+    answer queries (and, with the eager engine, apply appends/deletes)
+    read line-by-line from stdin or ``--input FILE``, so a one-shot
+    batch is a piped or written script.  ``--shards W`` answers through
+    ``W`` shard workers (lazy engine).  ``--durable`` adds WAL +
+    snapshot persistence and the ``snapshot``/``crash``/``abort``/
     ``dstats`` commands (``crash`` abandons the live index and recovers
     it from the manifest in-session; ``abort`` simulates an unclean
     exit, which dumps the flight recorder to ``--flight-dump``).
@@ -49,10 +48,6 @@ Subcommands:
     answers are element-identical to an uncrashed shadow run.  With
     ``--flight-dump FILE``, instead render a flight-recorder dump
     written by an earlier unclean ``repro serve`` exit.
-``repro query --n N --k K QUERY [QUERY ...]``
-    One-shot batch: coalesce the given queries (``select:R``,
-    ``quantile:Q``, ``range:LO:HI``, ``part:KEY``) into one frontend
-    flush and print the answers with the measured I/O.
 """
 
 from __future__ import annotations
@@ -231,12 +226,19 @@ def _cmd_solve(args) -> int:
 
 
 def _cmd_trace(args) -> int:
+    """Run one solver once and export its spans, metrics and flight
+    events: the tracer attaches before the run and both scopes wrap the
+    same call, so all three describe one execution."""
     import json
 
     from .experiments.runner import default_out_dir
     from .obs import (
+        FlightRecorder,
+        MetricsRegistry,
         Tracer,
         build_instance,
+        flight_scope,
+        metrics_scope,
         render_span_tree,
         span_rollup,
         traces_to_dict,
@@ -250,23 +252,30 @@ def _cmd_trace(args) -> int:
     }
     solver, machine, file, params = build_instance(args.algorithm, overrides)
     tracer = Tracer()
+    registry = MetricsRegistry()
+    recorder = FlightRecorder()
     tracer.attach(machine)
     try:
-        outcome = solver.run(machine, file, params)
+        with metrics_scope(registry), flight_scope(recorder):
+            outcome = solver.run(machine, file, params)
     finally:
         file.free()
         tracer.detach(machine)
 
     out_dir = Path(args.out) if args.out else default_out_dir() / "traces"
     out_dir.mkdir(parents=True, exist_ok=True)
+    name = args.algorithm
     chrome_path = write_chrome_trace(
-        tracer.traces, out_dir / f"{args.algorithm}.trace.json"
+        tracer.traces, out_dir / f"{name}.trace.json"
     )
     tree = render_span_tree(tracer.traces)
-    tree_path = out_dir / f"{args.algorithm}.tree.txt"
+    tree_path = out_dir / f"{name}.tree.txt"
     tree_path.write_text(tree + "\n")
+    prom_path = out_dir / f"{name}.prom"
+    prom_path.write_text(registry.to_prometheus())
+    flight_path = recorder.dump(out_dir / f"{name}.flight.json")
     payload = {
-        "solver": args.algorithm,
+        "solver": name,
         "title": solver.title,
         "params": params,
         "outcome": outcome,
@@ -274,75 +283,25 @@ def _cmd_trace(args) -> int:
         "comparisons": machine.comparisons,
         "rollup": span_rollup(tracer.traces),
         "traces": traces_to_dict(tracer.traces),
+        "metrics": registry.to_dict(),
+        "flight": recorder.to_dict(),
     }
-    spans_path = out_dir / f"{args.algorithm}.spans.json"
+    spans_path = out_dir / f"{name}.spans.json"
     spans_path.write_text(json.dumps(payload, indent=1) + "\n")
 
     if args.json:
         print(json.dumps(payload, indent=1))
         return 0
-    print(f"{args.algorithm}: {outcome}\n")
+    print(f"{name}: {outcome}\n")
     print(tree)
-    print(
-        f"\nwrote {chrome_path} (load at https://ui.perfetto.dev),\n"
-        f"      {tree_path},\n      {spans_path}"
-    )
-    return 0
-
-
-def _cmd_metrics(args) -> int:
-    from .experiments.runner import default_out_dir
-    from .obs import (
-        FlightRecorder,
-        MetricsRegistry,
-        build_instance,
-        flight_scope,
-        metrics_scope,
-    )
-
-    import json
-
-    overrides = {
-        key: getattr(args, key)
-        for key in ("n", "k", "a", "part_size", "memory", "block", "seed")
-        if getattr(args, key) is not None
-    }
-    solver, machine, file, params = build_instance(args.algorithm, overrides)
-    registry = MetricsRegistry()
-    recorder = FlightRecorder()
-    try:
-        with metrics_scope(registry), flight_scope(recorder):
-            outcome = solver.run(machine, file, params)
-    finally:
-        file.free()
-
-    out_dir = Path(args.out) if args.out else default_out_dir() / "metrics"
-    out_dir.mkdir(parents=True, exist_ok=True)
-    prom_path = out_dir / f"{args.algorithm}.prom"
-    prom_path.write_text(registry.to_prometheus())
-    payload = {
-        "solver": args.algorithm,
-        "title": solver.title,
-        "params": params,
-        "outcome": outcome,
-        "io": machine.io.total,
-        "comparisons": machine.comparisons,
-        "metrics": registry.to_dict(),
-        "flight": recorder.to_dict(),
-    }
-    json_path = out_dir / f"{args.algorithm}.metrics.json"
-    json_path.write_text(json.dumps(payload, indent=1) + "\n")
-    flight_path = recorder.dump(out_dir / f"{args.algorithm}.flight.json")
-
-    if args.json:
-        print(json.dumps(payload, indent=1))
-        return 0
-    print(f"{args.algorithm}: {outcome}\n")
+    print()
     print(registry.render())
     print()
     print(recorder.render())
     print(
-        f"\nwrote {prom_path},\n      {json_path},\n      {flight_path}"
+        f"\nwrote {chrome_path} (load at https://ui.perfetto.dev),\n"
+        f"      {tree_path},\n      {prom_path},\n      {flight_path},\n"
+        f"      {spans_path}"
     )
     return 0
 
@@ -383,7 +342,7 @@ def _cmd_lint(args) -> int:
 
 
 def _build_service(args):
-    """Shared setup for the service verbs: machine, input, engine.
+    """The service's machine, input and engine.
 
     Returns ``(machine, file, engine)``; ``file`` is ``None`` when the
     engine took ownership of the data (the eager index copies the input
@@ -397,61 +356,37 @@ def _build_service(args):
         print(f"unknown workload {args.workload!r}; known: "
               f"{', '.join(sorted(WORKLOADS))}", file=sys.stderr)
         raise SystemExit(2)
-    durable = getattr(args, "durable", False)
-    if durable and args.engine != "eager":
+    if args.durable and args.engine != "eager":
         print("--durable requires the eager engine", file=sys.stderr)
         raise SystemExit(2)
-    shards = getattr(args, "shards", 0) or 0
-    if shards and args.engine != "lazy":
+    if args.shards and args.engine != "lazy":
         print("--shards requires the lazy engine", file=sys.stderr)
         raise SystemExit(2)
     machine = Machine(memory=args.memory, block=args.block)
     records = WORKLOADS[args.workload](args.n, seed=args.seed)
     file = load_input(machine, records)
     machine.reset_counters()
-    if shards:
+    if args.shards:
         from .shard import build_sharded_service
 
         router = build_sharded_service(
-            machine, file, shards=shards, k=args.k,
-            workers=getattr(args, "workers", "inproc"),
+            machine, file, shards=args.shards, k=args.k, workers=args.workers,
         )
         return machine, file, router
     if args.engine == "eager":
-        if durable:
+        if args.durable:
             from .service import DurablePartitionIndex
 
             engine = DurablePartitionIndex.build_durable(
                 machine, file, args.k,
-                wal_capacity=getattr(args, "wal_cap", None),
-                snapshot_every=getattr(args, "snapshot_every", 16),
+                wal_capacity=args.wal_cap,
+                snapshot_every=args.snapshot_every,
             )
         else:
             engine = PartitionIndex.build(machine, file, args.k)
         file.free()
         return machine, None, engine
     return machine, file, LazyPartitionIndex(machine, file, k=args.k)
-
-
-def _parse_query_spec(spec: str):
-    """``select:R`` / ``quantile:Q`` / ``range:LO:HI`` / ``part:KEY``
-    (long kinds ``range_count`` / ``partition_of`` also accepted)."""
-    kind, _, rest = spec.partition(":")
-    kind = {"range": "range_count", "part": "partition_of"}.get(kind, kind)
-    try:
-        if kind == "select":
-            return ("select", int(rest))
-        if kind == "quantile":
-            return ("quantile", float(rest))
-        if kind == "range_count":
-            lo, _, hi = rest.partition(":")
-            return ("range_count", int(lo), int(hi))
-        if kind == "partition_of":
-            return ("partition_of", int(rest))
-    except ValueError:
-        pass
-    raise SystemExit(f"bad query spec {spec!r} (want select:R, quantile:Q, "
-                     f"range:LO:HI or part:KEY)")
 
 
 def _print_answers(queries, answers) -> None:
@@ -464,33 +399,6 @@ def _print_answers(queries, answers) -> None:
             print(f"  range_count ({query.lo}, {query.hi}] -> {ans}")
         else:
             print(f"  partition_of {query.key} -> {ans}")
-
-
-def _cmd_query(args) -> int:
-    from .service import Query, QueryFrontend
-
-    machine, file, engine = _build_service(args)
-    try:
-        frontend = QueryFrontend(machine, engine)
-        queries = [Query.coerce(_parse_query_spec(s)) for s in args.queries]
-        for query in queries:
-            frontend.submit(query)
-        answers = frontend.flush()
-        label = args.engine
-        if getattr(args, "shards", 0):
-            label = f"sharded[{engine.nshards}x{args.workers}]"
-        print(f"engine={label} N={args.n} K={args.k} "
-              f"n_live={engine.n_live}")
-        _print_answers(queries, answers)
-        flush = frontend.flushes[-1]
-        print(f"one flush: {flush.queries} queries "
-              f"({flush.distinct_ranks} distinct ranks), {flush.io:,} I/Os "
-              f"({flush.amortized_io:.1f}/query)")
-        return 0
-    finally:
-        engine.close()
-        if file is not None:
-            file.free()
 
 
 def _cmd_serve(args) -> int:
@@ -509,7 +417,7 @@ def _cmd_serve(args) -> int:
         with flight_scope(recorder):
             return _serve_loop(args, recorder)
     except BaseException:
-        if getattr(args, "durable", False):
+        if args.durable:
             dump = Path(args.flight_dump) if args.flight_dump else (
                 default_out_dir() / "flight" / "serve.flight.json"
             )
@@ -525,8 +433,13 @@ def _serve_loop(args, recorder) -> int:
     machine, file, engine = _build_service(args)
     frontend = QueryFrontend(machine, engine)
     eager = args.engine == "eager"
-    durable = getattr(args, "durable", False)
-    mode = "eager+durable" if durable else args.engine
+    durable = args.durable
+    if durable:
+        mode = "eager+durable"
+    elif args.shards:
+        mode = f"sharded[{engine.nshards}x{args.workers}]"
+    else:
+        mode = args.engine
     recorder.record("serve-start", engine=mode, n=args.n, k=args.k)
     print(f"partition service up: engine={mode} N={args.n} "
           f"K={args.k} (M={machine.M}, B={machine.B})")
@@ -759,6 +672,9 @@ def _cmd_report(args) -> int:
 
 
 def main(argv: list[str] | None = None) -> int:
+    from .obs.budget import DEFAULT_HEADROOM
+    from .obs.solvers import SOLVERS
+
     parser = argparse.ArgumentParser(
         prog="repro",
         description=(
@@ -769,9 +685,14 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command")
 
-    sub.add_parser("list", help="list registered experiments")
+    def verb(name, func, summary):
+        p = sub.add_parser(name, help=summary)
+        p.set_defaults(func=func)
+        return p
 
-    run_p = sub.add_parser("run", help="run experiments and print tables")
+    verb("list", _cmd_list, "list registered experiments")
+
+    run_p = verb("run", _cmd_run, "run experiments and print tables")
     run_p.add_argument("exp_ids", nargs="*", help="experiment ids (default: all)")
     run_p.add_argument("--full", action="store_true", help="full sweeps")
     run_p.add_argument("--out", help="directory for rendered tables")
@@ -780,9 +701,9 @@ def main(argv: list[str] | None = None) -> int:
         help="worker processes (default 1 = in-process, serial)",
     )
 
-    sub.add_parser("demo", help="30-second tour of the headline algorithms")
+    verb("demo", _cmd_demo, "30-second tour of the headline algorithms")
 
-    bounds_p = sub.add_parser("bounds", help="evaluate Table 1 for parameters")
+    bounds_p = verb("bounds", _cmd_bounds, "evaluate Table 1 for parameters")
     bounds_p.add_argument("--n", type=int, required=True)
     bounds_p.add_argument("--k", type=int, required=True)
     bounds_p.add_argument("--a", type=int, required=True)
@@ -790,8 +711,8 @@ def main(argv: list[str] | None = None) -> int:
     bounds_p.add_argument("--memory", type=int, default=4096, help="M (records)")
     bounds_p.add_argument("--block", type=int, default=64, help="B (records)")
 
-    report_p = sub.add_parser(
-        "report", help="run every experiment and write EXPERIMENTS.md"
+    report_p = verb(
+        "report", _cmd_report, "run every experiment and write EXPERIMENTS.md"
     )
     report_p.add_argument("--quick", action="store_true", help="quick sweeps")
     report_p.add_argument("--out", default="EXPERIMENTS.md")
@@ -812,7 +733,7 @@ def main(argv: list[str] | None = None) -> int:
         "any exceeded envelope)",
     )
 
-    solve_p = sub.add_parser("solve", help="run one algorithm and verify it")
+    solve_p = verb("solve", _cmd_solve, "run one algorithm and verify it")
     solve_p.add_argument(
         "--problem",
         choices=["splitters", "partition", "multiselect"],
@@ -831,11 +752,10 @@ def main(argv: list[str] | None = None) -> int:
         help="report access-pattern (sequentiality) statistics",
     )
 
-    from .obs.solvers import SOLVERS
-
-    trace_p = sub.add_parser(
-        "trace",
-        help="record and export a span trace of one algorithm",
+    trace_p = verb(
+        "trace", _cmd_trace,
+        "run one algorithm once and export its spans, metrics and flight "
+        "events",
     )
     trace_p.add_argument(
         "algorithm", choices=sorted(SOLVERS),
@@ -847,8 +767,8 @@ def main(argv: list[str] | None = None) -> int:
     )
     trace_p.add_argument(
         "--json", action="store_true",
-        help="print the span payload as JSON to stdout (artifacts are "
-        "still written)",
+        help="print the span payload, with its metrics and flight events, "
+        "as JSON to stdout (artifacts are still written)",
     )
     trace_p.add_argument("--n", type=int, default=None)
     trace_p.add_argument("--k", type=int, default=None)
@@ -858,36 +778,8 @@ def main(argv: list[str] | None = None) -> int:
     trace_p.add_argument("--block", type=int, default=None, help="B (records)")
     trace_p.add_argument("--seed", type=int, default=None)
 
-    metrics_p = sub.add_parser(
-        "metrics",
-        help="run one solver in a metrics scope and export the telemetry",
-    )
-    metrics_p.add_argument(
-        "algorithm", choices=sorted(SOLVERS),
-        help="registered solver to instrument",
-    )
-    metrics_p.add_argument(
-        "--out", default=None, metavar="DIR",
-        help="artifact directory (default benchmarks/out/metrics)",
-    )
-    metrics_p.add_argument(
-        "--json", action="store_true",
-        help="print the metrics payload as JSON to stdout (artifacts are "
-        "still written)",
-    )
-    metrics_p.add_argument("--n", type=int, default=None)
-    metrics_p.add_argument("--k", type=int, default=None)
-    metrics_p.add_argument("--a", type=int, default=None)
-    metrics_p.add_argument("--part-size", dest="part_size", type=int,
-                           default=None)
-    metrics_p.add_argument("--memory", type=int, default=None,
-                           help="M (records)")
-    metrics_p.add_argument("--block", type=int, default=None,
-                           help="B (records)")
-    metrics_p.add_argument("--seed", type=int, default=None)
-
-    budgets_p = sub.add_parser(
-        "budgets", help="check or recalibrate the I/O-budget envelopes"
+    budgets_p = verb(
+        "budgets", _cmd_budgets, "check or recalibrate the I/O-budget envelopes"
     )
     budgets_p.add_argument(
         "--write", action="store_true",
@@ -899,12 +791,12 @@ def main(argv: list[str] | None = None) -> int:
         help="budgets file (default benchmarks/budgets.json)",
     )
     budgets_p.add_argument(
-        "--headroom", type=float, default=None,
+        "--headroom", type=float, default=DEFAULT_HEADROOM,
         help="envelope headroom over the measured ratio when writing",
     )
 
-    lint_p = sub.add_parser(
-        "lint", help="run the emlint EM-conformance rules over the source"
+    lint_p = verb(
+        "lint", _cmd_lint, "run the emlint EM-conformance rules over the source"
     )
     lint_p.add_argument(
         "paths", nargs="*", metavar="PATH",
@@ -920,39 +812,42 @@ def main(argv: list[str] | None = None) -> int:
         help="restrict to these rule ids (repeatable, comma-separable)",
     )
 
-    def _service_args(p, engine_default: str) -> None:
-        p.add_argument("--n", type=int, default=65_536)
-        p.add_argument("--k", type=int, default=64)
-        p.add_argument(
-            "--engine", choices=["eager", "lazy"], default=engine_default,
-            help="eager = materialized PartitionIndex (supports updates); "
-            "lazy = LazyPartitionIndex (read-only, refines on demand)",
-        )
-        p.add_argument("--workload", default="permutation")
-        p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--memory", type=int, default=4096, help="M (records)")
-        p.add_argument("--block", type=int, default=64, help="B (records)")
-
-    def _durable_args(p) -> None:
-        p.add_argument(
-            "--wal-cap", type=int, default=None, dest="wal_cap",
-            help="WAL capacity in blocks (default max(8, M/B))",
-        )
-        p.add_argument(
-            "--snapshot-every", type=int, default=16, dest="snapshot_every",
-            help="snapshot after this many committed flush groups",
-        )
-
-    serve_p = sub.add_parser(
-        "serve", help="interactive partition service over stdin"
+    serve_p = verb(
+        "serve", _cmd_serve, "partition service over stdin or a command file"
     )
-    _service_args(serve_p, engine_default="eager")
+    serve_p.add_argument("--n", type=int, default=65_536)
+    serve_p.add_argument("--k", type=int, default=64)
+    serve_p.add_argument(
+        "--engine", choices=["eager", "lazy"], default="eager",
+        help="eager = materialized PartitionIndex (supports updates); "
+        "lazy = LazyPartitionIndex (read-only, refines on demand)",
+    )
+    serve_p.add_argument("--workload", default="permutation")
+    serve_p.add_argument("--seed", type=int, default=0)
+    serve_p.add_argument("--memory", type=int, default=4096, help="M (records)")
+    serve_p.add_argument("--block", type=int, default=64, help="B (records)")
+    serve_p.add_argument(
+        "--shards", type=int, default=0, metavar="W",
+        help="shard the service across W coordinator-driven workers "
+        "(lazy engine only; 0 = single machine)",
+    )
+    serve_p.add_argument(
+        "--workers", choices=["inproc", "process"], default="inproc",
+        help="worker placement for --shards (default inproc)",
+    )
     serve_p.add_argument(
         "--durable", action="store_true",
         help="WAL + snapshot durability (eager engine only); adds the "
         "snapshot/crash/dstats commands",
     )
-    _durable_args(serve_p)
+    serve_p.add_argument(
+        "--wal-cap", type=int, default=None, dest="wal_cap",
+        help="WAL capacity in blocks (default max(8, M/B))",
+    )
+    serve_p.add_argument(
+        "--snapshot-every", type=int, default=16, dest="snapshot_every",
+        help="snapshot after this many committed flush groups",
+    )
     serve_p.add_argument(
         "--input", default=None, metavar="FILE",
         help="read commands from FILE instead of stdin",
@@ -963,9 +858,9 @@ def main(argv: list[str] | None = None) -> int:
         "(default benchmarks/out/flight/serve.flight.json)",
     )
 
-    recover_p = sub.add_parser(
-        "recover",
-        help="crash a durable index at a chosen I/O and verify recovery",
+    recover_p = verb(
+        "recover", _cmd_recover,
+        "crash a durable index at a chosen I/O and verify recovery",
     )
     recover_p.add_argument("--n", type=int, default=16_384)
     recover_p.add_argument("--k", type=int, default=32)
@@ -995,57 +890,11 @@ def main(argv: list[str] | None = None) -> int:
         "`repro serve --durable` exit) instead of running the scenario",
     )
 
-    query_p = sub.add_parser(
-        "query", help="answer one batch of queries against a fresh index"
-    )
-    _service_args(query_p, engine_default="lazy")
-    query_p.add_argument(
-        "--shards", type=int, default=0, metavar="W",
-        help="shard the service across W coordinator-driven workers "
-        "(lazy engine only; 0 = single machine)",
-    )
-    query_p.add_argument(
-        "--workers", choices=["inproc", "process"], default="inproc",
-        help="worker placement for --shards (default inproc)",
-    )
-    query_p.add_argument(
-        "queries", nargs="+", metavar="QUERY",
-        help="select:R | quantile:Q | range:LO:HI | part:KEY",
-    )
-
     args = parser.parse_args(argv)
-    if args.command == "budgets" and args.headroom is None:
-        from .obs.budget import DEFAULT_HEADROOM
-
-        args.headroom = DEFAULT_HEADROOM
-    if args.command == "list":
-        return _cmd_list(args)
-    if args.command == "run":
-        return _cmd_run(args)
-    if args.command == "demo":
-        return _cmd_demo(args)
-    if args.command == "bounds":
-        return _cmd_bounds(args)
-    if args.command == "solve":
-        return _cmd_solve(args)
-    if args.command == "report":
-        return _cmd_report(args)
-    if args.command == "trace":
-        return _cmd_trace(args)
-    if args.command == "metrics":
-        return _cmd_metrics(args)
-    if args.command == "budgets":
-        return _cmd_budgets(args)
-    if args.command == "lint":
-        return _cmd_lint(args)
-    if args.command == "serve":
-        return _cmd_serve(args)
-    if args.command == "recover":
-        return _cmd_recover(args)
-    if args.command == "query":
-        return _cmd_query(args)
-    parser.print_help()
-    return 2
+    if args.command is None:
+        parser.print_help()
+        return 2
+    return args.func(args)
 
 
 if __name__ == "__main__":  # pragma: no cover

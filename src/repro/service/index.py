@@ -76,7 +76,7 @@ from ..em.file import EMFile
 from ..em.records import UID_MAX, composite, composite_of, make_records
 from ..em.streams import BlockReader, BlockWriter
 from ..alg.multipartition import multi_partition
-from ..core.partitioning import approximate_partition
+from ..core.partitioning import _near_equal_sizes, approximate_partition
 from ..core.spec import validate_params
 from ..obs.recorder import current_recorder
 from .online import LazyPartitionIndex, _Leaf
@@ -85,12 +85,6 @@ if TYPE_CHECKING:  # pragma: no cover
     from ..em.machine import Machine
 
 __all__ = ["PartitionIndex"]
-
-
-def _near_equal(total: int, pieces: int) -> list[int]:
-    """Split ``total`` into ``pieces`` sizes differing by at most one."""
-    base, extra = divmod(total, pieces)
-    return [base + (1 if i < extra else 0) for i in range(pieces)]
 
 
 class PartitionIndex(LazyPartitionIndex):
@@ -530,13 +524,9 @@ class PartitionIndex(LazyPartitionIndex):
 
     def _write_segment(self, recs: np.ndarray, label: str) -> EMFile:
         """Write ``recs`` to a fresh segment; a failure leaks nothing."""
-        writer = BlockWriter(self._machine, label)
-        try:
+        with BlockWriter(self._machine, label) as writer:
             writer.write(recs)
             return writer.close()
-        except BaseException:
-            writer.abort()
-            raise
 
     def _compact(self, j: int) -> None:
         """Rewrite partition ``j`` as one segment, applying tombstones."""
@@ -544,14 +534,9 @@ class PartitionIndex(LazyPartitionIndex):
         if len(part.segments) <= 1 and not part.tombstones:
             return
         m = self._machine
-        with m.phase("svc-compact"):
-            writer = BlockWriter(m, "svc-compact-out")
-            try:
-                self._write_live(writer, part)
-                out = writer.close()
-            except BaseException:
-                writer.abort()
-                raise
+        with m.phase("svc-compact"), BlockWriter(m, "svc-compact-out") as writer:
+            self._write_live(writer, part)
+            out = writer.close()
         for seg in part.segments:
             self._discard_segment(seg)
         if len(out):
@@ -588,7 +573,7 @@ class PartitionIndex(LazyPartitionIndex):
             part = self._leaves[j]
             live = part.stored
             pieces = max(2, int(round(live / self._target)))
-            sizes = _near_equal(live, pieces)
+            sizes = _near_equal_sizes(live, pieces)
             if part.footprint <= m.load_limit:
                 new_parts, maxima = self._split_in_memory(part, sizes)
             else:
@@ -678,14 +663,10 @@ class PartitionIndex(LazyPartitionIndex):
         """Full repartitioning from the live records (drift exceeded)."""
         m = self._machine
         with m.phase("svc-rebuild"):
-            writer = BlockWriter(m, "svc-rebuild-stage")
-            try:
+            with BlockWriter(m, "svc-rebuild-stage") as writer:
                 for part in self._leaves:
                     self._write_live(writer, part)
                 stage = writer.close()
-            except BaseException:
-                writer.abort()
-                raise
             for part in self._leaves:
                 for seg in part.segments:
                     self._discard_segment(seg)

@@ -486,9 +486,12 @@ class LazyPartitionIndex:
         with m.phase("svc-leaf"):
             footprint = part.footprint
             if footprint > self._headroom():
-                # An eager partition too big even when compacted (only
-                # possible for b >> M): external multi-selection on its
-                # one segment, with the whole memory back from the cache.
+                # An eager partition too big even when compacted: its
+                # window allows b records, and once b nears M the
+                # resident state leaves too little room (b = M at the
+                # churn benchmark's sizes).  External multi-selection on
+                # its one segment, with the whole memory back from the
+                # cache.
                 self._make_room(m.M)
                 return np.asarray(multi_select(m, part.segments[0], local_ranks))
             self._make_room(footprint)

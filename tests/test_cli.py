@@ -201,10 +201,8 @@ class TestTrace:
         assert payload == spans
         assert payload["solver"] == "sort" and payload["io"] > 0
 
-
-class TestMetricsVerb:
-    def test_metrics_writes_artifacts_and_renders(self, capsys, tmp_path):
-        rc = main(["metrics", "service-online", "--n", "20000", "--k", "16",
+    def test_trace_writes_metrics_and_flight_artifacts(self, capsys, tmp_path):
+        rc = main(["trace", "service-online", "--n", "20000", "--k", "16",
                    "--out", str(tmp_path)])
         assert rc == 0
         out = capsys.readouterr().out
@@ -215,29 +213,28 @@ class TestMetricsVerb:
         assert "# TYPE svc_query_io histogram" in prom
         assert 'svc_query_io_bucket{engine="lazy",le="+Inf"}' in prom
 
+        # The span JSON carries the same run's metrics and flight events.
         doc = json.loads(
-            (tmp_path / "service-online.metrics.json").read_text()
+            (tmp_path / "service-online.spans.json").read_text()
         )
         assert doc["solver"] == "service-online"
         assert "svc_queries" in doc["metrics"]
         assert doc["flight"]["events"]
+        assert doc["rollup"] and doc["traces"]
 
         flight = json.loads(
             (tmp_path / "service-online.flight.json").read_text()
         )
         assert flight["events"] == doc["flight"]["events"]
+        assert not (tmp_path / "service-online.metrics.json").exists()
 
-    def test_metrics_json_mode(self, capsys, tmp_path):
-        rc = main(["metrics", "service-index", "--n", "8000", "--k", "8",
+    def test_trace_json_carries_metrics(self, capsys, tmp_path):
+        rc = main(["trace", "service-index", "--n", "8000", "--k", "8",
                    "--json", "--out", str(tmp_path)])
         assert rc == 0
         payload = json.loads(capsys.readouterr().out)
         assert payload["metrics"]
         assert payload["io"] > 0
-
-    def test_metrics_rejects_unknown_algorithm(self):
-        with pytest.raises(SystemExit):
-            main(["metrics", "bogosort"])
 
 
 class TestFlightRecorderCli:
@@ -290,25 +287,57 @@ class TestBudgetsCli:
 
 
 class TestServiceVerbs:
-    def test_query_batch(self, capsys):
-        rc = main(["query", "--n", "5000", "--k", "8",
-                   "select:100", "select:100", "quantile:0.5",
-                   "range:10:2000", "part:42"])
+    def test_query_batch(self, capsys, tmp_path):
+        # A one-shot batch is a command file; sharding changes no answer.
+        script = tmp_path / "batch.txt"
+        script.write_text(
+            "select 100 100\nquantile 0.5\nrange 10 2000\npart 42\n"
+        )
+        for shards in ("0", "4"):
+            rc = main(["serve", "--engine", "lazy", "--n", "5000",
+                       "--k", "8", "--shards", shards,
+                       "--input", str(script)])
+            assert rc == 0
+            out = capsys.readouterr().out
+            assert out.count("select 100 -> key=99 uid=2863") == 2
+            assert "quantile 0.5 -> key=2499 uid=3923" in out
+            assert "range_count (10, 2000] -> 1990" in out
+            assert "partition_of 42 -> 0" in out
+            # The two ranks of one select line share a flush.
+            assert "served 5 queries in 4 flushes" in out
+        assert "engine=sharded[4xinproc]" in out
+
+    def test_query_eager_engine(self, capsys, tmp_path):
+        script = tmp_path / "batch.txt"
+        script.write_text("select 1\nquantile 1.0\n")
+        rc = main(["serve", "--engine", "eager", "--n", "2000", "--k", "4",
+                   "--input", str(script)])
         assert rc == 0
         out = capsys.readouterr().out
-        assert "select 100 -> key=" in out
-        assert "range_count (10, 2000] ->" in out
-        assert "2 distinct ranks" in out  # 2 selects + quantile collapse
+        assert "engine=eager" in out
+        assert "select 1 -> key=0 uid=1481" in out
+        assert "quantile 1.0 -> key=1999 uid=394" in out
 
-    def test_query_eager_engine(self, capsys):
-        rc = main(["query", "--engine", "eager", "--n", "2000", "--k", "4",
-                   "select:1", "quantile:1.0"])
-        assert rc == 0
-        assert "engine=eager" in capsys.readouterr().out
+    def test_query_bad_spec(self, capsys, tmp_path):
+        script = tmp_path / "batch.txt"
+        script.write_text("argmax 4\n")
+        rc = main(["serve", "--engine", "lazy", "--n", "100", "--k", "2",
+                   "--input", str(script)])
+        assert rc == 1
+        assert "unknown command 'argmax'" in capsys.readouterr().err
 
-    def test_query_bad_spec(self):
-        with pytest.raises(SystemExit):
-            main(["query", "--n", "100", "--k", "2", "argmax:4"])
+    @pytest.mark.parametrize(
+        "flags, engine",
+        [
+            (["--shards", "2"], "lazy"),
+            (["--engine", "lazy", "--durable"], "eager"),
+        ],
+    )
+    def test_serve_flag_requires_its_engine(self, capsys, flags, engine):
+        with pytest.raises(SystemExit) as exc:
+            main(["serve", "--n", "100", "--k", "2", *flags])
+        assert exc.value.code == 2
+        assert f"requires the {engine} engine" in capsys.readouterr().err
 
     def test_serve_script(self, capsys, tmp_path):
         script = tmp_path / "session.txt"
@@ -391,26 +420,35 @@ class TestApiDocs:
         assert proc.returncode == 0, proc.stdout + proc.stderr
 
     def test_documented_flags_are_options_of_their_verb(self, capsys):
-        # Both CLI texts name flags after a verb ("repro budgets
-        # [--write] ..."); each flag belongs to the verb named last
-        # before it (to the top-level parser before any verb), and
-        # that verb's --help must list it.
+        # Every "repro VERB" in the two CLI texts, the README, the
+        # tutorial and CI must be a verb of the parser.  The CLI texts
+        # also name flags after a verb ("repro budgets [--write] ...");
+        # each flag belongs to the verb named last before it (to the
+        # top-level parser before any verb), and that verb's --help
+        # must list it.
         root = Path(__file__).parent.parent
-        texts = {
+        cli_texts = {
             "cli.py": repro.cli.__doc__,
             "gen_api_docs.py": runpy.run_path(
                 str(root / "scripts" / "gen_api_docs.py")
             )["HEADER"],
         }
+        docs = {
+            name: (root / name).read_text().replace("from repro import", "")
+            for name in ("README.md", "docs/TUTORIAL.md",
+                         ".github/workflows/ci.yml")
+        }
         options: dict = {}
 
         def options_of(verb):
+            """The verb's flags, or ``None`` when the parser lacks it."""
             if verb not in options:
-                with pytest.raises(SystemExit):
+                with pytest.raises(SystemExit) as exc:
                     main([verb, "--help"] if verb else ["--help"])
-                options[verb] = {
+                out = capsys.readouterr().out
+                options[verb] = None if exc.value.code else {
                     opt
-                    for line in capsys.readouterr().out.splitlines()
+                    for line in out.splitlines()
                     if line.startswith("  -")
                     for opt in re.findall(
                         r"--[\w-]+", re.split(r"\s{2,}", line.strip())[0]
@@ -419,11 +457,15 @@ class TestApiDocs:
             return options[verb]
 
         unknown = []
-        for name, text in texts.items():
+        for name, text in {**cli_texts, **docs}.items():
             verb = None
             for m in re.finditer(r"repro ([a-z][\w-]*)|(--[\w-]+)", text):
                 if m.group(1):
                     verb = m.group(1)
-                elif m.group(2) not in options_of(verb):
+                    if options_of(verb) is None:
+                        unknown.append(f"{name}: repro {verb}")
+                elif name in cli_texts and (
+                    m.group(2) not in (options_of(verb) or ())
+                ):
                     unknown.append(f"{name}: repro {verb} {m.group(2)}")
         assert not unknown

@@ -1,9 +1,10 @@
 """Tests for the online partition service (repro.service).
 
 Covers the eager :class:`PartitionIndex` (build, queries, updates,
-rebalancing, rebuild), the lazy :class:`LazyPartitionIndex` (refinement,
-caching, memory-pressure eviction, and its leaf list's answers and
-counters over four input generators), the one query path both engines
+rebalancing, rebuild, partitions too big for memory), the lazy
+:class:`LazyPartitionIndex` (refinement, caching, memory-pressure
+eviction, and its leaf list's answers and counters over four input
+generators), the one query path both engines
 share (every engine over every input generator, boundary-leaf reads and
 charges, the eager answer cache, the closed outer edges and closed
 engines), the batching :class:`QueryFrontend`,
@@ -255,6 +256,52 @@ class TestUpdates:
             index.check_invariants()
         assert index.stats["splits"] + index.stats["rebuilds"] >= 1
         index.close()
+
+    @pytest.mark.parametrize("k", [2, 4])
+    @pytest.mark.parametrize("gen", [random_permutation, few_distinct])
+    def test_oversized_partitions_match_the_oracle(self, monkeypatch, gen, k):
+        """Partitions of N/K >= M records never fit in memory: selects
+        fall back to external multi-selection, and at K=2 a merge that
+        overshoots b re-splits externally.  Answers match the oracle."""
+        import repro.service.online as online
+
+        calls = {"fallback": 0, "external_split": 0}
+
+        def counted(name, fn):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        monkeypatch.setattr(
+            online, "multi_select", counted("fallback", online.multi_select)
+        )
+        monkeypatch.setattr(
+            PartitionIndex, "_split_external",
+            counted("external_split", PartitionIndex._split_external),
+        )
+        mach, recs, index = _build_eager(n=2**14, k=k, gen=gen, seed=5)
+        live = list(_sorted_keys(recs))
+        plan = update_batches(recs["key"], 12, 48, 16, seed=6)
+        for round_, batch in enumerate(plan):
+            for op, arg in batch:
+                if op == "append":
+                    index.append(arg)
+                    live.extend(arg)
+                else:
+                    index.delete(arg)
+                    live.remove(arg)
+            index.flush_updates()
+            live.sort()
+            ranks = uniform_trace(16, len(live), seed=round_)
+            got = index.batch_select(ranks)["key"]
+            assert np.array_equal(got, np.array(live)[ranks - 1]), round_
+        index.check_invariants()
+        index.close()
+        assert mach.memory.in_use == 0
+        assert calls["fallback"] > 0
+        if k == 2:
+            assert calls["external_split"] > 0
 
     def test_delta_buffer_capacity_autoflush(self):
         # The buffer flushes itself at max(B, M/8) = 512 pending ops.
