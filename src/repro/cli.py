@@ -245,12 +245,13 @@ def _cmd_trace(args) -> int:
         write_chrome_trace,
     )
 
+    name = args.algorithm
     overrides = {
         key: getattr(args, key)
         for key in ("n", "k", "a", "part_size", "memory", "block", "seed")
         if getattr(args, key) is not None
     }
-    solver, machine, file, params = build_instance(args.algorithm, overrides)
+    solver, machine, file, params = build_instance(name, overrides)
     tracer = Tracer()
     registry = MetricsRegistry()
     recorder = FlightRecorder()
@@ -264,7 +265,6 @@ def _cmd_trace(args) -> int:
 
     out_dir = Path(args.out) if args.out else default_out_dir() / "traces"
     out_dir.mkdir(parents=True, exist_ok=True)
-    name = args.algorithm
     chrome_path = write_chrome_trace(
         tracer.traces, out_dir / f"{name}.trace.json"
     )
