@@ -237,6 +237,22 @@ class TestTrace:
         assert payload["io"] > 0
 
 
+class TestMetricsVerb:
+    """Metrics are collected by `repro trace`; there is no `metrics` verb."""
+
+    def test_metrics_rejects_unknown_algorithm(self, capsys, tmp_path):
+        with pytest.raises(SystemExit) as exc:
+            main(["metrics", "sort"])
+        assert exc.value.code == 2
+        assert "invalid choice: 'metrics'" in capsys.readouterr().err
+
+        with pytest.raises(SystemExit) as exc:
+            main(["trace", "bogosort", "--out", str(tmp_path)])
+        assert exc.value.code == 2
+        assert "invalid choice: 'bogosort'" in capsys.readouterr().err
+        assert not list(tmp_path.iterdir())
+
+
 class TestFlightRecorderCli:
     def test_serve_abort_dumps_flight_and_recover_renders(
         self, capsys, tmp_path
