@@ -14,18 +14,22 @@ root::
 
     python scripts/bench_pairs.py --parent REV --out BENCH_<n>.json \\
         --claim service-zipfian:ops_per_s \\
-        --runs service-zipfian:1:10 service-zipfian:3:3 offline-partition:1:5
+        --runs service-zipfian:1:10 service-zipfian:3:5 offline-partition:1:5
 
 Each ``WORKLOAD:SEED:PAIRS`` spec adds that many pairs, each run as long
 as ``BENCHMARK.json``'s ``run_seconds``; the ledger is rewritten after
-every pair.  It stores the spec it was recorded under (``run_seconds``
-and the ``end_to_end`` metrics with their ``better`` and ``bound``) and,
-per run, the benchmark's provenance and result lines.  Per workload and
-seed, and per end-to-end metric, it stores each side's median and
-quartiles, the relative change of the median (positive is better), the
-change's wins and ties over the pairs, and whether the medians differ
-by more than the parent's interquartile range.  ``--change REV`` runs a
-given commit instead; ``--change`` equal to ``--parent`` records an A/A
+every pair.  Every spec is checked before anything is exported or run:
+the workload must be one ``BENCHMARK.json`` names, the seed an integer,
+and the pairs at least five, since three pairs can fail ``--check`` on
+host noise alone; a bad spec (or claim) exits 2.  The ledger stores the
+spec it was recorded under (``run_seconds`` and the ``end_to_end``
+metrics with their ``better`` and ``bound``) and, per run, the
+benchmark's provenance and result lines.  Per workload and seed, and
+per end-to-end metric, it stores each side's median and quartiles,
+the relative change of the median (positive is better), the change's
+wins and ties over the pairs, and whether the medians differ by more
+than the parent's interquartile range.  ``--change REV`` runs a given
+commit instead; ``--change`` equal to ``--parent`` records an A/A
 ledger, which measures the method's own spread.  ``--claim
 WORKLOAD:METRIC`` stores the gain the ledger was recorded to show.
 
@@ -63,6 +67,8 @@ SIDES = ("parent", "change")
 EXACT = ("sim_io", "setup_io")
 #: A claimed gain must win this share of each seed's pairs, rounded up.
 CLAIM_WINS = (9, 10)
+#: Fewest pairs one ``--runs`` spec may record.
+MIN_PAIRS = 5
 
 
 def _git(*args: str) -> str:
@@ -228,8 +234,30 @@ def _commit(rev: str) -> str:
     return _git("rev-parse", "--verify", f"{rev}^{{commit}}")
 
 
-def record(args) -> int:
-    benchmark = json.loads((ROOT / "BENCHMARK.json").read_text())
+def parse_runs(specs: list[str], workloads: set[str]) -> list[tuple[str, int, int]]:
+    """``WORKLOAD:SEED:PAIRS`` specs as ``(workload, seed, pairs)``;
+    raises ValueError naming the first bad one."""
+    out = []
+    for text in specs:
+        fields = text.split(":")
+        if len(fields) != 3:
+            raise ValueError(f"--runs {text}: want WORKLOAD:SEED:PAIRS")
+        workload, seed, pairs = fields
+        if workload not in workloads:
+            raise ValueError(
+                f"--runs {text}: BENCHMARK.json has no workload {workload!r}"
+            )
+        try:
+            seed, pairs = int(seed), int(pairs)
+        except ValueError:
+            raise ValueError(f"--runs {text}: seed and pairs must be integers") from None
+        if pairs < MIN_PAIRS:
+            raise ValueError(f"--runs {text}: need at least {MIN_PAIRS} pairs")
+        out.append((workload, seed, pairs))
+    return out
+
+
+def record(args, benchmark: dict, groups: list[tuple[str, int, int]]) -> int:
     # The part of the spec the ledger is judged by, kept with its runs.
     spec = {key: benchmark[key] for key in ("run_seconds", "end_to_end")}
     revs = {
@@ -245,26 +273,21 @@ def record(args) -> int:
     }
     if args.claim:
         workload, metric = args.claim.split(":")
-        if metric not in {m["name"] for m in spec["end_to_end"]} or workload not in {
-            runs.split(":")[0] for runs in args.runs
-        }:
-            sys.exit(f"--claim {args.claim}: no such metric, or no --runs of it")
         ledger["claim"] = {"workload": workload, "metric": metric}
     out = Path(args.out)
     with tempfile.TemporaryDirectory() as tmp:
         trees = {side: Path(tmp) / side for side in SIDES}
         for side in SIDES:
             _export(revs[side], trees[side])
-        for spec_str in args.runs:
-            workload, seed, pairs = spec_str.split(":")
-            for pair in range(int(pairs)):
+        for workload, seed, pairs in groups:
+            for pair in range(pairs):
                 order = SIDES if pair % 2 == 0 else SIDES[::-1]
                 for position, side in enumerate(order):
                     run = _run_once(
-                        trees[side], workload, int(seed), spec["run_seconds"]
+                        trees[side], workload, seed, spec["run_seconds"]
                     )
                     run.update(
-                        workload=workload, seed=int(seed), pair=pair,
+                        workload=workload, seed=seed, pair=pair,
                         side=side, position=position,
                     )
                     ledger["runs"].append(run)
@@ -312,7 +335,18 @@ def main(argv=None) -> int:
         return check(args.check)
     if not (args.parent and args.out and args.runs):
         parser.error("recording needs --parent, --out and --runs")
-    return record(args)
+    benchmark = json.loads((ROOT / "BENCHMARK.json").read_text())
+    try:
+        groups = parse_runs(args.runs, {w["name"] for w in benchmark["workloads"]})
+    except ValueError as exc:
+        parser.error(str(exc))
+    if args.claim:
+        workload, _, metric = args.claim.partition(":")
+        if metric not in {m["name"] for m in benchmark["end_to_end"]} or workload not in {
+            g[0] for g in groups
+        }:
+            parser.error(f"--claim {args.claim}: no such metric, or no --runs of it")
+    return record(args, benchmark, groups)
 
 
 if __name__ == "__main__":

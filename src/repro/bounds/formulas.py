@@ -185,7 +185,7 @@ def service_index_io(n: int, k: int, queries: int, m: int, b: int) -> float:
     The build is one two-sided approximate K-partitioning plus a
     splitter-extraction scan (bounded by the sorting cost); each query
     then loads at most one partition of ``<= 2N/K`` records (the
-    service's ``slack = 1`` window).
+    service's ``[N/2K, 2N/K]`` window).
     """
     return sort_io(n, m, b) + scan_io(n, b) + queries * (2.0 * n / (k * b))
 
@@ -232,7 +232,7 @@ def service_recovery_io(
     a drift rebuild, bounded by one sort-cost pass over the live
     records.
     """
-    part = 2.0 * n / (k * b)  # one partition load at slack = 1
+    part = 2.0 * n / (k * b)  # one partition load of <= 2N/K records
     meta = 2.0 * (1 + k + (n / b) / b) + updates / b  # manifest + snapshot x2
     wal = 1 + updates / max(1, b - 1)
     replay = updates / b + updates * part

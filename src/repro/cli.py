@@ -19,12 +19,13 @@ Subcommands:
     Run one algorithm on a generated workload, verify the output, and
     print measured I/O, comparisons, and the phase breakdown.
 ``repro trace ALGORITHM [--out DIR] [--json] [--n N] [--k K] ...``
-    Run one registered solver once, under the span tracer and inside a
-    metrics scope and a flight recorder, and export what that one run
-    recorded: Chrome/Perfetto ``.trace.json``, a rendered span tree,
-    Prometheus text (``.prom``), the flight-recorder dump, and the
-    plain-dict span JSON, which also carries the metrics and flight
-    events (``--json`` prints that payload to stdout for CI artifacts).
+    Run one registered solver once, under the span tracer and inside
+    one metrics scope (whose registry holds the flight recorder), and
+    export what that one run recorded: Chrome/Perfetto ``.trace.json``,
+    a rendered span tree, Prometheus text (``.prom``), the
+    flight-recorder dump, and the plain-dict span JSON, which also
+    carries the metrics and flight events (``--json`` prints that
+    payload to stdout for CI artifacts).
 ``repro budgets [--write] [--path FILE] [--headroom H]``
     Check every registered solver against its committed I/O envelope
     (the regression gate), or recalibrate and rewrite the envelopes.
@@ -227,17 +228,16 @@ def _cmd_solve(args) -> int:
 
 def _cmd_trace(args) -> int:
     """Run one solver once and export its spans, metrics and flight
-    events: the tracer attaches before the run and both scopes wrap the
-    same call, so all three describe one execution."""
+    events: the tracer attaches before the run and the metrics scope,
+    whose registry holds the flight recorder, wraps the same call, so
+    all three describe one execution."""
     import json
 
     from .experiments.runner import default_out_dir
     from .obs import (
-        FlightRecorder,
         MetricsRegistry,
         Tracer,
         build_instance,
-        flight_scope,
         metrics_scope,
         render_span_tree,
         span_rollup,
@@ -254,10 +254,9 @@ def _cmd_trace(args) -> int:
     solver, machine, file, params = build_instance(name, overrides)
     tracer = Tracer()
     registry = MetricsRegistry()
-    recorder = FlightRecorder()
     tracer.attach(machine)
     try:
-        with metrics_scope(registry), flight_scope(recorder):
+        with metrics_scope(registry):
             outcome = solver.run(machine, file, params)
     finally:
         file.free()
@@ -273,7 +272,7 @@ def _cmd_trace(args) -> int:
     tree_path.write_text(tree + "\n")
     prom_path = out_dir / f"{name}.prom"
     prom_path.write_text(registry.to_prometheus())
-    flight_path = recorder.dump(out_dir / f"{name}.flight.json")
+    flight_path = registry.flight.dump(out_dir / f"{name}.flight.json")
     payload = {
         "solver": name,
         "title": solver.title,
@@ -284,7 +283,7 @@ def _cmd_trace(args) -> int:
         "rollup": span_rollup(tracer.traces),
         "traces": traces_to_dict(tracer.traces),
         "metrics": registry.to_dict(),
-        "flight": recorder.to_dict(),
+        "flight": registry.flight.to_dict(),
     }
     spans_path = out_dir / f"{name}.spans.json"
     spans_path.write_text(json.dumps(payload, indent=1) + "\n")
@@ -297,7 +296,7 @@ def _cmd_trace(args) -> int:
     print()
     print(registry.render())
     print()
-    print(recorder.render())
+    print(registry.flight.render())
     print(
         f"\nwrote {chrome_path} (load at https://ui.perfetto.dev),\n"
         f"      {tree_path},\n      {prom_path},\n      {flight_path},\n"
@@ -402,29 +401,28 @@ def _print_answers(queries, answers) -> None:
 
 
 def _cmd_serve(args) -> int:
-    """Run the interactive service inside a flight-recorder scope.
+    """Run the interactive service inside a metrics scope.
 
     On an *unclean* exit of a durable service (an uncaught exception —
-    e.g. the ``abort`` command), the recorder's last events are dumped
+    e.g. the ``abort`` command), the scope's flight recorder is dumped
     to ``--flight-dump`` so ``repro recover --flight-dump`` can show
     what the service was doing when it died.
     """
     from .experiments.runner import default_out_dir
-    from .obs import FlightRecorder, flight_scope
+    from .obs import metrics_scope
 
-    recorder = FlightRecorder()
-    try:
-        with flight_scope(recorder):
-            return _serve_loop(args, recorder)
-    except BaseException:
-        if args.durable:
-            dump = Path(args.flight_dump) if args.flight_dump else (
-                default_out_dir() / "flight" / "serve.flight.json"
-            )
-            recorder.dump(dump)
-            print(f"unclean exit: flight recorder dumped to {dump}",
-                  file=sys.stderr)
-        raise
+    with metrics_scope() as registry:
+        try:
+            return _serve_loop(args, registry.flight)
+        except BaseException:
+            if args.durable:
+                dump = Path(args.flight_dump) if args.flight_dump else (
+                    default_out_dir() / "flight" / "serve.flight.json"
+                )
+                registry.flight.dump(dump)
+                print(f"unclean exit: flight recorder dumped to {dump}",
+                      file=sys.stderr)
+            raise
 
 
 def _serve_loop(args, recorder) -> int:

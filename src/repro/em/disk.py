@@ -14,7 +14,8 @@ path* ``"partition/distribute"``, so composed algorithms can be rolled up
 hierarchically (see :func:`repro.analysis.trace.phase_breakdown`).  I/Os
 outside any phase carry the empty label ``""``.
 
-Observers (see :meth:`Disk.add_observer`) receive a callback per counted
+Observers (see :meth:`Machine.add_observer
+<repro.em.machine.Machine.add_observer>`) receive a callback per counted
 I/O, per phase push/pop, and per live-block-count change — the span
 tracer of :mod:`repro.obs` is built on these hooks.
 """
@@ -156,9 +157,9 @@ class Disk:
         # Joined stack path ("a/b/c"), cached so _charge never re-joins.
         self._phase_path = ""
         self._counting = True
-        # Observer objects notified of phases, counted I/Os, and
-        # live-block changes (see add_observer).  Empty in the common
-        # case, so the hot paths pay one falsy check.
+        # Observers notified of phases, counted I/Os, and live-block
+        # changes; a Machine shares its one observer list here (see
+        # Machine.add_observer).  Empty in the common case.
         self._observers: list = []
         # Lifetime high-water mark of live blocks, for space accounting.
         self._peak_blocks = 0
@@ -243,30 +244,6 @@ class Disk:
         """The active phase stack joined with ``"/"`` (``""`` outside
         any phase) — the label every counted I/O is charged to."""
         return self._phase_path
-
-    # ------------------------------------------------------------------
-    # Observer hooks
-    # ------------------------------------------------------------------
-    def add_observer(self, observer) -> None:
-        """Register an observer of this disk's model-visible activity.
-
-        ``observer`` must provide four methods (the
-        :class:`repro.obs.Tracer` machine hook is the canonical
-        implementation):
-
-        * ``on_phase_push(label, path)`` / ``on_phase_pop(label, path)``
-          — a :meth:`phase` context was entered / exited (``path`` is
-          the joined stack path including ``label``);
-        * ``on_io(read: bool, count: int)`` — ``count`` I/Os were
-          charged (only *counted* I/Os; :meth:`uncounted` work is
-          invisible to observers, exactly as it is to the counters);
-        * ``on_blocks(live: int)`` — the live-block count changed.
-        """
-        self._observers.append(observer)
-
-    def remove_observer(self, observer) -> None:
-        """Unregister an observer added with :meth:`add_observer`."""
-        self._observers.remove(observer)
 
     # ------------------------------------------------------------------
     # Phase tagging / counting control

@@ -48,7 +48,7 @@ def sanitize_default() -> bool:
 
 #: Callbacks invoked with every newly constructed :class:`Machine` while an
 #: :func:`observe_machines` context is active.
-_observers: list[Callable[["Machine"], None]] = []
+_construction_hooks: list[Callable[["Machine"], None]] = []
 
 
 @contextmanager
@@ -61,11 +61,11 @@ def observe_machines(callback: Callable[["Machine"], None]) -> Iterator[None]:
     having to report anything themselves.  Reentrant; observing is
     per-process (workers observe their own machines).
     """
-    _observers.append(callback)
+    _construction_hooks.append(callback)
     try:
         yield
     finally:
-        _observers.remove(callback)
+        _construction_hooks.remove(callback)
 
 
 class MemoryLease:
@@ -130,9 +130,9 @@ class MemoryAccountant:
         self._capacity = int(capacity)
         self._in_use = 0
         self._peak = 0
-        # Observer objects with an ``on_memory(in_use)`` method,
-        # notified after every lease/resize/release (the span tracer
-        # tracks per-span memory high-water marks through this).
+        # Notified through ``on_memory(in_use)`` after every
+        # lease/resize/release; a Machine shares its one observer list
+        # here (see Machine.add_observer).
         self._observers: list = []
         # Sanitize mode keeps the set of live leases so teardown can
         # name exactly which labels leaked (see Machine.close); lenient
@@ -150,15 +150,6 @@ class MemoryAccountant:
         """The currently active leases (sanitize mode only; always empty
         in lenient mode, which does not track lease identity)."""
         return tuple(self._live_leases)
-
-    def add_observer(self, observer) -> None:
-        """Register an observer: ``observer.on_memory(in_use)`` is
-        called after every change to the leased total."""
-        self._observers.append(observer)
-
-    def remove_observer(self, observer) -> None:
-        """Unregister an observer added with :meth:`add_observer`."""
-        self._observers.remove(observer)
 
     def _notify(self) -> None:
         for obs in self._observers:
@@ -282,23 +273,37 @@ class Machine:
         self.memory = MemoryAccountant(memory, sanitize=self._sanitize)
         self._comparisons = 0
         self._lifetime_comparisons = 0
-        # Observer objects with an ``on_comparisons(count)`` method,
-        # notified per charge_comparisons call (the span tracer's hook).
-        self._machine_observers: list = []
-        for cb in list(_observers):
+        # The one observer list (see add_observer): the disk and the
+        # accountant notify through it too.
+        self._observers: list = []
+        self.disk._observers = self.memory._observers = self._observers
+        for cb in list(_construction_hooks):
             cb(self)
 
     def add_observer(self, observer) -> None:
-        """Register an observer: ``observer.on_comparisons(count)`` is
-        called for every :meth:`charge_comparisons` charge.  Disk and
-        memory activity have their own observer hooks
-        (:meth:`Disk.add_observer <repro.em.disk.Disk.add_observer>`,
-        :meth:`MemoryAccountant.add_observer`)."""
-        self._machine_observers.append(observer)
+        """Register an observer of this machine's model-visible activity.
+
+        One registration covers the disk, the accountant and the
+        comparison counter.  ``observer`` must provide six methods (the
+        :class:`repro.obs.Tracer`'s per-machine trace is the canonical
+        implementation):
+
+        * ``on_phase_push(label, path)`` / ``on_phase_pop(label, path)``
+          — a :meth:`phase` context was entered / exited (``path`` is
+          the joined stack path including ``label``);
+        * ``on_io(read: bool, count: int)`` — ``count`` I/Os were
+          charged (only *counted* I/Os; :meth:`uncounted` work is
+          invisible to observers, exactly as it is to the counters);
+        * ``on_blocks(live: int)`` — the live-block count changed;
+        * ``on_memory(in_use: int)`` — the leased total changed;
+        * ``on_comparisons(count: int)`` — :meth:`charge_comparisons`
+          charged ``count`` comparisons.
+        """
+        self._observers.append(observer)
 
     def remove_observer(self, observer) -> None:
         """Unregister an observer added with :meth:`add_observer`."""
-        self._machine_observers.remove(observer)
+        self._observers.remove(observer)
 
     # ------------------------------------------------------------------
     # Model parameters
@@ -385,7 +390,7 @@ class Machine:
         charge = int(math.ceil(count))
         self._comparisons += charge
         self._lifetime_comparisons += charge
-        for obs in self._machine_observers:
+        for obs in self._observers:
             obs.on_comparisons(charge)
 
     def reset_counters(self) -> None:

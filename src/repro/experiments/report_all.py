@@ -191,11 +191,11 @@ splitters keep shard sizes within 2x of the mean.""",
 _HEADER = """# EXPERIMENTS — paper vs. measured
 
 Full-sweep results of every experiment in the reproduction harness
-(regenerate with ``python -m repro report``; the same runs as
-``REPRO_BENCH_FULL=1 pytest benchmarks/ --benchmark-only``).  All numbers
-are **simulated I/O counts** — exact costs in the Aggarwal–Vitter model,
-deterministic and machine-independent (seeds fixed).  Wall-clock timings
-of the simulation itself are what pytest-benchmark reports.
+(regenerate with ``python -m repro report``; one experiment with
+``python -m repro run ID --full``).  All numbers are **simulated I/O
+counts** — exact costs in the Aggarwal–Vitter model, deterministic and
+machine-independent (seeds fixed).  Wall-clock times of the simulation
+itself are each run's ``wall_s`` in ``repro report --json``'s output.
 
 Machine shapes: **wide** = M 4096 records, B 64 (tall-cache, fanout 64);
 **narrow** = M 512, B 16 (multi-pass regime, the `lg_{M/B}` factors move).

@@ -32,7 +32,7 @@ EM_PRIVATE_ATTRS = frozenset(
         "_in_use", "_peak", "_capacity", "_live_leases", "_notify",
         "_resize", "_release", "_accountant",
         # Machine
-        "_comparisons", "_lifetime_comparisons", "_machine_observers",
+        "_comparisons", "_lifetime_comparisons", "_observers",
         "_sanitize",
     }
 )

@@ -7,10 +7,16 @@ per-phase span trees (reads, writes, comparisons, memory/disk peaks,
 wall time), exporters (Perfetto/Chrome trace JSON, text tree,
 plain dicts), a deterministic metrics registry
 (:class:`MetricsRegistry`: counters, gauges, per-query I/O histograms
-with fixed log-spaced buckets) plus a bounded :class:`FlightRecorder`
-of structured service events that survives to a dump on crash, and a
-constant-factor budget gate that fails CI when an algorithm's measured
-I/O count drifts above its committed envelope.
+with fixed log-spaced buckets) that owns the run's bounded
+:class:`FlightRecorder` of structured service events (it survives to a
+dump on crash), and a constant-factor budget gate that fails CI when an
+algorithm's measured I/O count drifts above its committed envelope.
+
+Service telemetry has one ambient scope, :func:`metrics_scope`: the
+service objects built inside it bind its registry's instruments and
+its ``flight`` recorder.  Span tracing is not ambient: a
+:class:`Tracer` attaches to machines directly or, through
+:meth:`Tracer.install`, to every machine built in a body.
 """
 
 from .budget import (
@@ -39,15 +45,7 @@ from .metrics import (
     current_registry,
     metrics_scope,
 )
-from .recorder import (
-    NULL_RECORDER,
-    FlightRecorder,
-    NullFlightRecorder,
-    current_recorder,
-    flight_scope,
-    load_flight_dump,
-    render_flight_events,
-)
+from .recorder import FlightRecorder, load_flight_dump, render_flight_events
 from .solvers import SOLVERS, Solver, build_instance, run_solver
 from .tracer import MachineTrace, Span, Tracer
 
@@ -66,10 +64,6 @@ __all__ = [
     "current_registry",
     "metrics_scope",
     "FlightRecorder",
-    "NullFlightRecorder",
-    "NULL_RECORDER",
-    "current_recorder",
-    "flight_scope",
     "load_flight_dump",
     "render_flight_events",
     "chrome_trace",

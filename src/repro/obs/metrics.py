@@ -17,15 +17,18 @@ the same as the tracer's (:mod:`repro.obs.tracer`):
   no wall-clock, no randomness.  The same workload always produces the
   same ``to_dict()`` payload, so benchmark outputs are reproducible and
   diffable.
-* **Ambient wiring.**  Service objects resolve the active registry via
-  :func:`current_registry` at construction time; outside a
+* **One ambient scope.**  Service objects resolve the active registry
+  via :func:`current_registry` at construction time and bind its
+  instruments and its flight recorder (``registry.flight``, a
+  :class:`~repro.obs.recorder.FlightRecorder`) once; outside a
   :func:`metrics_scope` block this yields the no-op
   :data:`NULL_REGISTRY`, so instrumentation costs nothing (a handful of
   no-op method calls) when telemetry is off.
 
 Exports: :meth:`MetricsRegistry.to_dict` (JSON),
 :meth:`MetricsRegistry.to_prometheus` (classic text exposition), and
-:meth:`MetricsRegistry.render` (aligned table for the CLI).
+:meth:`MetricsRegistry.render` (aligned table for the CLI).  None of
+them includes the flight ring, which exports itself.
 """
 
 from __future__ import annotations
@@ -34,6 +37,8 @@ from bisect import bisect_left
 from contextlib import contextmanager
 from math import ceil, inf
 from typing import Iterator, Mapping, Sequence
+
+from .recorder import FlightRecorder
 
 __all__ = [
     "DEFAULT_IO_BUCKETS",
@@ -284,10 +289,13 @@ class MetricFamily:
 
 
 class MetricsRegistry:
-    """Owns every metric family; idempotent getters, three exporters."""
+    """Owns every metric family and the run's flight recorder;
+    idempotent getters, three exporters."""
 
     def __init__(self) -> None:
         self._families: dict[str, MetricFamily] = {}
+        #: The run's structured service events (not part of the exports).
+        self.flight = FlightRecorder()
 
     # -- getters -------------------------------------------------------
     def _family(
@@ -406,7 +414,8 @@ class MetricsRegistry:
 
 
 class _NullInstrument:
-    """Absorbs every instrument call; stands in for all three kinds."""
+    """Absorbs every instrument call; stands in for all three kinds
+    and for the flight recorder."""
 
     kind = "null"
     value = 0.0
@@ -433,6 +442,9 @@ class _NullInstrument:
     def quantile(self, q: float) -> float:
         return 0.0
 
+    def record(self, kind: str, **fields: object) -> None:
+        pass
+
     def to_dict(self) -> dict:
         return {}
 
@@ -447,6 +459,8 @@ class NullRegistry:
     outside a :func:`metrics_scope` block every call lands here and
     does nothing.
     """
+
+    flight = _NULL_INSTRUMENT
 
     def counter(self, name: str, help: str = "", labels: Sequence[str] = ()):
         return _NULL_INSTRUMENT
@@ -490,9 +504,10 @@ def metrics_scope(
 ) -> Iterator[MetricsRegistry]:
     """Make ``registry`` (a fresh one by default) ambient for the body.
 
-    Service objects constructed inside the body bind their instruments
-    to this registry; scopes nest (innermost wins) and always restore
-    the previous registry on exit.
+    The one ambient telemetry scope: service objects constructed inside
+    the body bind their instruments and ``registry.flight`` to this
+    registry; scopes nest (innermost wins) and always restore the
+    previous registry on exit.
     """
     reg = MetricsRegistry() if registry is None else registry
     _ACTIVE.append(reg)

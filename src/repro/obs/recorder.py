@@ -13,26 +13,21 @@ recorder to JSON on any unclean exit, and ``repro recover
 sweep finally leaves a record of what the service was doing when it
 died.
 
-Like the metrics registry (:mod:`repro.obs.metrics`), wiring is
-ambient: service objects resolve :func:`current_recorder` at
-construction time, which is the no-op :data:`NULL_RECORDER` outside a
-:func:`flight_scope` block.
+Every :class:`~repro.obs.metrics.MetricsRegistry` owns one recorder
+as ``registry.flight``, so :func:`~repro.obs.metrics.metrics_scope` is
+the one ambient telemetry scope: service objects bind
+``current_registry().flight`` at construction, which is a no-op
+outside a scope.
 """
 
 from __future__ import annotations
 
 import json
 from collections import deque
-from contextlib import contextmanager
 from pathlib import Path
-from typing import Iterator
 
 __all__ = [
     "FlightRecorder",
-    "NullFlightRecorder",
-    "NULL_RECORDER",
-    "current_recorder",
-    "flight_scope",
     "load_flight_dump",
     "render_flight_events",
 ]
@@ -90,56 +85,6 @@ class FlightRecorder:
     def render(self) -> str:
         """Human-readable event log, one line per event."""
         return render_flight_events(self.to_dict())
-
-
-class NullFlightRecorder:
-    """Absorbs every event; the ambient default outside a scope."""
-
-    capacity = 0
-    dropped = 0
-    events: list[dict] = []
-
-    def record(self, kind: str, **fields: object) -> None:
-        pass
-
-    def __len__(self) -> int:
-        return 0
-
-    def clear(self) -> None:
-        pass
-
-    def to_dict(self) -> dict:
-        return {"capacity": 0, "recorded": 0, "dropped": 0, "events": []}
-
-    def dump(self, path: str | Path) -> Path:  # pragma: no cover - unused
-        raise RuntimeError("cannot dump the null flight recorder")
-
-    def render(self) -> str:
-        return "(no flight events recorded)"
-
-
-#: Shared no-op recorder returned by :func:`current_recorder` by default.
-NULL_RECORDER = NullFlightRecorder()
-
-_ACTIVE: list[FlightRecorder] = []
-
-
-def current_recorder() -> FlightRecorder | NullFlightRecorder:
-    """The innermost active recorder, or :data:`NULL_RECORDER`."""
-    return _ACTIVE[-1] if _ACTIVE else NULL_RECORDER
-
-
-@contextmanager
-def flight_scope(
-    recorder: FlightRecorder | None = None,
-) -> Iterator[FlightRecorder]:
-    """Make ``recorder`` (a fresh one by default) ambient for the body."""
-    rec = FlightRecorder() if recorder is None else recorder
-    _ACTIVE.append(rec)
-    try:
-        yield rec
-    finally:
-        _ACTIVE.pop()
 
 
 def load_flight_dump(path: str | Path) -> dict:

@@ -133,8 +133,9 @@ class Span:
 class MachineTrace:
     """The span tree recorded for one machine.
 
-    Implements every em-layer observer protocol (disk, accountant,
-    machine); a :class:`Tracer` wires one of these to each machine it
+    Implements the machine observer protocol
+    (:meth:`Machine.add_observer <repro.em.machine.Machine.add_observer>`);
+    a :class:`Tracer` registers one of these with each machine it
     attaches to.  ``root`` is the implicit depth-0 span that absorbs
     activity outside any phase.
     """
@@ -166,7 +167,7 @@ class MachineTrace:
         self._machine = machine
         self._finalized = False
 
-    # -- disk observer protocol ----------------------------------------
+    # -- machine observer protocol -------------------------------------
     def on_phase_push(self, label: str, path: str) -> None:
         parent = self._stack[-1]
         span = Span(
@@ -198,13 +199,11 @@ class MachineTrace:
         if live > span.blocks_peak:
             span.blocks_peak = live
 
-    # -- accountant observer protocol ----------------------------------
     def on_memory(self, in_use: int) -> None:
         span = self._stack[-1]
         if in_use > span.mem_peak:
             span.mem_peak = in_use
 
-    # -- machine observer protocol -------------------------------------
     def on_comparisons(self, count: int) -> None:
         self._stack[-1].comparisons += count
 
@@ -314,8 +313,6 @@ class Tracer:
         trace = MachineTrace(machine, len(self.traces))
         self.traces.append(trace)
         self._live[id(machine)] = (machine, trace)
-        machine.disk.add_observer(trace)
-        machine.memory.add_observer(trace)
         machine.add_observer(trace)
         return trace
 
@@ -332,8 +329,6 @@ class Tracer:
             _, trace = self._live.pop(id(machine))
         except KeyError:
             raise ValueError("tracer is not attached to this machine") from None
-        machine.disk.remove_observer(trace)
-        machine.memory.remove_observer(trace)
         machine.remove_observer(trace)
         trace.finalize()
         if machine.sanitize:

@@ -61,7 +61,6 @@ from ..em.errors import SpecError
 from ..em.file import EMFile
 from ..em.records import RECORD_DTYPE, make_records
 from ..obs.metrics import current_registry
-from ..obs.recorder import current_recorder
 from .index import PartitionIndex
 from .online import _Leaf
 
@@ -75,7 +74,7 @@ MAGIC_MANIFEST = 0x454D4D414E494601  # "EMMANIF" + 1
 MAGIC_WAL = 0x454D57414C4F4701  # "EMWALOG" + 1
 MAGIC_SNAP = 0x454D534E41505301  # "EMSNAPS" + 1
 #: On-disk format version.
-VERSION = 1
+VERSION = 2
 
 #: WAL entry tags.
 _T_APPEND = 1
@@ -162,9 +161,10 @@ class DurableStore:
         self._retired: list[int] = []
         self.commits_since_snapshot = 0
         self.stats = {"wal_writes": 0, "groups_logged": 0, "snapshots": 0}
-        # Telemetry: ambient registry/recorder, bound at construction.
+        # Telemetry: the ambient registry and its flight recorder,
+        # bound at construction.
         metrics = current_registry()
-        self._recorder = current_recorder()
+        self._recorder = metrics.flight
         self._m_wal_writes = metrics.counter(
             "svc_wal_writes", "WAL block writes (tail rewrites included)"
         )
@@ -408,7 +408,6 @@ def _encode_snapshot(index: "DurablePartitionIndex", seq: int) -> np.ndarray:
         index.a,
         index.b,
         index._target,
-        _f2i(index.slack),
         _f2i(index.rebuild_threshold),
         int(index.snapshot_every),
         len(index._leaves),
@@ -441,7 +440,7 @@ def _decode_snapshot(
         return out
 
     (magic, version, seq, next_uid, n_live, n0, drift, k0, a, b, target,
-     slack_w, thresh_w, snapshot_every, n_parts) = take(15)
+     thresh_w, snapshot_every, n_parts) = take(14)
     if magic != MAGIC_SNAP:
         raise SpecError("bad snapshot magic")
     if version != VERSION:
@@ -451,7 +450,6 @@ def _decode_snapshot(
     idx = DurablePartitionIndex(
         machine,
         k0,
-        slack=_i2f(slack_w),
         rebuild_threshold=_i2f(thresh_w),
         store=store,
         snapshot_every=snapshot_every,
@@ -496,12 +494,11 @@ class DurablePartitionIndex(PartitionIndex):
         self,
         machine: "Machine",
         k: int,
-        slack: float = 1.0,
         rebuild_threshold: float = 0.5,
         store: DurableStore | None = None,
         snapshot_every: int = 16,
     ) -> None:
-        super().__init__(machine, k, slack, rebuild_threshold)
+        super().__init__(machine, k, rebuild_threshold)
         if store is None:
             raise SpecError("durable index requires a DurableStore")
         if snapshot_every < 1:
@@ -515,7 +512,6 @@ class DurablePartitionIndex(PartitionIndex):
         machine: "Machine",
         file: EMFile,
         k: int,
-        slack: float = 1.0,
         rebuild_threshold: float = 0.5,
         wal_capacity: int | None = None,
         snapshot_every: int = 16,
@@ -531,7 +527,6 @@ class DurablePartitionIndex(PartitionIndex):
         idx = cls(
             machine,
             k,
-            slack=slack,
             rebuild_threshold=rebuild_threshold,
             store=store,
             snapshot_every=snapshot_every,
@@ -624,7 +619,7 @@ class DurablePartitionIndex(PartitionIndex):
     def abandon(self) -> None:
         """Simulate a crash: drop all memory, keep all disk blocks."""
         if not self._closed:
-            self._store._recorder.record(
+            self._recorder.record(
                 "abandon", wal_seq=self._store.seq, epoch=self._store.epoch
             )
             self._store.release()
@@ -715,7 +710,7 @@ def recover(machine: "Machine", manifest_bid: int) -> DurablePartitionIndex:
     metrics.counter(
         "svc_recovery_ops", "WAL entries replayed during recovery"
     ).inc(n_ops)
-    current_recorder().record(
+    metrics.flight.record(
         "recover",
         groups=len(groups),
         ops=n_ops,

@@ -34,7 +34,6 @@ import numpy as np
 from ..em.errors import SpecError
 from ..apps.order_stats import rank_of_fraction
 from ..obs.metrics import current_registry
-from ..obs.recorder import current_recorder
 
 if TYPE_CHECKING:  # pragma: no cover
     from ..em.machine import Machine
@@ -116,10 +115,10 @@ class QueryFrontend:
         self.total_io = 0
         self.total_comparisons = 0
         # Telemetry: share the engine's registry when it has one so the
-        # whole service stack exports together; ambient fallback covers
-        # engines built outside a metrics scope.
+        # whole service stack exports together, flight events included;
+        # ambient fallback covers engines built outside a metrics scope.
         metrics = getattr(engine, "_metrics", None) or current_registry()
-        self._recorder = current_recorder()
+        self._recorder = metrics.flight
         self._m_queries = metrics.counter(
             "svc_queries", "queries answered by kind", labels=("kind",)
         )

@@ -2,7 +2,7 @@
 
 :class:`PartitionIndex` materializes an approximate K-partitioning of an
 :class:`~repro.em.file.EMFile` once (two-sided window ``[a, b]`` with
-``b/a = (1+slack)²``) as the sorted leaf list of
+``a = ⌊N/2K⌋`` and ``b = ⌈2N/K⌉``) as the sorted leaf list of
 :mod:`repro.service.online`, built to K leaves up front, and keeps it
 live under updates.
 
@@ -78,7 +78,6 @@ from ..em.streams import BlockReader, BlockWriter
 from ..alg.multipartition import multi_partition
 from ..core.partitioning import _near_equal_sizes, approximate_partition
 from ..core.spec import validate_params
-from ..obs.recorder import current_recorder
 from .online import LazyPartitionIndex, _Leaf
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -101,16 +100,12 @@ class PartitionIndex(LazyPartitionIndex):
         self,
         machine: "Machine",
         k: int,
-        slack: float = 1.0,
         rebuild_threshold: float = 0.5,
     ) -> None:
-        if slack <= 0:
-            raise SpecError("service slack must be positive")
         if rebuild_threshold <= 0:
             raise SpecError("rebuild threshold must be positive")
         self._open(machine, "eager")
         self._k0 = int(k)
-        self.slack = float(slack)
         self.rebuild_threshold = float(rebuild_threshold)
         self.a = 1
         self.b = 1
@@ -124,18 +119,32 @@ class PartitionIndex(LazyPartitionIndex):
         self._ops: list[tuple] = []
         self._n_appends = 0
         self._n_deletes = 0
-        self._m_pending = None  # write-path telemetry, bound on first update
         self.stats.update(
             splits=0, merges=0, rebuilds=0, compactions=0, update_flushes=0
         )
-        self._m_drift = self._metrics.gauge(
+        metrics = self._metrics
+        self._recorder = metrics.flight
+        self._m_drift = metrics.gauge(
             "svc_drift", "updates applied since the last (re)build"
         )
-        self._m_maint = self._metrics.counter(
+        self._m_maint = metrics.counter(
             "svc_maintenance",
             "partition maintenance operations by kind",
             labels=("op",),
         )
+        self._m_pending = metrics.gauge(
+            "svc_pending_deltas", "buffered update operations awaiting flush"
+        )
+        self._m_flush_io = metrics.histogram(
+            "svc_flush_io",
+            "simulated I/O per flush by kind",
+            labels=("kind",),
+        ).labels(kind="update")
+        updates = metrics.counter(
+            "svc_updates", "applied update operations by kind", labels=("op",)
+        )
+        self._m_app = updates.labels(op="append")
+        self._m_del = updates.labels(op="delete")
 
     # ------------------------------------------------------------------
     # Construction
@@ -146,20 +155,18 @@ class PartitionIndex(LazyPartitionIndex):
         machine: "Machine",
         file: EMFile,
         k: int,
-        slack: float = 1.0,
         rebuild_threshold: float = 0.5,
     ) -> "PartitionIndex":
         """Build an index over ``file`` with ``<= k`` partitions.
 
         Costs one approximate K-partitioning (Theorem 6 two-sided) plus
-        one scan to extract the splitter composites.  ``slack`` sets the
-        size window ``a = ⌊(N/K)/(1+slack)⌋``, ``b = ⌈(N/K)·(1+slack)⌉``;
-        the default ``slack = 1`` gives ``b ≥ 2a``, which is what keeps
+        one scan to extract the splitter composites.  The size window is
+        ``a = ⌊(N/K)/2⌋``, ``b = ⌈2·N/K⌉``: ``b ≥ 2a`` is what keeps
         local split/merge rebalancing stable under updates.
         """
         if k < 1:
             raise SpecError("need k >= 1")
-        idx = cls(machine, k, slack=slack, rebuild_threshold=rebuild_threshold)
+        idx = cls(machine, k, rebuild_threshold=rebuild_threshold)
         try:
             idx._install(file, k, free_input=False)
         except BaseException:
@@ -174,8 +181,8 @@ class PartitionIndex(LazyPartitionIndex):
         k = max(1, min(int(k), max(1, n)))
         per = max(1.0, n / k)
         self._target = max(1, int(round(per)))
-        self.a = max(1, int(per / (1 + self.slack)))
-        self.b = max(self.a + 1, int(math.ceil(per * (1 + self.slack))))
+        self.a = max(1, int(per / 2))
+        self.b = max(self.a + 1, int(math.ceil(per * 2)))
         self._n0 = n
         self._drift = 0
         self._m_drift.set(0)
@@ -232,7 +239,6 @@ class PartitionIndex(LazyPartitionIndex):
     # ------------------------------------------------------------------
     def append(self, keys) -> None:
         """Buffer new elements with the given keys (fresh uids assigned)."""
-        self._bind_update_metrics()
         keys = np.atleast_1d(np.asarray(keys, dtype=np.int64))
         if keys.size == 0:
             return
@@ -247,7 +253,6 @@ class PartitionIndex(LazyPartitionIndex):
         The delete targets the state as of its position in the batch: a
         record appended *later* in the same batch is not a candidate.
         """
-        self._bind_update_metrics()
         self._ops.append(("delete", (int(key), None)))
         self._n_deletes += 1
         self._buffered()
@@ -255,27 +260,6 @@ class PartitionIndex(LazyPartitionIndex):
     def flush_updates(self) -> dict | None:
         """Apply all buffered updates now; returns flush stats (or None)."""
         return self._flush()
-
-    def _bind_update_metrics(self) -> None:
-        """Bind the write path's telemetry on the first update, so an
-        index that never updates registers none of it."""
-        if self._m_pending is not None:
-            return
-        metrics = self._metrics
-        self._recorder = current_recorder()
-        self._m_pending = metrics.gauge(
-            "svc_pending_deltas", "buffered update operations awaiting flush"
-        )
-        self._m_flush_io = metrics.histogram(
-            "svc_flush_io",
-            "simulated I/O per flush by kind",
-            labels=("kind",),
-        ).labels(kind="update")
-        updates = metrics.counter(
-            "svc_updates", "applied update operations by kind", labels=("op",)
-        )
-        self._m_app = updates.labels(op="append")
-        self._m_del = updates.labels(op="delete")
 
     def _buffered(self) -> None:
         """Charge a newly buffered operation; flush at ``max(B, M/8)``."""

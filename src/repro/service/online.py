@@ -175,8 +175,7 @@ class LazyPartitionIndex:
         the engine and released by :meth:`close`.
     k:
         Target resolution: leaves aim at ``~N/k`` records (like a
-        K-partition index built fully).  Defaults to whatever fits one
-        in-memory load.
+        K-partition index built fully).
 
     The leaves are one sorted list: ``_leaves[j]`` holds the composites
     in ``(_bounds[j-1], _bounds[j]]`` and ``_cum[j]`` counts the live
@@ -190,9 +189,9 @@ class LazyPartitionIndex:
         self,
         machine: "Machine",
         file: EMFile,
-        k: int | None = None,
+        k: int,
     ) -> None:
-        if k is not None and k < 1:
+        if k < 1:
             raise SpecError("need k >= 1")
         self._open(machine, "lazy")
         n = len(file)
@@ -200,8 +199,7 @@ class LazyPartitionIndex:
         self._leaves = [_Leaf([file], n)]
         self._cum = np.array([n], dtype=np.int64)
         self._fanout = max_distribution_fanout(machine)
-        leaf = machine.load_limit if k is None else max(machine.B, -(-n // int(k)))
-        self._leaf_target = max(machine.B, leaf)
+        self._leaf_target = max(machine.B, -(-n // int(k)))
         self._resident_records = 0
         self._m_refinements = self._metrics.counter(
             "svc_refinements", "lazy leaf refinements"

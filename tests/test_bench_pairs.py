@@ -216,3 +216,22 @@ def test_claim_with_a_gap_inside_the_parent_iqr_fails():
     # Without the claim the same runs pass, as claimless ledgers do.
     del ledger["claim"]
     assert bench_pairs.problems(ledger) == []
+
+
+@pytest.mark.parametrize(
+    "spec",
+    ["service-zipfian:1:3", "service-zipfain:1:10", "service-zipfian:10"],
+    ids=["three-pairs", "unknown-workload", "two-fields"],
+)
+def test_bad_run_spec_exits_2_before_any_export(spec, tmp_path, monkeypatch, capsys):
+    calls = []
+    monkeypatch.setattr(bench_pairs, "_git", lambda *a: calls.append(("git", a)))
+    monkeypatch.setattr(bench_pairs, "_export", lambda *a: calls.append(("export", a)))
+    out = tmp_path / "BENCH_0.json"
+    argv = ["--parent", "HEAD", "--out", str(out),
+            "--runs", "offline-partition:1:5", spec]
+    with pytest.raises(SystemExit) as exc:
+        bench_pairs.main(argv)
+    assert exc.value.code == 2
+    assert spec in capsys.readouterr().err
+    assert calls == [] and not out.exists()

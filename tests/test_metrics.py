@@ -7,11 +7,14 @@ Three groups:
 * **Registry / recorder plumbing** — idempotent getters, kind/label/
   bucket mismatch errors, the three exporters, ambient scoping, the
   null fallbacks, and the flight recorder's ring-buffer semantics.
-* **Differential identity** — running the full service stack (lazy
-  engine + frontend, updates, durability) inside a ``metrics_scope``
-  must change *nothing* in the EM model: byte-identical answers and
-  identical I/O, comparison, and peak-memory counters, on the reference
-  and on the production kernel backend.
+* **Differential identity** — running the service stack inside a
+  ``metrics_scope`` must change *nothing* in the EM model: byte-identical
+  answers and identical I/O, comparison, and peak-memory counters.  The
+  lazy engine and frontend run on the reference and on the production
+  kernel backend; the durable eager index (updates, WAL, snapshots, a
+  crash and its recovery) and the sharded service on both worker pools
+  run bare and inside one scope with a span tracer installed, in
+  sanitize mode.
 """
 
 import json
@@ -23,21 +26,26 @@ from repro.em import Machine
 from repro.em.records import composite
 from repro.obs import (
     DEFAULT_IO_BUCKETS,
-    NULL_RECORDER,
     NULL_REGISTRY,
     FlightRecorder,
     Histogram,
     MetricsRegistry,
-    current_recorder,
+    Tracer,
     current_registry,
-    flight_scope,
     load_flight_dump,
     metrics_scope,
     render_flight_events,
 )
-from repro.service import LazyPartitionIndex, Query, QueryFrontend
+from repro.service import (
+    DurablePartitionIndex,
+    LazyPartitionIndex,
+    Query,
+    QueryFrontend,
+    recover,
+)
+from repro.shard import build_sharded_service
 from repro.workloads import load_input, random_permutation
-from repro.workloads.queries import zipfian_trace
+from repro.workloads.queries import mixed_query_trace, update_batches, zipfian_trace
 from tests.test_kernels import KERNELS
 
 
@@ -301,15 +309,19 @@ class TestFlightRecorder:
             load_flight_dump(bad)
 
     def test_null_recorder_and_scope(self):
-        assert current_recorder() is NULL_RECORDER
-        NULL_RECORDER.record("ignored")
-        assert NULL_RECORDER.to_dict()["events"] == []
-        with pytest.raises(RuntimeError):
-            NULL_RECORDER.dump("/nonexistent")
-        with flight_scope() as rec:
-            assert current_recorder() is rec
-            rec.record("x")
-        assert current_recorder() is NULL_RECORDER
+        # Outside a scope the flight recorder is the null registry's
+        # no-op instrument; inside, it is the scoped registry's own ring.
+        assert current_registry().flight is NULL_REGISTRY.flight
+        NULL_REGISTRY.flight.record("ignored")
+        with metrics_scope() as reg:
+            assert isinstance(reg.flight, FlightRecorder)
+            assert current_registry().flight is reg.flight
+            reg.flight.record("x")
+        assert current_registry().flight is NULL_REGISTRY.flight
+        assert [e["kind"] for e in reg.flight.events] == ["x"]
+        # The ring stays out of every metrics export.
+        assert reg.to_dict() == {} and reg.to_prometheus() == ""
+        assert reg.render() == "(no metrics recorded)"
         assert FlightRecorder().render() == "(no flight events recorded)"
 
     def test_capacity_must_be_positive(self):
@@ -376,3 +388,86 @@ def test_metrics_identical_across_kernels():
         dicts.append(registry.to_dict())
     for other in dicts[1:]:
         assert other == dicts[0]
+
+
+def _observed(run, telemetry):
+    """``run()`` bare, or inside one metrics scope with a span tracer
+    installed on every machine it builds; returns ``(result, registry)``."""
+    if not telemetry:
+        return run(), None
+    with metrics_scope() as registry, Tracer().install():
+        return run(), registry
+
+
+def _durable_session():
+    """A durable eager index: 8 update rounds with selects, a crash,
+    recovery and a verification trace; returns its fingerprint."""
+    recs = random_permutation(4096, seed=3)
+    mach = Machine(memory=4096, block=64, sanitize=True)
+    f = load_input(mach, recs)
+    index = DurablePartitionIndex.build_durable(mach, f, 16, snapshot_every=3)
+    f.free()
+    answers = []
+    for i, batch in enumerate(update_batches(recs["key"], 8, 48, 16, seed=5)):
+        for op, arg in batch:
+            if op == "append":
+                index.append(arg)
+            else:
+                index.delete(arg)
+        index.flush_updates()
+        answers.append(index.batch_select(zipfian_trace(16, index.n_live, seed=i)))
+    manifest = index.manifest_block
+    index.abandon()
+    recovered = recover(mach, manifest)
+    answers.append(
+        recovered.batch_select(zipfian_trace(64, recovered.n_live, seed=9))
+    )
+    life = mach.disk.lifetime
+    fingerprint = (
+        (life.reads, life.writes, mach.lifetime_comparisons),
+        mach.memory.peak,
+        composite(np.concatenate(answers)).tobytes(),
+    )
+    recovered.destroy()
+    mach.close()
+    return fingerprint
+
+
+def _sharded_session(workers):
+    """W=4 sharded service answering a mixed query trace; returns its
+    fingerprint, every shard's counters included."""
+    recs = random_permutation(4096, seed=3)
+    coord = Machine(memory=512, block=16, sanitize=True)
+    f = load_input(coord, recs)
+    with build_sharded_service(coord, f, shards=4, k=16, workers=workers) as router:
+        frontend = QueryFrontend(coord, router)
+        answers = frontend.run(mixed_query_trace(200, 4096, seed=4), batch=16)
+        shards = router.shard_io_stats()
+    life = coord.disk.lifetime
+    fingerprint = (
+        (life.reads, life.writes, coord.lifetime_comparisons),
+        [(s["lifetime_reads"], s["lifetime_writes"], s["lifetime_comparisons"])
+         for s in shards],
+        coord.memory.peak,
+        [int(composite(a[None])[0]) if isinstance(a, np.void) else int(a)
+         for a in answers],
+    )
+    f.free()
+    coord.close()
+    return fingerprint
+
+
+def test_telemetry_moves_no_counter_on_the_durable_index():
+    bare, _ = _observed(_durable_session, telemetry=False)
+    observed, registry = _observed(_durable_session, telemetry=True)
+    assert observed == bare
+    kinds = {ev["kind"] for ev in registry.flight.events}
+    assert {"update-flush", "wal-group", "snapshot", "abandon", "recover"} <= kinds
+
+
+@pytest.mark.parametrize("workers", ["inproc", "process"])
+def test_telemetry_moves_no_counter_on_either_shard_pool(workers):
+    bare, _ = _observed(lambda: _sharded_session(workers), telemetry=False)
+    observed, registry = _observed(lambda: _sharded_session(workers), telemetry=True)
+    assert observed == bare
+    assert any(ev["kind"] == "query-flush" for ev in registry.flight.events)

@@ -13,6 +13,7 @@ process workers, and the shard-skew trace generator.
 
 from __future__ import annotations
 
+import functools
 import types
 from collections import deque
 
@@ -53,9 +54,10 @@ from repro.shard import (
     build_sharded_service,
     make_pool,
 )
-from repro.workloads import load_input
+from repro.workloads import WORKLOADS, load_input
 from repro.workloads.generators import (
     few_distinct,
+    hard_permutation,
     organ_pipe,
     random_permutation,
     sorted_keys,
@@ -376,6 +378,28 @@ def _range_counts(router, ends: list[int], sent=None) -> list[int]:
     return answers
 
 
+#: Generators the sharded oracle tests run at every W.
+_FIRST_INPUTS = (random_permutation, few_distinct, sorted_keys, organ_pipe)
+#: The service's other inputs (as in test_service's ``TestOneQueryPath``:
+#: the rest of ``WORKLOADS`` and ``hard_permutation`` at block 16), run
+#: at W ∈ {2, 4}.  ``hard_permutation`` needs N to be a multiple of 16.
+_OTHER_INPUTS = {
+    **{name: gen for name, gen in WORKLOADS.items() if gen not in _FIRST_INPUTS},
+    "hard": functools.partial(hard_permutation, block=16),
+}
+#: ``(generator, W)`` cases of the range-count and ``partition_of``
+#: oracle tests.
+_ORACLE_CASES = [
+    pytest.param(gen, w, id=f"{gen.__name__}-{w}")
+    for gen in _FIRST_INPUTS
+    for w in (1, 2, 4, 8)
+] + [
+    pytest.param(gen, w, id=f"{name}-{w}")
+    for name, gen in _OTHER_INPUTS.items()
+    for w in (2, 4)
+]
+
+
 def _build(records, w: int, workers: str = "inproc"):
     coord = Machine(memory=512, block=16, sanitize=True)
     f = load_input(coord, records)
@@ -392,11 +416,9 @@ def _teardown(coord, f, router) -> None:
 
 
 class TestRangeCount:
-    N = 3000
-    INPUTS = [random_permutation, few_distinct, sorted_keys, organ_pipe]
+    N = 3008
 
-    @pytest.mark.parametrize("w", [1, 2, 4, 8])
-    @pytest.mark.parametrize("gen", INPUTS, ids=lambda g: g.__name__)
+    @pytest.mark.parametrize("gen, w", _ORACLE_CASES)
     def test_edge_ranges_match_oracle_with_two_requests(self, gen, w, monkeypatch):
         records = gen(self.N, seed=5)
         sent = _record_requests(monkeypatch)
@@ -420,8 +442,7 @@ class TestRangeCount:
         assert answers["process"] == answers["inproc"]
         assert answers["inproc"][0] == _oracle_counts(records["key"], ends)
 
-    @pytest.mark.parametrize("w", [1, 2, 4, 8])
-    @pytest.mark.parametrize("gen", INPUTS, ids=lambda g: g.__name__)
+    @pytest.mark.parametrize("gen, w", _ORACLE_CASES)
     def test_ranges_outside_or_across_the_edges(self, gen, w, monkeypatch):
         # A range that misses every key sends nothing; one reaching past
         # the smallest or the largest key spans that edge shard and
@@ -472,6 +493,20 @@ class TestRangeCount:
         # nonempty shard.
         assert router.partition_of(KEY_MAX) == 3
         assert sent == []
+        _teardown(coord, f, router)
+
+    @pytest.mark.parametrize("w", [2, 4])
+    @pytest.mark.parametrize("gen", _OTHER_INPUTS.values(), ids=list(_OTHER_INPUTS))
+    def test_selects_match_the_sorted_oracle(self, gen, w):
+        records = gen(self.N, seed=5)
+        coord, f, router = _build(records, w)
+        ranks = np.concatenate([
+            [1, self.N],
+            QUERY_TRACES["zipfian"](48, self.N, seed=5, alpha=1.2),
+            np.linspace(1, self.N, 17).astype(np.int64),
+        ])
+        got = composite(router.batch_select(ranks))
+        assert np.array_equal(got, np.sort(composite(records))[ranks - 1])
         _teardown(coord, f, router)
 
     def test_empty_interval_sends_no_message(self, monkeypatch):
@@ -540,7 +575,7 @@ def _asked_leaf_index(router, key: int) -> int:
 
 
 class TestPartitionOf:
-    N = 3000
+    N = 3008
 
     def test_one_request_per_lookup(self, monkeypatch):
         records = random_permutation(self.N, seed=5)
@@ -561,10 +596,7 @@ class TestPartitionOf:
         assert totals[1] > totals[0]
         _teardown(coord, f, router)
 
-    @pytest.mark.parametrize("w", [1, 2, 4, 8])
-    @pytest.mark.parametrize(
-        "gen", TestRangeCount.INPUTS, ids=lambda g: g.__name__
-    )
+    @pytest.mark.parametrize("gen, w", _ORACLE_CASES)
     def test_keys_outside_the_edges_send_nothing(self, gen, w, monkeypatch):
         records = gen(self.N, seed=5)
         sent = _record_requests(monkeypatch)
