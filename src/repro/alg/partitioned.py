@@ -108,10 +108,9 @@ class PartitionedFile:
         ``O(N/B + #segments)`` I/Os).  Returns ``(file, partition_sizes)``.
         The segments themselves are left intact."""
         with BlockWriter(self.machine, "materialize") as writer:
-            for seg in self.segments:
-                with BlockReader(seg, "materialize-in") as reader:
-                    for block in reader:
-                        writer.write(block)
+            with BlockReader(self.segments, "materialize-in") as reader:
+                for block in reader:
+                    writer.write(block)
             out = writer.close()
         return out, list(self.partition_sizes)
 

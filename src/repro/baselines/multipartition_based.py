@@ -50,17 +50,16 @@ def multiselect_via_multipartition(
             for i in range(len(unique_sorted)):
                 best_comp = None
                 best = None
-                for seg in partitioned.segments_of(i):
-                    with BlockReader(seg, "mp-max-scan") as reader:
-                        for block in reader:
-                            if len(block) == 0:
-                                continue
-                            cmp_linear(machine, len(block))
-                            comps = composite(block)
-                            j = int(np.argmax(comps))
-                            if best_comp is None or comps[j] > best_comp:
-                                best_comp = int(comps[j])
-                                best = block[j]
+                with BlockReader(partitioned.segments_of(i), "mp-max-scan") as reader:
+                    for block in reader:
+                        if len(block) == 0:
+                            continue
+                        cmp_linear(machine, len(block))
+                        comps = composite(block)
+                        j = int(np.argmax(comps))
+                        if best_comp is None or comps[j] > best_comp:
+                            best_comp = int(comps[j])
+                            best = block[j]
                 if best is None:
                     raise AssertionError("empty partition at a target rank")
                 answers[i] = best

@@ -93,10 +93,9 @@ def _solve_sorted(machine: "Machine", file: EMFile, ranks: np.ndarray) -> np.nda
             local_ranks = ranks[in_part] - lo
             # Stitch the partition's segments into one contiguous file.
             with BlockWriter(machine, "msel-part") as writer:
-                for seg in partitioned.segments_of(j):
-                    with BlockReader(seg, "msel-part-in") as reader:
-                        for block in reader:
-                            writer.write(block)
+                with BlockReader(partitioned.segments_of(j), "msel-part-in") as reader:
+                    for block in reader:
+                        writer.write(block)
                 part_file = writer.close()
             try:
                 answers[in_part] = _solve_sorted(machine, part_file, local_ranks)
@@ -246,10 +245,9 @@ def multi_select_streamed(
                 if j * m >= k:
                     break
                 with BlockWriter(machine, "msf-part") as writer:
-                    for seg in partitioned.segments_of(j):
-                        with BlockReader(seg, "msf-part-in") as reader:
-                            for block in reader:
-                                writer.write(block)
+                    with BlockReader(partitioned.segments_of(j), "msf-part-in") as reader:
+                        for block in reader:
+                            writer.write(block)
                     part_file = writer.close()
                 try:
                     _streamed_base(

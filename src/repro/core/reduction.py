@@ -188,10 +188,9 @@ def _split_residue(
 
     # External path: concatenate, select the rank-b element, filter.
     with BlockWriter(machine, "sweep-concat") as writer:
-        for seg in residue:
-            with BlockReader(seg, "sweep-concat-in") as reader:
-                for block in reader:
-                    writer.write(block)
+        with BlockReader(residue, "sweep-concat-in") as reader:
+            for block in reader:
+                writer.write(block)
         combined = writer.close()
     for seg in residue:
         seg.free()

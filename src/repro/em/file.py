@@ -19,7 +19,7 @@ from .records import RECORD_DTYPE, empty_records
 if TYPE_CHECKING:  # pragma: no cover
     from .machine import Machine
 
-__all__ = ["EMFile", "append_runs"]
+__all__ = ["EMFile", "append_runs", "read_runs"]
 
 
 class EMFile:
@@ -204,16 +204,15 @@ class EMFile:
 
         By default this is an *uncounted verification* accessor (it does not
         charge I/Os and does not lease memory): use it in tests and result
-        checking only.  With ``counted=True`` it charges one read per block
-        but still does not lease memory; algorithm code should instead read
-        through streams with explicit leases.
+        checking only.  With ``counted=True`` it charges one read per block,
+        in one batched call (:func:`read_runs`), but still does not lease
+        memory; algorithm code should instead read through streams with
+        explicit leases.
         """
-        self._check_live()
-        disk = self.machine.disk
         if counted:
-            parts = [disk.read(bid) for bid in self._block_ids]
-        else:
-            parts = [disk.peek(bid) for bid in self._block_ids]
+            return read_runs([self])
+        self._check_live()
+        parts = [self.machine.disk.peek(bid) for bid in self._block_ids]
         return self.machine.kernel.concat(parts) if parts else empty_records(0)
 
     # ------------------------------------------------------------------
@@ -274,3 +273,28 @@ def append_runs(files: Sequence[EMFile], runs: Sequence[np.ndarray]) -> None:
         f._block_ids += ids[start:stop]
         f._length += len(run)
         start = stop
+
+
+def read_runs(files: Sequence[EMFile]) -> np.ndarray:
+    """Read every block of ``files``, in order, in one batch.
+
+    The read-side twin of :func:`append_runs`: one :meth:`Disk.read_many
+    <repro.em.disk.Disk.read_many>` over the files' block ids returns
+    their records concatenated, with the counters, phase attribution
+    and trace of reading each file with :meth:`EMFile.read_range`.
+    Files with no blocks add nothing, and no files give an empty record
+    array.  Every file must be live and on one machine, or
+    :class:`~repro.em.errors.FileError` is raised before anything is
+    charged.  The caller leases the buffer, as for
+    :meth:`~EMFile.read_range`.
+    """
+    if not files:
+        return empty_records(0)
+    machine = files[0].machine
+    ids: list[int] = []
+    for f in files:
+        f._check_live()
+        if f.machine is not machine:
+            raise FileError("files read in one batch must share a machine")
+        ids += f._block_ids
+    return machine.disk.read_many(ids)

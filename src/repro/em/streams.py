@@ -2,7 +2,8 @@
 
 These are the only building blocks algorithms need for sequential I/O:
 
-* :class:`BlockReader` — forward scan, one leased block buffer;
+* :class:`BlockReader` — forward scan of one file, or of several files
+  as one stream (a partition's segments), one leased block buffer;
 * :class:`BlockWriter` — record-granular appends, flushed in full blocks;
 * :class:`BucketWriter` — the same for ``f`` bucket files at once (the
   distribution pass), every bucket's full blocks in one batched write;
@@ -17,20 +18,24 @@ Every stream leases its buffer space from the machine's
 :class:`~repro.em.machine.MemoryAccountant`, so the sum of open streams can
 never exceed ``M``.
 
-All streams move data through the disk's batched fast path
+The chunked streams move data through the disk's batched fast path
 (:meth:`~repro.em.disk.Disk.read_many` / ``write_many``) — one numpy
 concatenation per chunk instead of one Python call per block — while
 charging exactly the same per-block model cost.  A
 :class:`BucketWriter` goes one step further: one concatenation and one
 ``write_many`` per chunk for all its buckets, each bucket's blocks a
-run with an arena of its own.  Record concatenation and merge ordering
+run with an arena of its own; :func:`~repro.em.file.read_runs` is the
+read-side twin, one ``read_many`` over several files' blocks for a load
+that takes them all.  A :class:`BlockReader` reads block by block, so a
+scan that stops early pays only for the blocks it read, and it streams
+several files under its one lease.  Record concatenation and merge ordering
 dispatch through the machine's :attr:`~repro.em.machine.Machine.kernel`
 backend, so a backend swap changes wall-clock behaviour only.
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Iterable, Iterator
+from typing import TYPE_CHECKING, Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -56,16 +61,25 @@ __all__ = [
 class BlockReader:
     """Sequential block-at-a-time reader holding a ``B``-record lease.
 
-    Iterate to obtain successive blocks; use as a context manager so the
-    lease is released even on error:
+    Reads one file, or a sequence of files as one stream: their blocks
+    in order, under one lease (an empty sequence leases nothing).  Each
+    block is one :meth:`~repro.em.file.EMFile.read_block`, so a scan
+    that stops early is charged only for what it read.  A second
+    ``iter()`` continues where the first stopped.  Iterate to obtain
+    successive blocks; use as a context manager so the lease is released
+    even on error:
 
-    >>> # with BlockReader(f) as reader:
+    >>> # with BlockReader(partition_segments) as reader:
     >>> #     for block in reader: ...
     """
 
-    def __init__(self, file: EMFile, label: str = "reader") -> None:
-        self._file = file
-        self._lease = file.machine.memory.lease(file.machine.B, label)
+    def __init__(self, files: EMFile | Sequence[EMFile], label: str = "reader") -> None:
+        self._files = [files] if isinstance(files, EMFile) else list(files)
+        self._lease = None
+        if self._files:
+            machine = self._files[0].machine
+            self._lease = machine.memory.lease(machine.B, label)
+        self._file = 0  # the cursor: block _index of file _file
         self._index = 0
         self._closed = False
 
@@ -76,16 +90,22 @@ class BlockReader:
         self.close()
 
     def __iter__(self) -> Iterator[np.ndarray]:
-        while self._index < self._file.num_blocks:
-            if self._closed:
-                raise StreamError("reader is closed")
-            block = self._file.read_block(self._index)
-            self._index += 1
-            yield block
+        files = self._files
+        while self._file < len(files):
+            f = files[self._file]
+            while self._index < f.num_blocks:
+                if self._closed:
+                    raise StreamError("reader is closed")
+                block = f.read_block(self._index)
+                self._index += 1
+                yield block
+            self._file += 1
+            self._index = 0
 
     def close(self) -> None:
         if not self._closed:
-            self._lease.release()
+            if self._lease is not None:
+                self._lease.release()
             self._closed = True
 
 

@@ -552,11 +552,13 @@ class DurablePartitionIndex(PartitionIndex):
 
     def snapshot(self) -> None:
         """Checkpoint the full index metadata now (cached answers leave
-        memory first, as at a flush)."""
+        memory first, as at a flush; the retired block ids the snapshot
+        frees leave it after)."""
         if self._cache:
             self._cache.clear()
             self._sync_resident()
         self._store.write_snapshot(self)
+        self._sync_resident()
 
     def durability_stats(self) -> dict:
         s = self._store

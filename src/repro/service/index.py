@@ -201,12 +201,11 @@ class PartitionIndex(LazyPartitionIndex):
                 try:
                     for part in parts:
                         part_max = -(1 << 62)
-                        for seg in part.segments:
-                            with BlockReader(seg, "svc-build-splitters") as reader:
-                                for block in reader:
-                                    cmp_linear(m, 2 * len(block))
-                                    part_max = max(part_max, int(composite(block).max()))
-                                    max_uid = max(max_uid, int(block["uid"].max()))
+                        with BlockReader(part.segments, "svc-build-splitters") as reader:
+                            for block in reader:
+                                cmp_linear(m, 2 * len(block))
+                                part_max = max(part_max, int(composite(block).max()))
+                                max_uid = max(max_uid, int(block["uid"].max()))
                         maxima.append(part_max)
                 except BaseException:
                     pf.free()
@@ -245,7 +244,7 @@ class PartitionIndex(LazyPartitionIndex):
         recs = make_records(keys, uids=self._fresh_uids(len(keys)))
         self._ops.append(("append", recs))
         self._n_appends += len(recs)
-        self._buffered()
+        self._buffered(len(recs))
 
     def delete(self, key: int) -> None:
         """Buffer the deletion of one live element with key ``key``.
@@ -255,17 +254,23 @@ class PartitionIndex(LazyPartitionIndex):
         """
         self._ops.append(("delete", (int(key), None)))
         self._n_deletes += 1
-        self._buffered()
+        self._buffered(1)
 
     def flush_updates(self) -> dict | None:
         """Apply all buffered updates now; returns flush stats (or None)."""
         return self._flush()
 
-    def _buffered(self) -> None:
-        """Charge a newly buffered operation; flush at ``max(B, M/8)``."""
+    def _buffered(self, n: int) -> None:
+        """Charge ``n`` newly buffered records; flush at ``max(B, M/8)``.
+
+        The lease is in sync whenever an update is buffered (every
+        public operation ends with it so), and buffering changes only
+        the pending count, so the lease grows by ``n`` instead of
+        re-summing the control state.
+        """
         m = self._machine
         pending = self._n_appends + self._n_deletes
-        self._sync_resident()
+        self._resident.resize(self._resident.size + n)
         self._m_pending.set(pending)
         if pending >= max(m.B, m.M // 8):
             self._flush()
@@ -421,16 +426,17 @@ class PartitionIndex(LazyPartitionIndex):
         cmp_search(m, 2, max(1, len(bounds)))
         for j in range(j_lo, min(j_hi, len(self._leaves) - 1) + 1):
             part = self._leaves[j]
-            for seg in part.segments:
-                with BlockReader(seg, "svc-delete-scan") as reader:
-                    for block in reader:
-                        cmp_linear(m, len(block))
-                        for hit in block["uid"][block["key"] == key].tolist():
-                            c = composite_of(key, hit)
-                            if uid in (None, hit) and c not in part.tombstones:
-                                part.tombstones.add(c)
-                                self._sync_resident()
-                                return j, hit
+            with BlockReader(part.segments, "svc-delete-scan") as reader:
+                for block in reader:
+                    cmp_linear(m, len(block))
+                    for hit in block["uid"][block["key"] == key].tolist():
+                        c = composite_of(key, hit)
+                        if uid in (None, hit) and c not in part.tombstones:
+                            part.tombstones.add(c)
+                            # One more resident tombstone; the lease was
+                            # in sync when the apply loop started.
+                            self._resident.resize(self._resident.size + 1)
+                            return j, hit
         victim = f"with key {key}" if uid is None else f"({key}, {uid})"
         raise SpecError(f"delete: no live element {victim}")
 
@@ -501,10 +507,9 @@ class PartitionIndex(LazyPartitionIndex):
     def _write_live(self, writer: BlockWriter, part: _Leaf) -> None:
         """Stream a partition's live records into ``writer``."""
         tomb = part.tomb_array()
-        for seg in part.segments:
-            with BlockReader(seg, "svc-compact-in") as reader:
-                for block in reader:
-                    writer.write(self._drop_tombstoned(block, tomb))
+        with BlockReader(part.segments, "svc-compact-in") as reader:
+            for block in reader:
+                writer.write(self._drop_tombstoned(block, tomb))
 
     def _write_segment(self, recs: np.ndarray, label: str) -> EMFile:
         """Write ``recs`` to a fresh segment; a failure leaks nothing."""
@@ -602,11 +607,10 @@ class PartitionIndex(LazyPartitionIndex):
         for p in range(pf.num_partitions):
             segs = pf.segments_of(p)
             piece_max = -(1 << 62)
-            for seg in segs:
-                with BlockReader(seg, "svc-split-scan") as reader:
-                    for block in reader:
-                        cmp_linear(m, len(block))
-                        piece_max = max(piece_max, int(composite(block).max()))
+            with BlockReader(segs, "svc-split-scan") as reader:
+                for block in reader:
+                    cmp_linear(m, len(block))
+                    piece_max = max(piece_max, int(composite(block).max()))
             new_parts.append(_Leaf(segs, pf.partition_sizes[p]))
             maxima.append(piece_max)
         return new_parts, maxima
@@ -672,9 +676,11 @@ class PartitionIndex(LazyPartitionIndex):
 
         Checks splitter monotonicity, per-partition composite ranges
         (inside the closed edges too), tombstone containment, size
-        bookkeeping, and — whenever more than one partition exists —
-        the ``[a, b]`` window.
+        bookkeeping, the resident lease (control state plus cached
+        answers, which the write path grows by increments) and —
+        whenever more than one partition exists — the ``[a, b]`` window.
         """
+        assert self._resident.size == self._resident_total() + len(self._cache)
         assert len(self._bounds) == max(0, len(self._leaves) - 1)
         if len(self._bounds) > 1:
             assert bool(np.all(np.diff(self._bounds) > 0))

@@ -48,7 +48,7 @@ import numpy as np
 
 from ..em.comparisons import cmp_linear, cmp_search
 from ..em.errors import SpecError
-from ..em.file import EMFile
+from ..em.file import EMFile, read_runs
 from ..em.records import (
     KEY_MAX,
     KEY_MIN,
@@ -148,19 +148,9 @@ class _Leaf:
         return np.sort(np.fromiter(tombs, dtype=np.int64, count=len(tombs)))
 
     def read(self) -> np.ndarray:
-        """Counted read of every segment into memory (caller holds the
-        lease); tombstoned records included."""
-        parts = [seg.read_range(0, seg.num_blocks) for seg in self.segments if len(seg)]
-        if len(parts) == 1:
-            return parts[0]
-        # A slice copy per part: np.concatenate promotes structured
-        # dtypes field by field, several times slower on many segments.
-        out = empty_records(sum(len(p) for p in parts))
-        off = 0
-        for p in parts:
-            out[off : off + len(p)] = p
-            off += len(p)
-        return out
+        """Counted read of every segment into memory, in one batch
+        (caller holds the lease); tombstoned records included."""
+        return read_runs(self.segments)
 
 
 class LazyPartitionIndex:
@@ -526,16 +516,15 @@ class LazyPartitionIndex:
         want_hi = leaf == len(self._leaves) - 1 and self._hi == _HI_END
         lows, highs = [], []
         count = 0
-        for seg in part.segments:
-            with BlockReader(seg, "svc-range-scan") as reader:
-                for block in reader:
-                    cmp_linear(m, (2 + want_lo + want_hi) * len(block))
-                    comps = composite(block)
-                    count += int(((comps > lo_c) & (comps <= hi_c)).sum())
-                    if want_lo:
-                        lows.append(int(comps.min()))
-                    if want_hi:
-                        highs.append(int(comps.max()))
+        with BlockReader(part.segments, "svc-range-scan") as reader:
+            for block in reader:
+                cmp_linear(m, (2 + want_lo + want_hi) * len(block))
+                comps = composite(block)
+                count += int(((comps > lo_c) & (comps <= hi_c)).sum())
+                if want_lo:
+                    lows.append(int(comps.min()))
+                if want_hi:
+                    highs.append(int(comps.max()))
         if lows:
             self._lo = max(self._lo, min(lows))
         if highs:

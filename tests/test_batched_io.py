@@ -20,6 +20,7 @@ from repro.em import (
     Machine,
     composite,
 )
+from repro.em.file import read_runs
 from repro.em.records import make_records
 from tests.test_kernels import KERNELS
 
@@ -384,6 +385,71 @@ class TestEMFileBatchedOps:
         assert mach.io.writes == f.num_blocks == 4
         assert mach.io.reads == 0
         assert np.array_equal(f.to_numpy()["key"], np.arange(30))
+
+    @staticmethod
+    def _runs_files(mach):
+        """Files with partial last blocks, an empty file, and a file
+        written in several runs (one batch, then two appends)."""
+        several = EMFile.from_records(mach, blk(16, 100), counted=False)
+        with mach.disk.uncounted():
+            several.append_blocks(blk(8, 116))
+            several.append_blocks(blk(5, 124))
+        return [
+            EMFile.from_records(mach, blk(21), counted=False),
+            EMFile(mach),
+            several,
+            EMFile.from_records(mach, blk(3, 200), counted=False),
+        ]
+
+    def test_read_runs_matches_per_file_read_range(self):
+        m1 = Machine(memory=256, block=8)
+        m2 = Machine(memory=256, block=8)
+        files1, files2 = self._runs_files(m1), self._runs_files(m2)
+        m1.disk.start_trace()
+        m2.disk.start_trace()
+        with m1.phase("runs"):
+            parts = [f.read_range(0, f.num_blocks) for f in files1]
+        with m2.phase("runs"):
+            out = read_runs(files2)
+        assert np.array_equal(composite(np.concatenate(parts)), composite(out))
+        assert observable_state(m1.disk) == observable_state(m2.disk)
+        assert m2.io.reads == sum(f.num_blocks for f in files2) == 8
+        assert m1.disk.stop_trace() == m2.disk.stop_trace()
+
+    def test_counted_to_numpy_matches_per_block_reads(self):
+        m1 = Machine(memory=256, block=8)
+        m2 = Machine(memory=256, block=8)
+        f1 = self._runs_files(m1)[2]
+        f2 = self._runs_files(m2)[2]
+        m1.disk.start_trace()
+        m2.disk.start_trace()
+        with m1.phase("whole"):
+            parts = [f1.read_block(i) for i in range(f1.num_blocks)]
+        with m2.phase("whole"):
+            out = f2.to_numpy(counted=True)
+        assert np.array_equal(composite(np.concatenate(parts)), composite(out))
+        assert observable_state(m1.disk) == observable_state(m2.disk)
+        assert m1.disk.stop_trace() == m2.disk.stop_trace()
+
+    def test_read_runs_of_nothing_is_empty(self):
+        mach = Machine(memory=256, block=8)
+        assert len(read_runs([])) == 0
+        assert len(read_runs([EMFile(mach), EMFile(mach)])) == 0
+        assert mach.io.reads == 0
+
+    def test_read_runs_rejects_freed_or_foreign_file_before_charging(self):
+        mach = Machine(memory=256, block=8)
+        other = Machine(memory=256, block=8)
+        live = EMFile.from_records(mach, blk(20), counted=False)
+        freed = EMFile.from_records(mach, blk(20), counted=False)
+        freed.free()
+        foreign = EMFile.from_records(other, blk(20), counted=False)
+        mach.disk.start_trace()
+        for files in ([live, freed], [live, foreign]):
+            with pytest.raises(FileError):
+                read_runs(files)
+        assert mach.io.reads == other.io.reads == 0
+        assert mach.disk.stop_trace() == []
 
 
 class TestScanEquivalence:

@@ -309,6 +309,61 @@ class TestDurableRoundtrip:
         index.destroy()
 
 
+def _lease_in_sync(index) -> bool:
+    """The resident lease holds exactly the control state and cached
+    answers: the write path grows it by increments, so every update and
+    flush must leave it here."""
+    return index._resident.size == index._resident_total() + len(index._cache)
+
+
+class TestResidentLease:
+    @pytest.mark.parametrize("durable", [False, True], ids=["volatile", "durable"])
+    def test_lease_matches_the_state_after_every_update(self, durable, monkeypatch):
+        tombstone = PartitionIndex._tombstone
+
+        def checked(index, key, uid):
+            # Inside a flush or a replay too: each tombstone adds one.
+            found = tombstone(index, key, uid)
+            assert _lease_in_sync(index), key
+            return found
+
+        monkeypatch.setattr(PartitionIndex, "_tombstone", checked)
+        mach = _machine(sanitize=True)
+        recs = random_permutation(4096, seed=17)
+        if durable:
+            # Every group stays in the WAL, so recovery replays the
+            # splits and compactions that retire blocks, and its final
+            # snapshot frees them.
+            index = _build_durable(mach, recs, snapshot_every=100,
+                                   rebuild_threshold=0.2)
+        else:
+            index = _build_volatile(mach, recs, rebuild_threshold=0.2)
+        plan = update_batches(recs["key"], 12, 48, 24, seed=17)
+        for i, batch in enumerate(plan):
+            for op, arg in batch:
+                (index.append if op == "append" else index.delete)(arg)
+                assert _lease_in_sync(index), (i, op)
+            index.flush_updates()
+            assert _lease_in_sync(index), i
+            # Fill the answer cache (some ranks force compactions), so
+            # the next flush starts by emptying it.
+            index.batch_select(zipfian_trace(16, index.n_live, seed=i))
+            index.check_invariants()
+        maint = index.stats
+        assert maint["splits"] and maint["compactions"] and maint["rebuilds"]
+        if durable:
+            manifest = index.manifest_block
+            index.abandon()
+            index = recover(mach, manifest)
+            assert index.applied_seq == len(plan)
+            assert index.stats["splits"] and _lease_in_sync(index)
+            index.check_invariants()
+            index.destroy()
+        else:
+            index.close()
+        assert mach.memory.in_use == 0
+
+
 def _shadow_answers(recs, plan, seq, trace, k=16, **kw):
     """Answers of an uncrashed volatile index that applied plan[:seq]."""
     mach = _machine()
@@ -386,6 +441,57 @@ class TestChaosSweep:
         assert np.array_equal(composite(rec.batch_select(trace)), want)
         rec.destroy()
         mach.close()
+
+    def test_kill_at_every_io_of_one_churn_round(self):
+        # One churn round on leaves of several segments (the build leaves
+        # 2-3 per partition, and four warm-up rounds stack overflow
+        # segments on the last): its updates, its flush, and a 16-rank
+        # select whose leaf loads read every segment in one batch.  A
+        # crash at each of its I/Os must release every lease and recover
+        # the committed prefix.  116 offsets, about 2 s on 2 CPUs.
+        recs = random_permutation(4096, seed=31)
+        warm = 4
+        plan = update_batches(recs["key"], warm + 1, 48, 16, seed=31)
+        ranks = zipfian_trace(16, len(recs), seed=32)
+        shadows: dict[int, tuple] = {}
+
+        def warmed():
+            mach = _machine(sanitize=True)
+            index = _build_durable(mach, recs, snapshot_every=4)
+            for batch in plan[:warm]:
+                _apply_batch(index, batch)
+            return mach, index
+
+        mach, index = warmed()
+        base = mach.disk.lifetime.total
+        _apply_batch(index, plan[warm])
+        loads = np.searchsorted(index._cum, np.unique(ranks))
+        assert min(len(index._leaves[j].segments) for j in loads) > 1
+        index.batch_select(ranks)
+        round_io = mach.disk.lifetime.total - base
+        index.destroy()
+        assert round_io > 100
+        for fail_at in range(1, round_io + 1):
+            mach, index = warmed()
+            disarm = arm_fault(mach, fail_at)
+            with pytest.raises(InjectedFault):
+                _apply_batch(index, plan[warm])
+                index.batch_select(ranks)
+            disarm()
+            manifest = index.manifest_block
+            index.abandon()
+            assert mach.memory.in_use == 0, fail_at
+            rec = recover(mach, manifest)
+            seq = rec.applied_seq
+            assert seq in (warm, warm + 1), fail_at
+            trace = zipfian_trace(64, rec.n_live, seed=33)
+            if seq not in shadows:
+                shadows[seq] = _shadow_answers(recs, plan, seq, trace)
+            n_live, want = shadows[seq]
+            assert rec.n_live == n_live, fail_at
+            assert np.array_equal(composite(rec.batch_select(trace)), want), fail_at
+            rec.check_invariants()
+            rec.destroy()
 
     @pytest.mark.parametrize("fail_at", [1, 2, 4, 7])
     def test_kill_during_explicit_snapshot(self, fail_at):

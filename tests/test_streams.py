@@ -76,6 +76,65 @@ class TestBlockReader:
                 break
         assert mach.memory.in_use == 0
 
+    @staticmethod
+    def _three_files(mach):
+        return [
+            EMFile.from_records(mach, recs(20), counted=False),
+            EMFile(mach),
+            EMFile.from_records(mach, recs(13, 100), counted=False),
+        ]
+
+    def test_files_stream_as_the_chained_readers(self):
+        chained, one = Machine(memory=256, block=8), Machine(memory=256, block=8)
+        files_c, files_o = self._three_files(chained), self._three_files(one)
+        chained.disk.start_trace()
+        one.disk.start_trace()
+        want = []
+        with chained.phase("scan"):
+            for f in files_c:
+                with BlockReader(f, "scan-in") as reader:
+                    want += [composite(b).tolist() for b in reader]
+        got = []
+        with one.phase("scan"), BlockReader(files_o, "scan-in") as reader:
+            for block in reader:
+                # One B-record lease throughout, whichever file is read.
+                assert one.memory.in_use == one.B
+                got.append(composite(block).tolist())
+        assert got == want and len(got) == 5
+        assert one.io.reads == chained.io.reads == 5
+        assert one.io.by_phase == chained.io.by_phase
+        assert one.disk.stop_trace() == chained.disk.stop_trace()
+        assert one.memory.peak == chained.memory.peak == one.B
+        assert one.memory.in_use == 0
+
+    def test_empty_sequence_leases_and_yields_nothing(self, mach):
+        with BlockReader([]) as reader:
+            assert mach.memory.in_use == 0
+            assert list(reader) == []
+        assert mach.memory.peak == 0
+
+    def test_closed_multi_file_reader_refuses(self, mach):
+        reader = BlockReader(self._three_files(mach))
+        it = iter(reader)
+        for _ in range(3):  # into the third file
+            next(it)
+        reader.close()
+        assert mach.memory.in_use == 0
+        with pytest.raises(StreamError):
+            next(it)
+
+    def test_second_iter_continues_at_the_cursor(self, mach):
+        files = self._three_files(mach)
+        with BlockReader(files) as reader:
+            first = []
+            for block in reader:
+                first.append(int(block["key"][0]))
+                if len(first) == 3:  # the first file's last block
+                    break
+            rest = [int(b["key"][0]) for b in reader]
+            assert list(reader) == []
+        assert first == [0, 8, 16] and rest == [100, 108]
+        assert mach.io.reads == 5
 
 class TestBlockWriter:
     def test_accumulates_into_blocks(self, mach):
