@@ -24,6 +24,12 @@ costs ``O(|D|/B)`` I/Os in total (Lemma 6).  We use ``c = 1/32``
 (:func:`max_groups`), which also leaves room for the ``O(L)`` words of
 per-level state held across the Σ-recursions at practical ``|D|/M``
 ratios — the memory accountant enforces this rather than trusting it.
+
+Every scan here (the group-size count and passes 1–3) reads
+memory-sized ``scan_chunks`` chunks and does its work once per chunk:
+one ``np.bincount`` for a count, one mask for a filter.  The model cost
+is that of a block-at-a-time scan: one read per block, one write per
+output block, and the same comparison charges.
 """
 
 from __future__ import annotations
@@ -36,7 +42,7 @@ from ..em.comparisons import cmp_linear, cmp_median5, cmp_sort
 from ..em.errors import SpecError
 from ..em.file import EMFile
 from ..em.records import RECORD_DTYPE, composite, empty_records
-from ..em.streams import BlockReader, BlockWriter, scan_chunks
+from ..em.streams import BlockWriter, scan_chunks
 
 if TYPE_CHECKING:  # pragma: no cover
     from ..em.machine import Machine
@@ -53,12 +59,21 @@ def max_groups(machine: "Machine") -> int:
 
 
 def group_sizes(machine: "Machine", d_file: EMFile, n_groups: int) -> np.ndarray:
-    """One counted scan returning ``|D_i|`` for every group."""
+    """One counted scan returning ``|D_i|`` for every group.  A record
+    whose group id lies outside ``[0, n_groups)`` raises
+    :class:`~repro.em.errors.SpecError`.
+
+    The id check charges no comparisons, like the rank checks of
+    :func:`intermixed_select`.
+    """
     sizes = np.zeros(n_groups, dtype=np.int64)
     with machine.memory.lease(n_groups, "gs-counts"):
-        with BlockReader(d_file, "gs-scan") as reader:
-            for block in reader:
-                np.add.at(sizes, block["grp"], 1)
+        with scan_chunks(d_file, machine.load_limit, "gs-scan") as chunks:
+            for chunk in chunks:
+                g = chunk["grp"]
+                if g.min() < 0 or g.max() >= n_groups:
+                    raise SpecError(f"group ids must lie in [0, {n_groups})")
+                sizes += np.bincount(g, minlength=n_groups)
     return sizes
 
 
@@ -76,6 +91,12 @@ def intermixed_select(machine: "Machine", d_file: EMFile, t: np.ndarray) -> np.n
     -------
     numpy.ndarray
         ``L`` records; entry ``i`` is the answer for group ``i``.
+
+    Raises
+    ------
+    SpecError
+        ``L`` above :func:`max_groups`, a group id outside ``[0, L)``,
+        an empty group, or a rank outside ``[1, |D_i|]``.
     """
     t = np.asarray(t, dtype=np.int64)
     L = len(t)
@@ -121,12 +142,12 @@ def _solve(machine: "Machine", file: EMFile, t: np.ndarray, owned: bool) -> np.n
         # Pass 2: rank θ_i of μ_i within D_i.
         # --------------------------------------------------------------
         theta = np.zeros(L, dtype=np.int64)
-        with BlockReader(file, "ix-theta") as reader:
-            for block in reader:
-                cmp_linear(machine, len(block))
-                g = block["grp"]
-                le = composite(block) <= mu_comp[g]
-                np.add.at(theta, g[le], 1)
+        with scan_chunks(file, machine.load_limit, "ix-theta") as chunks:
+            for chunk in chunks:
+                cmp_linear(machine, len(chunk))
+                g = chunk["grp"]
+                le = composite(chunk) <= mu_comp[g]
+                theta += np.bincount(g[le], minlength=L)
 
         # --------------------------------------------------------------
         # Pass 3: build D' and t'.
@@ -134,13 +155,12 @@ def _solve(machine: "Machine", file: EMFile, t: np.ndarray, owned: bool) -> np.n
         low_side = t <= theta
         t_next = np.where(low_side, t, t - theta)
         with BlockWriter(machine, "ix-dprime") as writer:
-            with BlockReader(file, "ix-filter") as reader:
-                for block in reader:
-                    cmp_linear(machine, len(block))
-                    g = block["grp"]
-                    le = composite(block) <= mu_comp[g]
-                    keep = np.where(low_side[g], le, ~le)
-                    writer.write(block[keep])
+            with scan_chunks(file, machine.load_limit, "ix-filter") as chunks:
+                for chunk in chunks:
+                    cmp_linear(machine, len(chunk))
+                    g = chunk["grp"]
+                    le = composite(chunk) <= mu_comp[g]
+                    writer.write(chunk[np.where(low_side[g], le, ~le)])
             d_prime = writer.close()
     finally:
         mu_lease.release()

@@ -22,6 +22,11 @@ Report the elements of ``K`` prescribed ranks.  Two regimes:
   ``r_m, r_{2m}, ...`` into ``g = ⌈K/m⌉`` partitions
   (``O((N/B)·lg_{M/B} g)`` I/Os), then run the base case inside every
   partition (``O(N/B)`` altogether).
+
+The base case's two scans and the copy that stitches a partition's
+segments into one file read memory-sized ``scan_chunks`` chunks, one
+vectorized step per chunk; each block still costs one read and its own
+``bucket_of`` search charge.
 """
 
 from __future__ import annotations
@@ -34,7 +39,7 @@ from ..em.comparisons import cmp_search
 from ..em.errors import SpecError
 from ..em.file import EMFile
 from ..em.records import RECORD_DTYPE, composite
-from ..em.streams import BlockReader, BlockWriter
+from ..em.streams import BlockWriter, scan_chunks
 from ..alg.multipartition import multi_partition_at_ranks
 from .intermixed import intermixed_select, max_groups
 from .memory_splitters import memory_splitters
@@ -91,12 +96,7 @@ def _solve_sorted(machine: "Machine", file: EMFile, ranks: np.ndarray) -> np.nda
             if not np.any(in_part):
                 continue
             local_ranks = ranks[in_part] - lo
-            # Stitch the partition's segments into one contiguous file.
-            with BlockWriter(machine, "msel-part") as writer:
-                with BlockReader(partitioned.segments_of(j), "msel-part-in") as reader:
-                    for block in reader:
-                        writer.write(block)
-                part_file = writer.close()
+            part_file = _stitch(machine, partitioned.segments_of(j), "msel-part")
             try:
                 answers[in_part] = _solve_sorted(machine, part_file, local_ranks)
             finally:
@@ -104,6 +104,32 @@ def _solve_sorted(machine: "Machine", file: EMFile, ranks: np.ndarray) -> np.nda
     finally:
         partitioned.free()
     return answers
+
+
+def _stitch(machine: "Machine", segments: list[EMFile], label: str) -> EMFile:
+    """Copy a partition's segments, in order, into one contiguous file.
+
+    Each segment is read in memory-sized chunks (reader ``label-in``)
+    and the records go out through one ``label`` writer: one read and
+    one write per block.
+    """
+    with BlockWriter(machine, label) as writer:
+        for seg in segments:
+            with scan_chunks(seg, machine.load_limit, f"{label}-in") as chunks:
+                for chunk in chunks:
+                    writer.write(chunk)
+        return writer.close()
+
+
+def _block_lengths(n_records: int, block: int) -> list[int]:
+    """The block lengths of an ``n_records``-record chunk of a file: full
+    blocks, then the file's partial last block if the chunk ends there.
+
+    A comparison charge rounds up per call, so a chunk's search charge
+    is made block by block, as the model counts a block-at-a-time scan.
+    """
+    full, tail = divmod(n_records, block)
+    return [block] * full + ([tail] if tail else [])
 
 
 def _base_case(machine: "Machine", file: EMFile, ranks: np.ndarray) -> np.ndarray:
@@ -124,14 +150,12 @@ def _base_case(machine: "Machine", file: EMFile, ranks: np.ndarray) -> np.ndarra
 
             # Scan 1: exact partition sizes.
             sizes = np.zeros(n_buckets, dtype=np.int64)
-            with BlockReader(file, "msel-sizes") as reader:
-                for block in reader:
-                    cmp_search(machine, len(block), n_buckets)
-                    np.add.at(
-                        sizes,
-                        machine.kernel.bucket_of(block, splitter_comps),
-                        1,
-                    )
+            with scan_chunks(file, machine.load_limit, "msel-sizes") as chunks:
+                for chunk in chunks:
+                    for length in _block_lengths(len(chunk), machine.B):
+                        cmp_search(machine, length, n_buckets)
+                    b = machine.kernel.bucket_of(chunk, splitter_comps)
+                    sizes += np.bincount(b, minlength=n_buckets)
             prefix = np.cumsum(sizes)
 
             # Locate each rank: bucket j(i) and local rank t_i.
@@ -142,25 +166,25 @@ def _base_case(machine: "Machine", file: EMFile, ranks: np.ndarray) -> np.ndarra
             # Bucket -> list of group ids (groups = sorted rank indices).
             order = np.argsort(j_of, kind="stable")
             groups_flat = order.astype(np.int64)
-            ngroups = np.zeros(n_buckets, dtype=np.int64)
-            np.add.at(ngroups, j_of, 1)
+            ngroups = np.bincount(j_of, minlength=n_buckets)
             group_start = np.concatenate(([0], np.cumsum(ngroups)))
 
             # Scan 2: build the intermixed instance D.
             with BlockWriter(machine, "msel-D") as writer:
-                with BlockReader(file, "msel-build") as reader:
-                    for block in reader:
-                        cmp_search(machine, len(block), n_buckets)
-                        b = machine.kernel.bucket_of(block, splitter_comps)
+                with scan_chunks(file, machine.load_limit, "msel-build") as chunks:
+                    for chunk in chunks:
+                        for length in _block_lengths(len(chunk), machine.B):
+                            cmp_search(machine, length, n_buckets)
+                        b = machine.kernel.bucket_of(chunk, splitter_comps)
                         cnt = ngroups[b]
                         total = int(cnt.sum())
                         if total == 0:
                             continue
-                        rep = np.repeat(np.arange(len(block)), cnt)
+                        rep = np.repeat(np.arange(len(chunk)), cnt)
                         within = np.arange(total) - np.repeat(
                             np.cumsum(cnt) - cnt, cnt
                         )
-                        out = block[rep].copy()
+                        out = chunk[rep]
                         out["grp"] = groups_flat[group_start[b][rep] + within]
                         writer.write(out)
                 d_file = writer.close()
@@ -244,11 +268,7 @@ def multi_select_streamed(
                 # Rank indices [j*m, min((j+1)*m, K)) live in partition j.
                 if j * m >= k:
                     break
-                with BlockWriter(machine, "msf-part") as writer:
-                    with BlockReader(partitioned.segments_of(j), "msf-part-in") as reader:
-                        for block in reader:
-                            writer.write(block)
-                    part_file = writer.close()
+                part_file = _stitch(machine, partitioned.segments_of(j), "msf-part")
                 try:
                     _streamed_base(
                         machine,
