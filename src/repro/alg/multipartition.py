@@ -28,7 +28,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from ..em.errors import SpecError
-from ..em.file import EMFile
+from ..em.file import EMFile, read_runs
 from ..em.streams import copy_file
 from .distribute import distribute_by_pivots
 from .inmemory import partition_at_ranks
@@ -109,7 +109,7 @@ def _solve(
                     # sort: one multi-pivot partition pass, Θ(n·lg k)
                     # comparisons [7].
                     data = partition_at_ranks(
-                        machine, file.to_numpy(counted=True), ranks
+                        machine, read_runs([file]), ranks
                     )
                 if owned:
                     file.free()

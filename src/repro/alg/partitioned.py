@@ -20,7 +20,7 @@ import numpy as np
 from ..em.errors import FileError
 from ..em.file import EMFile
 from ..em.records import empty_records
-from ..em.streams import BlockReader, BlockWriter
+from ..em.streams import BlockWriter, scan_chunks
 
 if TYPE_CHECKING:  # pragma: no cover
     from ..em.machine import Machine
@@ -97,7 +97,7 @@ class PartitionedFile:
         verification use only."""
         out: list[np.ndarray] = []
         for p in range(self.num_partitions):
-            parts = [seg.to_numpy(counted=False) for seg in self.segments_of(p)]  # emlint: disable=R2 — verification-only, documented uncounted
+            parts = [seg.to_numpy() for seg in self.segments_of(p)]  # emlint: disable=R2 — verification-only, documented uncounted
             out.append(
                 self.machine.kernel.concat(parts) if parts else empty_records(0)
             )
@@ -108,8 +108,8 @@ class PartitionedFile:
         ``O(N/B + #segments)`` I/Os).  Returns ``(file, partition_sizes)``.
         The segments themselves are left intact."""
         with BlockWriter(self.machine, "materialize") as writer:
-            with BlockReader(self.segments, "materialize-in") as reader:
-                for block in reader:
+            with scan_chunks(self.segments, self.machine.B, "materialize-in") as blocks:
+                for block in blocks:
                     writer.write(block)
             out = writer.close()
         return out, list(self.partition_sizes)

@@ -27,7 +27,7 @@ from ..em.comparisons import cmp_search, cmp_sort
 from ..em.errors import SpecError
 from ..em.file import EMFile
 from ..em.records import composite, empty_records
-from ..em.streams import BlockReader
+from ..em.streams import scan_chunks
 from ..bounds.probabilistic import sample_size_for_window
 from .inmemory import select_at_ranks
 
@@ -51,8 +51,8 @@ def reservoir_sample(
         reservoir = np.empty(size, dtype=RECORD_DTYPE)
         filled = 0
         seen = 0
-        with BlockReader(file, "reservoir-scan") as reader:
-            for block in reader:
+        with scan_chunks(file, machine.B, "reservoir-scan") as blocks:
+            for block in blocks:
                 start = 0
                 if filled < size:
                     take = min(size - filled, len(block))
@@ -147,8 +147,8 @@ def randomized_splitters(
             # Verification scan: exact induced bucket sizes.
             cand_comps = composite(candidates)
             sizes = np.zeros(k, dtype=np.int64)
-            with BlockReader(file, "rand-verify") as reader:
-                for block in reader:
+            with scan_chunks(file, machine.B, "rand-verify") as blocks:
+                for block in blocks:
                     cmp_search(machine, len(block), k)
                     j = machine.kernel.bucket_of(block, cand_comps)
                     np.add.at(sizes, j, 1)

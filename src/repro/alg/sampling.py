@@ -30,7 +30,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from ..em.comparisons import cmp_sort
-from ..em.file import EMFile
+from ..em.file import EMFile, read_runs
 from ..em.streams import BlockWriter, scan_chunks
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -138,7 +138,7 @@ def approx_quantile_pivots(
             ).astype(np.int64)
             positions = np.unique(np.clip(positions, 1, n))
             pivots = select_at_ranks(
-                machine, file.to_numpy(counted=True), positions
+                machine, read_runs([file]), positions
             )
             cmp_sort(machine, len(pivots))
             return machine.kernel.sort_by_composite(pivots)

@@ -21,9 +21,9 @@ import numpy as np
 
 from ..em.comparisons import cmp_linear, cmp_median5
 from ..em.errors import SpecError
-from ..em.file import EMFile
+from ..em.file import EMFile, read_runs
 from ..em.records import composite, composite_of
-from ..em.streams import BlockReader, BlockWriter, scan_chunks
+from ..em.streams import BlockWriter, scan_chunks
 
 if TYPE_CHECKING:  # pragma: no cover
     from ..em.machine import Machine
@@ -80,7 +80,7 @@ def _select(machine: "Machine", file: EMFile, rank: int, owned: bool) -> np.void
 
         with machine.memory.lease(n, "select-base"):
             result = select_at_ranks(
-                machine, file.to_numpy(counted=True), [rank]
+                machine, read_runs([file]), [rank]
             )[0]
         if owned:
             file.free()
@@ -151,7 +151,7 @@ def _select_fast(machine: "Machine", file: EMFile, rank: int, owned: bool) -> np
 
         with machine.memory.lease(n, "fselect-base"):
             result = select_at_ranks(
-                machine, file.to_numpy(counted=True), [rank]
+                machine, read_runs([file]), [rank]
             )[0]
         if owned:
             file.free()

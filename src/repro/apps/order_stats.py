@@ -24,7 +24,7 @@ from ..em.comparisons import cmp_linear
 from ..em.errors import SpecError
 from ..em.file import EMFile
 from ..em.records import composite, composite_of
-from ..em.streams import BlockReader, BlockWriter
+from ..em.streams import BlockWriter, scan_chunks
 from ..alg.selection import select_rank_fast
 from ..core.multiselect import multi_select
 
@@ -124,8 +124,8 @@ def trimmed_mean(
 
     total = 0
     count = 0
-    with BlockReader(file, "trimmed-mean") as reader:
-        for block in reader:
+    with scan_chunks(file, machine.B, "trimmed-mean") as blocks:
+        for block in blocks:
             cmp_linear(machine, 2 * len(block))
             comps = composite(block)
             keep = comps <= hi_comp
@@ -153,8 +153,8 @@ def top_k(
     boundary = select_rank_fast(machine, file, boundary_rank)
     b_comp = composite_of(int(boundary["key"]), int(boundary["uid"]))
     with BlockWriter(machine, "topk") as writer:
-        with BlockReader(file, "topk-scan") as reader:
-            for block in reader:
+        with scan_chunks(file, machine.B, "topk-scan") as blocks:
+            for block in blocks:
                 cmp_linear(machine, len(block))
                 comps = composite(block)
                 keep = comps <= b_comp if not largest else comps >= b_comp

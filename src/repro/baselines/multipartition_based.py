@@ -18,7 +18,7 @@ from ..em.comparisons import cmp_linear
 from ..em.errors import SpecError
 from ..em.file import EMFile
 from ..em.records import RECORD_DTYPE, composite
-from ..em.streams import BlockReader
+from ..em.streams import scan_chunks
 from ..alg.multipartition import multi_partition_at_ranks
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -50,8 +50,10 @@ def multiselect_via_multipartition(
             for i in range(len(unique_sorted)):
                 best_comp = None
                 best = None
-                with BlockReader(partitioned.segments_of(i), "mp-max-scan") as reader:
-                    for block in reader:
+                with scan_chunks(
+                    partitioned.segments_of(i), machine.B, "mp-max-scan"
+                ) as blocks:
+                    for block in blocks:
                         if len(block) == 0:
                             continue
                         cmp_linear(machine, len(block))

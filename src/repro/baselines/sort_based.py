@@ -16,7 +16,7 @@ import numpy as np
 from ..em.errors import SpecError
 from ..em.file import EMFile
 from ..em.records import empty_records
-from ..em.streams import BlockReader, BlockWriter
+from ..em.streams import BlockWriter, scan_chunks
 from ..alg.partitioned import PartitionedFile
 from ..alg.sort import external_sort
 from ..core.spec import SplitterResult, validate_params
@@ -95,10 +95,10 @@ def sort_based_partition(
         try:
             segments: list[EMFile] = []
             writers_done = 0
-            with BlockReader(sorted_file, "cut-in") as reader:
+            with scan_chunks(sorted_file, machine.B, "cut-in") as blocks:
                 writer = BlockWriter(machine, "cut-out")
                 remaining = sizes[0]
-                for block in reader:
+                for block in blocks:
                     start = 0
                     while start < len(block):
                         take = min(remaining, len(block) - start)

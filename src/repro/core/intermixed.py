@@ -40,7 +40,7 @@ import numpy as np
 
 from ..em.comparisons import cmp_linear, cmp_median5, cmp_sort
 from ..em.errors import SpecError
-from ..em.file import EMFile
+from ..em.file import EMFile, read_runs
 from ..em.records import RECORD_DTYPE, composite, empty_records
 from ..em.streams import BlockWriter, scan_chunks
 
@@ -179,7 +179,7 @@ def _solve_in_memory(
     n = len(file)
     with machine.memory.lease(n + L, "ix-base"):
         cmp_sort(machine, n)
-        data = file.to_numpy(counted=True)
+        data = read_runs([file])
         order = np.lexsort((composite(data), data["grp"]))
         data = data[order]
         starts = np.searchsorted(data["grp"], np.arange(L), side="left")

@@ -38,7 +38,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from ..em.comparisons import cmp_sort
-from ..em.file import EMFile
+from ..em.file import EMFile, read_runs
 from ..em.records import empty_records
 from ..alg.distribute import distribute_by_pivots
 from ..alg.sampling import (
@@ -109,7 +109,7 @@ def memory_splitters(
                 )
             )
             pivots = select_at_ranks(
-                machine, file.to_numpy(counted=True), positions
+                machine, read_runs([file]), positions
             )
             cmp_sort(machine, len(pivots))
             return machine.kernel.sort_by_composite(pivots)

@@ -37,7 +37,7 @@ import numpy as np
 
 from ..em.comparisons import cmp_search
 from ..em.errors import SpecError
-from ..em.file import EMFile
+from ..em.file import EMFile, read_runs
 from ..em.records import RECORD_DTYPE, composite
 from ..em.streams import BlockWriter, scan_chunks
 from ..alg.multipartition import multi_partition_at_ranks
@@ -77,7 +77,7 @@ def _solve_sorted(machine: "Machine", file: EMFile, ranks: np.ndarray) -> np.nda
         from ..alg.inmemory import select_at_ranks
 
         with machine.memory.lease(n, "msel-tiny"):
-            return select_at_ranks(machine, file.to_numpy(counted=True), ranks)
+            return select_at_ranks(machine, read_runs([file]), ranks)
 
     m = max_groups(machine)
     if k <= m:

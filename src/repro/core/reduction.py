@@ -27,9 +27,9 @@ import numpy as np
 
 from ..em.comparisons import cmp_linear
 from ..em.errors import SpecError
-from ..em.file import EMFile
+from ..em.file import EMFile, read_runs
 from ..em.records import RECORD_DTYPE
-from ..em.streams import BlockReader, BlockWriter
+from ..em.streams import BlockWriter, scan_chunks
 from ..alg.partitioned import PartitionedFile
 from ..alg.selection import select_rank_fast
 from .partitioning import left_grounded_partition
@@ -97,8 +97,8 @@ def _sweep_in_memory(machine: "Machine", approx: PartitionedFile, b: int) -> lis
                 # relative to its own unread blocks, so splitting
                 # mid-partition could emit the wrong elements.
                 for seg in approx.segments_of(p):
-                    with BlockReader(seg, "sweep-read") as reader:
-                        for block in reader:
+                    with scan_chunks(seg, machine.B, "sweep-read") as blocks:
+                        for block in blocks:
                             carry = machine.kernel.concat([carry, block])
                     seg.free()
                 while len(carry) > b:
@@ -172,9 +172,7 @@ def _split_residue(
     limit = machine.M  # whole-residue load; no stream buffers needed
     if residue_len <= limit:
         with machine.memory.lease(residue_len, "sweep-load"):
-            data = machine.kernel.concat(
-                [seg.to_numpy(counted=True) for seg in residue]
-            )
+            data = read_runs(residue)
             for seg in residue:
                 seg.free()
             from ..alg.inmemory import partition_at_ranks
@@ -188,8 +186,8 @@ def _split_residue(
 
     # External path: concatenate, select the rank-b element, filter.
     with BlockWriter(machine, "sweep-concat") as writer:
-        with BlockReader(residue, "sweep-concat-in") as reader:
-            for block in reader:
+        with scan_chunks(residue, machine.B, "sweep-concat-in") as blocks:
+            for block in blocks:
                 writer.write(block)
         combined = writer.close()
     for seg in residue:

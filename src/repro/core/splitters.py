@@ -35,9 +35,9 @@ import numpy as np
 
 from ..em.comparisons import cmp_linear, cmp_sort
 from ..em.errors import SpecError
-from ..em.file import EMFile
+from ..em.file import EMFile, read_runs
 from ..em.records import composite, composite_of, empty_records
-from ..em.streams import BlockReader, BlockWriter, scan_chunks
+from ..em.streams import BlockWriter, scan_chunks
 from ..alg.selection import select_rank_fast
 from .multiselect import multi_select
 from .spec import SplitterResult, validate_params
@@ -80,7 +80,7 @@ def _degenerate_all_elements(machine, file, params) -> SplitterResult:
     with machine.phase("splitters-degenerate"):
         sorted_file = external_sort(machine, file)
         try:
-            splitters = sorted_file.to_numpy(counted=True)[:-1]
+            splitters = read_runs([sorted_file])[:-1]
         finally:
             sorted_file.free()
     return SplitterResult(splitters, params, "degenerate/K=N")

@@ -57,7 +57,6 @@ from .wire import (
     payload_words,
 )
 from .streams import (
-    BlockReader,
     BlockWriter,
     ChunkScanner,
     copy_file,
@@ -75,7 +74,6 @@ __all__ = [
     "Disk",
     "IOCounters",
     "EMFile",
-    "BlockReader",
     "BlockWriter",
     "ChunkScanner",
     "scan_chunks",

@@ -3,13 +3,14 @@
 An :class:`EMFile` is the simulator's analogue of a file on disk: ``N``
 records laid out across ``ceil(N/B)`` blocks, all full except possibly the
 last.  Algorithms read and write through block-granular operations that
-charge I/Os; convenience whole-file accessors exist for test/verification
-code and are explicit about whether they count.
+charge I/Os.  The counted whole-file read is :func:`read_runs` (one
+batched read over one or several files); :meth:`EMFile.to_numpy` is the
+uncounted whole-file view for tests and verification.
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Iterator, Sequence
+from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
 
@@ -185,32 +186,17 @@ class EMFile:
         """
         append_runs([self], [data])
 
-    def iter_blocks(self) -> Iterator[np.ndarray]:
-        """Iterate over blocks front to back (one read I/O per block).
-
-        Note: the caller is responsible for holding a ``B``-record memory
-        lease for the buffer; prefer :class:`~repro.em.streams.BlockReader`
-        which manages the lease automatically.
-        """
-        self._check_live()
-        for i in range(len(self._block_ids)):
-            yield self.read_block(i)
-
     # ------------------------------------------------------------------
     # Whole-file access
     # ------------------------------------------------------------------
-    def to_numpy(self, *, counted: bool = False) -> np.ndarray:
-        """Materialize the whole file as one numpy array.
+    def to_numpy(self) -> np.ndarray:
+        """Materialize the whole file as one numpy array, *uncounted*.
 
-        By default this is an *uncounted verification* accessor (it does not
-        charge I/Os and does not lease memory): use it in tests and result
-        checking only.  With ``counted=True`` it charges one read per block,
-        in one batched call (:func:`read_runs`), but still does not lease
-        memory; algorithm code should instead read through streams with
-        explicit leases.
+        A verification accessor: it charges no I/O and leases no memory,
+        so use it in tests and result checking only.  Algorithm code
+        reads a whole file with :func:`read_runs`, which charges one read
+        per block, or scans it with :func:`~repro.em.streams.scan_chunks`.
         """
-        if counted:
-            return read_runs([self])
         self._check_live()
         parts = [self.machine.disk.peek(bid) for bid in self._block_ids]
         return self.machine.kernel.concat(parts) if parts else empty_records(0)

@@ -2,35 +2,36 @@
 
 These are the only building blocks algorithms need for sequential I/O:
 
-* :class:`BlockReader` — forward scan of one file, or of several files
-  as one stream (a partition's segments), one leased block buffer;
+* :func:`scan_chunks` — the forward scan: one file, or several files as
+  one stream (a partition's segments), read ``chunk_records // B``
+  blocks per step under one lease; returns a close-aware
+  :class:`ChunkScanner`;
 * :class:`BlockWriter` — record-granular appends, flushed in full blocks;
 * :class:`BucketWriter` — the same for ``f`` bucket files at once (the
   distribution pass), every bucket's full blocks in one batched write;
-* :func:`scan_chunks` — scan a file in memory-sized chunks (run formation,
-  chunk sampling); returns a close-aware :class:`ChunkScanner`;
 * :func:`merge_sorted_files` — k-way merge of sorted files using the
   block-frontier technique (vectorized; still one read per block and one
   write per output block, exactly as the model counts);
 * :func:`copy_file` — linear-I/O file copy.
 
+A load that takes whole files at once is
+:func:`~repro.em.file.read_runs`, one ``read_many`` over their blocks.
+
 Every stream leases its buffer space from the machine's
 :class:`~repro.em.machine.MemoryAccountant`, so the sum of open streams can
 never exceed ``M``.
 
-The chunked streams move data through the disk's batched fast path
-(:meth:`~repro.em.disk.Disk.read_many` / ``write_many``) — one numpy
-concatenation per chunk instead of one Python call per block — while
-charging exactly the same per-block model cost.  A
-:class:`BucketWriter` goes one step further: one concatenation and one
-``write_many`` per chunk for all its buckets, each bucket's blocks a
-run with an arena of its own; :func:`~repro.em.file.read_runs` is the
-read-side twin, one ``read_many`` over several files' blocks for a load
-that takes them all.  A :class:`BlockReader` reads block by block, so a
-scan that stops early pays only for the blocks it read, and it streams
-several files under its one lease.  Record concatenation and merge ordering
-dispatch through the machine's :attr:`~repro.em.machine.Machine.kernel`
-backend, so a backend swap changes wall-clock behaviour only.
+A scan step of several blocks moves them through the disk's batched
+fast path (:meth:`~repro.em.disk.Disk.read_many` / ``write_many``) —
+one numpy concatenation per chunk instead of one Python call per block
+— while charging exactly the same per-block model cost.  A one-block
+step is one :meth:`~repro.em.disk.Disk.read`, the cheaper call for a
+scan that stops early and pays only for the blocks it read.  A
+:class:`BucketWriter` writes one concatenation and one ``write_many``
+per chunk for all its buckets, each bucket's blocks a run with an arena
+of its own.  Record concatenation and merge ordering dispatch through
+the machine's :attr:`~repro.em.machine.Machine.kernel` backend, so a
+backend swap changes wall-clock behaviour only.
 """
 
 from __future__ import annotations
@@ -40,7 +41,7 @@ from typing import TYPE_CHECKING, Iterable, Iterator, Sequence
 import numpy as np
 
 from .comparisons import cmp_search
-from .errors import StreamError
+from .errors import FileError, StreamError
 from .file import EMFile, append_runs
 from .records import composite, empty_records
 
@@ -48,7 +49,6 @@ if TYPE_CHECKING:  # pragma: no cover
     from .machine import Machine
 
 __all__ = [
-    "BlockReader",
     "BlockWriter",
     "BucketWriter",
     "ChunkScanner",
@@ -56,57 +56,6 @@ __all__ = [
     "merge_sorted_files",
     "copy_file",
 ]
-
-
-class BlockReader:
-    """Sequential block-at-a-time reader holding a ``B``-record lease.
-
-    Reads one file, or a sequence of files as one stream: their blocks
-    in order, under one lease (an empty sequence leases nothing).  Each
-    block is one :meth:`~repro.em.file.EMFile.read_block`, so a scan
-    that stops early is charged only for what it read.  A second
-    ``iter()`` continues where the first stopped.  Iterate to obtain
-    successive blocks; use as a context manager so the lease is released
-    even on error:
-
-    >>> # with BlockReader(partition_segments) as reader:
-    >>> #     for block in reader: ...
-    """
-
-    def __init__(self, files: EMFile | Sequence[EMFile], label: str = "reader") -> None:
-        self._files = [files] if isinstance(files, EMFile) else list(files)
-        self._lease = None
-        if self._files:
-            machine = self._files[0].machine
-            self._lease = machine.memory.lease(machine.B, label)
-        self._file = 0  # the cursor: block _index of file _file
-        self._index = 0
-        self._closed = False
-
-    def __enter__(self) -> "BlockReader":
-        return self
-
-    def __exit__(self, *exc) -> None:
-        self.close()
-
-    def __iter__(self) -> Iterator[np.ndarray]:
-        files = self._files
-        while self._file < len(files):
-            f = files[self._file]
-            while self._index < f.num_blocks:
-                if self._closed:
-                    raise StreamError("reader is closed")
-                block = f.read_block(self._index)
-                self._index += 1
-                yield block
-            self._file += 1
-            self._index = 0
-
-    def close(self) -> None:
-        if not self._closed:
-            if self._lease is not None:
-                self._lease.release()
-            self._closed = True
 
 
 class BlockWriter:
@@ -261,30 +210,43 @@ class BucketWriter:
 
 
 class ChunkScanner:
-    """Iterator over a file's records in memory-sized chunks.
+    """Forward scan of one file, or of several files as one stream.
 
-    Returned by :func:`scan_chunks`.  The chunk-buffer lease is acquired
-    eagerly on construction and released *deterministically*: when the
-    iteration is exhausted, when :meth:`close` is called, or when the
-    ``with`` block exits — never "whenever the generator happens to be
-    garbage-collected".  Callers that may stop scanning early (``break``,
-    ``return``, exceptions) must use the context-manager form::
+    Returned by :func:`scan_chunks`.  Each step reads the next
+    ``chunk_records // B`` blocks (at least one) of the current file,
+    fewer at its end, so a chunk never spans two files, into a buffer
+    leased at construction:
+    one :meth:`~repro.em.file.EMFile.read_block` for a one-block step,
+    so a scan that stops early is charged only for what it read, and
+    one batched :meth:`~repro.em.file.EMFile.read_range` for a longer
+    one.  The lease is released *deterministically*: when the stream is
+    exhausted, when :meth:`close` is called, or when the ``with`` block
+    exits — never "whenever the object happens to be garbage-collected".
+    A second ``iter()`` continues from the cursor, and a closed stream
+    with blocks left raises :class:`~repro.em.errors.StreamError`.
+    Callers that may stop scanning early (``break``, ``return``,
+    exceptions) must use the context-manager form::
 
         with scan_chunks(file, machine.load_limit, "scan") as chunks:
             for chunk in chunks:
                 ...
-
-    Each chunk is read through the batched
-    :meth:`~repro.em.file.EMFile.read_range` fast path — one I/O charge
-    per block, one numpy concatenation per chunk.
     """
 
-    def __init__(self, file: EMFile, chunk_records: int, label: str = "chunk") -> None:
-        machine = file.machine
-        self._file = file
-        self._blocks_per_chunk = max(1, chunk_records // machine.B)
-        self._lease = machine.memory.lease(self._blocks_per_chunk * machine.B, label)
-        self._next = 0
+    def __init__(
+        self, files: EMFile | Sequence[EMFile], chunk_records: int, label: str = "chunk"
+    ) -> None:
+        self._files = [files] if isinstance(files, EMFile) else list(files)
+        self._step = 1
+        self._lease = None
+        if self._files:
+            machine = self._files[0].machine
+            for f in self._files:
+                if f.machine is not machine:
+                    raise FileError("files scanned as one stream must share a machine")
+            self._step = max(1, chunk_records // machine.B)
+            self._lease = machine.memory.lease(self._step * machine.B, label)
+        self._file = 0  # the cursor: block _index of file _file
+        self._index = 0
         self._closed = False
 
     @property
@@ -297,25 +259,33 @@ class ChunkScanner:
     def __exit__(self, *exc) -> None:
         self.close()
 
-    def __iter__(self) -> "ChunkScanner":
-        return self
-
-    def __next__(self) -> np.ndarray:
-        if self._closed:
-            raise StopIteration
-        if self._next >= self._file.num_blocks:
-            self.close()
-            raise StopIteration
-        stop = min(self._next + self._blocks_per_chunk, self._file.num_blocks)
-        chunk = self._file.read_range(self._next, stop)
-        self._next = stop
-        return chunk
+    def __iter__(self) -> Iterator[np.ndarray]:
+        files, step = self._files, self._step
+        while self._file < len(files):
+            f = files[self._file]
+            n = f.num_blocks
+            while self._index < n:
+                if self._closed:
+                    raise StreamError("stream is closed")
+                i = self._index
+                if step == 1:
+                    chunk = f.read_block(i)
+                    self._index = i + 1
+                else:
+                    stop = min(i + step, n)
+                    chunk = f.read_range(i, stop)
+                    self._index = stop
+                yield chunk
+            self._file += 1
+            self._index = 0
+        self.close()
 
     def close(self) -> None:
         """Release the chunk buffer lease (idempotent)."""
         if not self._closed:
             self._closed = True
-            self._lease.release()
+            if self._lease is not None:
+                self._lease.release()
 
     def __del__(self) -> None:  # pragma: no cover - safety net only
         try:
@@ -324,16 +294,24 @@ class ChunkScanner:
             pass
 
 
-def scan_chunks(file: EMFile, chunk_records: int, label: str = "chunk") -> ChunkScanner:
-    """Scan ``file`` in chunks of up to ``chunk_records`` records.
+def scan_chunks(
+    files: EMFile | Sequence[EMFile], chunk_records: int, label: str = "chunk"
+) -> ChunkScanner:
+    """Scan ``files`` front to back in chunks of up to ``chunk_records``
+    records.
 
-    Leases ``chunk_records`` of memory for the duration of the iteration.
-    ``chunk_records`` is rounded down to a multiple of ``B`` (at least one
-    block).  Returns a :class:`ChunkScanner`; use it as a context manager
-    so the lease is released deterministically even when the scan stops
-    early.
+    ``files`` is one file or a sequence of files read as one stream (a
+    partition's segments); they must share a machine, or
+    :class:`~repro.em.errors.FileError` is raised before anything is
+    leased or charged.  ``chunk_records`` is rounded down to a multiple
+    of ``B`` (at least one block) and leased for the life of the scan;
+    an empty sequence leases nothing.  Pass ``machine.load_limit`` for
+    a full scan that counts, filters or copies, and ``machine.B`` for a
+    scan that may stop early or must hold one block.  Returns a
+    :class:`ChunkScanner`; use it as a context manager so the lease is
+    released even when the scan stops early.
     """
-    return ChunkScanner(file, chunk_records, label)
+    return ChunkScanner(files, chunk_records, label)
 
 
 def merge_sorted_files(machine: "Machine", files: list[EMFile], writer: BlockWriter) -> None:

@@ -10,8 +10,8 @@ Aggarwal–Vitter cost accounting:
 
 * **R1** — no access to private ``Disk``/``MemoryAccountant`` internals
   outside ``em/`` and ``obs/``;
-* **R2** — no ``peek``/``uncounted()``/uncounted ``to_numpy`` escape
-  hatches in algorithm code;
+* **R2** — no ``peek``/``uncounted()``/``to_numpy`` escape hatches in
+  algorithm code;
 * **R3** — record comparisons must be charged to the comparison counter
   by the same function;
 * **R4** — no unseeded / global-state RNG in the package, ``scripts/``

@@ -3,9 +3,9 @@
 R1 keeps the em layer's private internals private: algorithm code that
 pokes ``disk._blocks`` or ``accountant._in_use`` bypasses the I/O and
 memory accounting every experimental claim rests on.  R2 confines the
-*sanctioned* escape hatches (``Disk.peek``, ``uncounted()``, and
-``EMFile.to_numpy`` without ``counted=True``) to the layers that own
-them: em, obs, and test code.
+*sanctioned* escape hatches (``Disk.peek``, ``uncounted()`` and
+``EMFile.to_numpy``) to the layers that own them: em, obs, and test
+code.
 """
 
 from __future__ import annotations
@@ -79,21 +79,19 @@ class PrivateInternalsRule(LintRule):
 
 
 #: Call names that read or run outside the I/O accounting.
-_ESCAPE_CALLS = ("peek", "uncounted")
+_ESCAPE_CALLS = ("peek", "uncounted", "to_numpy")
 
 
 @register
 class UncountedEscapeRule(LintRule):
-    """R2: no ``peek``/``uncounted()``/uncounted ``to_numpy`` in
-    algorithm code."""
+    """R2: no ``peek``/``uncounted()``/``to_numpy`` in algorithm code."""
 
     rule_id = "R2"
     title = "no uncounted escape hatches in algorithm code"
     rationale = (
-        "`Disk.peek`, `Machine.uncounted()`, and "
-        "`EMFile.to_numpy(counted=False)` exist so that tests, input "
-        "staging, and verification can look at data without charging "
-        "model I/Os.  Inside algorithm subsystems (alg/, baselines/, "
+        "`Disk.peek`, `Machine.uncounted()` and `EMFile.to_numpy()` "
+        "exist so that tests, input staging, and verification can look "
+        "at data without charging model I/Os.  Inside algorithm subsystems (alg/, baselines/, "
         "core/, service/, apps/) the same calls are unaccounted disk "
         "traffic: the algorithm observes data it never paid to read, "
         "and the measured I/O undercounts the paper's cost model."
@@ -114,18 +112,6 @@ class UncountedEscapeRule(LintRule):
                     node,
                     f"`.{func.attr}()` is an observability-only escape "
                     f"hatch; algorithm code must pay for every access "
-                    f"(use counted reads, or justify with a suppression)",
-                )
-            elif func.attr == "to_numpy" and not any(
-                kw.arg == "counted"
-                and isinstance(kw.value, ast.Constant)
-                and kw.value.value is True
-                for kw in node.keywords
-            ):
-                yield self.finding(
-                    ctx,
-                    node,
-                    "`.to_numpy()` defaults to an uncounted verification "
-                    "read; algorithm code must pass `counted=True` (or "
-                    "build empty arrays with `empty_records`)",
+                    f"(use counted reads such as `read_runs`, or justify "
+                    f"with a suppression)",
                 )

@@ -74,7 +74,7 @@ from ..em.comparisons import cmp_linear, cmp_search, cmp_sort
 from ..em.errors import SpecError
 from ..em.file import EMFile
 from ..em.records import UID_MAX, composite, composite_of, make_records
-from ..em.streams import BlockReader, BlockWriter
+from ..em.streams import BlockWriter, scan_chunks
 from ..alg.multipartition import multi_partition
 from ..core.partitioning import _near_equal_sizes, approximate_partition
 from ..core.spec import validate_params
@@ -201,11 +201,13 @@ class PartitionIndex(LazyPartitionIndex):
                 try:
                     for part in parts:
                         part_max = -(1 << 62)
-                        with BlockReader(part.segments, "svc-build-splitters") as reader:
-                            for block in reader:
-                                cmp_linear(m, 2 * len(block))
-                                part_max = max(part_max, int(composite(block).max()))
-                                max_uid = max(max_uid, int(block["uid"].max()))
+                        with scan_chunks(
+                            part.segments, m.load_limit, "svc-build-splitters"
+                        ) as chunks:
+                            for chunk in chunks:
+                                cmp_linear(m, 2 * len(chunk))
+                                part_max = max(part_max, int(composite(chunk).max()))
+                                max_uid = max(max_uid, int(chunk["uid"].max()))
                         maxima.append(part_max)
                 except BaseException:
                     pf.free()
@@ -426,8 +428,8 @@ class PartitionIndex(LazyPartitionIndex):
         cmp_search(m, 2, max(1, len(bounds)))
         for j in range(j_lo, min(j_hi, len(self._leaves) - 1) + 1):
             part = self._leaves[j]
-            with BlockReader(part.segments, "svc-delete-scan") as reader:
-                for block in reader:
+            with scan_chunks(part.segments, m.B, "svc-delete-scan") as blocks:
+                for block in blocks:
                     cmp_linear(m, len(block))
                     for hit in block["uid"][block["key"] == key].tolist():
                         c = composite_of(key, hit)
@@ -506,10 +508,11 @@ class PartitionIndex(LazyPartitionIndex):
     # ------------------------------------------------------------------
     def _write_live(self, writer: BlockWriter, part: _Leaf) -> None:
         """Stream a partition's live records into ``writer``."""
+        m = self._machine
         tomb = part.tomb_array()
-        with BlockReader(part.segments, "svc-compact-in") as reader:
-            for block in reader:
-                writer.write(self._drop_tombstoned(block, tomb))
+        with scan_chunks(part.segments, m.load_limit, "svc-compact-in") as chunks:
+            for chunk in chunks:
+                writer.write(self._drop_tombstoned(chunk, tomb, m.B))
 
     def _write_segment(self, recs: np.ndarray, label: str) -> EMFile:
         """Write ``recs`` to a fresh segment; a failure leaks nothing."""
@@ -607,10 +610,10 @@ class PartitionIndex(LazyPartitionIndex):
         for p in range(pf.num_partitions):
             segs = pf.segments_of(p)
             piece_max = -(1 << 62)
-            with BlockReader(segs, "svc-split-scan") as reader:
-                for block in reader:
-                    cmp_linear(m, len(block))
-                    piece_max = max(piece_max, int(composite(block).max()))
+            with scan_chunks(segs, m.load_limit, "svc-split-scan") as chunks:
+                for chunk in chunks:
+                    cmp_linear(m, len(chunk))
+                    piece_max = max(piece_max, int(composite(chunk).max()))
             new_parts.append(_Leaf(segs, pf.partition_sizes[p]))
             maxima.append(piece_max)
         return new_parts, maxima
@@ -690,7 +693,7 @@ class PartitionIndex(LazyPartitionIndex):
                 assert part.live >= 0
                 assert sum(len(s) for s in part.segments) == part.stored
                 sizes.append(part.live)
-                recs = [s.to_numpy(counted=False) for s in part.segments]  # emlint: disable=R2 — invariant checker, tests only
+                recs = [s.to_numpy() for s in part.segments]  # emlint: disable=R2 — invariant checker, tests only
                 comps = (
                     np.concatenate([composite(r) for r in recs])
                     if recs

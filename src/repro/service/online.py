@@ -57,7 +57,7 @@ from ..em.records import (
     composite_of,
     empty_records,
 )
-from ..em.streams import BlockReader
+from ..em.streams import scan_chunks
 from ..alg.inmemory import select_at_ranks
 from ..alg.sampling import approx_quantile_pivots, max_distribution_fanout
 from ..alg.distribute import distribute_by_pivots
@@ -491,14 +491,20 @@ class LazyPartitionIndex:
                 self._m_leaf_loads.inc()
                 return select_at_ranks(m, recs, local_ranks)
 
-    def _drop_tombstoned(self, recs: np.ndarray, tomb: np.ndarray) -> np.ndarray:
+    def _drop_tombstoned(
+        self, recs: np.ndarray, tomb: np.ndarray, step: int = 0
+    ) -> np.ndarray:
         """``recs`` minus the records whose composites are in ``tomb`` (a
         leaf's sorted tombstones); leaf loads and compaction streams
-        share this filter."""
+        share this filter.  The searches are charged in one call, or in
+        one call per ``step`` records: a compaction chunk is charged
+        block by block, as a one-block scan is (each charge rounds up)."""
         if not len(tomb):
             return recs
         comps = composite(recs)
-        cmp_search(self._machine, len(recs), len(tomb))
+        step = step or max(1, len(recs))
+        for start in range(0, len(recs), step):
+            cmp_search(self._machine, min(step, len(recs) - start), len(tomb))
         pos = np.minimum(np.searchsorted(tomb, comps), len(tomb) - 1)
         return recs[tomb[pos] != comps]
 
@@ -516,10 +522,10 @@ class LazyPartitionIndex:
         want_hi = leaf == len(self._leaves) - 1 and self._hi == _HI_END
         lows, highs = [], []
         count = 0
-        with BlockReader(part.segments, "svc-range-scan") as reader:
-            for block in reader:
-                cmp_linear(m, (2 + want_lo + want_hi) * len(block))
-                comps = composite(block)
+        with scan_chunks(part.segments, m.load_limit, "svc-range-scan") as chunks:
+            for chunk in chunks:
+                cmp_linear(m, (2 + want_lo + want_hi) * len(chunk))
+                comps = composite(chunk)
                 count += int(((comps > lo_c) & (comps <= hi_c)).sum())
                 if want_lo:
                     lows.append(int(comps.min()))

@@ -416,7 +416,7 @@ class TestEMFileBatchedOps:
         assert m2.io.reads == sum(f.num_blocks for f in files2) == 8
         assert m1.disk.stop_trace() == m2.disk.stop_trace()
 
-    def test_counted_to_numpy_matches_per_block_reads(self):
+    def test_read_runs_matches_per_block_reads(self):
         m1 = Machine(memory=256, block=8)
         m2 = Machine(memory=256, block=8)
         f1 = self._runs_files(m1)[2]
@@ -426,7 +426,7 @@ class TestEMFileBatchedOps:
         with m1.phase("whole"):
             parts = [f1.read_block(i) for i in range(f1.num_blocks)]
         with m2.phase("whole"):
-            out = f2.to_numpy(counted=True)
+            out = read_runs([f2])
         assert np.array_equal(composite(np.concatenate(parts)), composite(out))
         assert observable_state(m1.disk) == observable_state(m2.disk)
         assert m1.disk.stop_trace() == m2.disk.stop_trace()

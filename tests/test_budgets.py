@@ -111,12 +111,12 @@ class TestWriteAndGate:
         base = SOLVERS["sort"]
 
         def noisy(machine, file, params):
-            from repro.em.streams import BlockReader
+            from repro.em.streams import scan_chunks
 
             out = base.run(machine, file, params)
             for _ in range(3):
-                with BlockReader(file, "noise") as reader:
-                    for _block in reader:
+                with scan_chunks(file, machine.B, "noise") as blocks:
+                    for _block in blocks:
                         pass
             return out
 

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.em import EMFile, FileError, Machine
+from repro.em.file import read_runs
 from repro.em.records import make_records
 
 
@@ -83,13 +84,6 @@ class TestBlockOps:
         f.append_block(recs(0))
         assert f.num_blocks == 2
 
-    def test_iter_blocks_counts(self, mach):
-        f = EMFile.from_records(mach, recs(24))
-        mach.reset_counters()
-        blocks = list(f.iter_blocks())
-        assert len(blocks) == 3
-        assert mach.io.reads == 3
-
 
 class TestWholeFile:
     def test_to_numpy_uncounted_default(self, mach):
@@ -100,10 +94,11 @@ class TestWholeFile:
         assert np.array_equal(out["key"], data["key"])
         assert mach.io.total == 0
 
-    def test_to_numpy_counted(self, mach):
+    def test_read_runs_counts_one_read_per_block(self, mach):
         f = EMFile.from_records(mach, recs(20))
         mach.reset_counters()
-        f.to_numpy(counted=True)
+        out = read_runs([f])
+        assert np.array_equal(out["key"], np.arange(20))
         assert mach.io.reads == 3
 
 

@@ -267,7 +267,7 @@ class TestAlgorithmIdentity:
 
             f = load_input(mach, recs)
             out = external_sort(mach, f)
-            data = out.to_numpy(counted=False)
+            data = out.to_numpy()
             out.free()
             f.free()
             return data

@@ -111,10 +111,7 @@ class TestR2UncountedEscapes:
 
     def test_positive_default_to_numpy(self):
         (finding,) = _active("def f(file):\n    return file.to_numpy()\n")
-        assert finding.rule == "R2" and "counted=True" in finding.message
-
-    def test_negative_counted_to_numpy(self):
-        assert not _active("def f(file):\n    return file.to_numpy(counted=True)\n")
+        assert finding.rule == "R2" and "read_runs" in finding.message
 
     def test_negative_outside_algorithm_layer(self):
         src = "def f(m):\n    return m.disk.peek(0)\n"

@@ -130,7 +130,7 @@ def adversarial_order_solver(machine, file, k, b):
     from repro.em import EMFile
     from repro.em.records import sort_records
 
-    data = sort_records(file.to_numpy(counted=False))[::-1]  # descending
+    data = sort_records(file.to_numpy())[::-1]  # descending
     n = len(data)
     sizes = []
     remaining = n

@@ -1,6 +1,6 @@
 """Dynamic sanitizer tests: strict-mode traps, the ``EM_SANITIZE`` env
 default, the tracer's counter-conservation check, and every registered
-solver run strict.
+solver run strict, with its span rollup pinned.
 
 Every trap asserts the *exact* sanitizer error class, and each strict
 error is also an instance of the lenient-API error it refines
@@ -10,6 +10,10 @@ working unchanged under ``EM_SANITIZE=1``.
 """
 
 from __future__ import annotations
+
+import functools
+import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -28,6 +32,7 @@ from repro.em import (
     sanitize_default,
 )
 from repro.obs import Tracer
+from repro.obs.export import span_rollup
 from repro.obs.solvers import SOLVERS
 from repro.workloads.generators import load_input, random_permutation
 
@@ -296,25 +301,50 @@ class TestCounterConservation:
         m.close()
 
 
+#: Each solver's span rollup at its defaults, without wall-clock
+#: fields.  A change that moves a count re-records it (run this module
+#: as a script) and says so.
+ROLLUP_PINS = Path(__file__).with_name("solver_rollups.json")
+PINNED_FIELDS = ("spans", "reads", "writes", "comparisons", "mem_peak", "blocks_peak")
+
+
+@functools.lru_cache(maxsize=None)
+def strict_rollup(name: str) -> dict:
+    """Run solver ``name`` at its defaults on a sanitized, traced
+    machine and return its span rollup, by span path, in the fields of
+    :data:`PINNED_FIELDS`.  A use-after-free, double free or
+    uninitialized read raises during the run, detaching checks counter
+    conservation and closing checks for leaked leases."""
+    solver = SOLVERS[name]
+    params = dict(solver.defaults)
+    machine = Machine(memory=params["memory"], block=params["block"], sanitize=True)
+    file = load_input(machine, random_permutation(params["n"], seed=params["seed"]))
+    machine.reset_counters()
+    tracer = Tracer()
+    trace = tracer.attach(machine)
+    solver.run(machine, file, params)
+    file.free()
+    tracer.detach(machine)
+    machine.close()
+    return {
+        path: {field: entry[field] for field in PINNED_FIELDS}
+        for path, entry in sorted(span_rollup([trace]).items())
+    }
+
+
 class TestSolversStrict:
     @pytest.mark.parametrize("name", sorted(SOLVERS))
     def test_solver_runs_strict_and_conserves(self, name):
-        # Each registered solver at its defaults on a sanitized, traced
-        # machine: a use-after-free, double free or uninitialized read
-        # raises during the run, detaching checks counter conservation
-        # and closing checks for leaked leases.
-        solver = SOLVERS[name]
-        params = dict(solver.defaults)
-        machine = Machine(
-            memory=params["memory"], block=params["block"], sanitize=True
-        )
-        file = load_input(
-            machine, random_permutation(params["n"], seed=params["seed"])
-        )
-        machine.reset_counters()
-        tracer = Tracer()
-        tracer.attach(machine)
-        solver.run(machine, file, params)
-        file.free()
-        tracer.detach(machine)
-        machine.close()
+        strict_rollup(name)
+
+    @pytest.mark.parametrize("name", sorted(SOLVERS))
+    def test_solver_cost_matches_the_pinned_rollup(self, name):
+        pinned = json.loads(ROLLUP_PINS.read_text())[name]
+        assert strict_rollup(name) == pinned
+
+
+if __name__ == "__main__":
+    ROLLUP_PINS.write_text(
+        json.dumps({name: strict_rollup(name) for name in sorted(SOLVERS)}, indent=1)
+        + "\n"
+    )

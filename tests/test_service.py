@@ -28,6 +28,7 @@ from repro.em import (
     arm_fault,
     make_records,
 )
+from repro.em.comparisons import cmp_search
 from repro.em.records import composite
 from repro.service import (
     DurablePartitionIndex,
@@ -205,6 +206,33 @@ class TestUpdates:
         index.delete(10**8)
         with pytest.raises(SpecError, match="no live element"):
             index.flush_updates()
+        index.close()
+
+    def test_compaction_charges_tombstone_searches_block_by_block(self):
+        # A compaction reads memory-sized chunks, one per segment, but
+        # charges each block's tombstone searches on their own, as a
+        # block-at-a-time scan is charged: every charge rounds up, and
+        # log2(3) is not an integer.
+        mach, recs, index = _build_eager(n=8000, k=16)
+        keys = _sorted_keys(recs)
+        j = 5
+        first = int(index._cum[j - 1])
+        index.append(keys[first : first + 3].copy())
+        for key in keys[first + 10 : first + 13]:
+            index.delete(int(key))
+        index.flush_updates()
+        part = index._leaves[j]
+        assert len(part.segments) >= 2 and len(part.tombstones) == 3
+        B = mach.B
+        ref = Machine(memory=4096, block=B)
+        for seg in part.segments:
+            for i in range(seg.num_blocks):
+                cmp_search(ref, min(B, len(seg) - i * B), 3)
+        mach.reset_counters()
+        index._compact(j)
+        assert mach.comparisons == ref.comparisons
+        assert len(part.segments) == 1 and not part.tombstones
+        index.check_invariants()
         index.close()
 
     def test_hot_appends_force_split(self):
@@ -757,6 +785,47 @@ class TestOneQueryPath:
             with pytest.raises(SpecError, match=f"{name} on a closed index"):
                 query()
         f.free()
+
+
+class TestRangeCountFaults:
+    """A fault at every I/O of one range count: a boundary leaf's scan
+    reads memory-sized chunks, so a fault can land inside a chunk."""
+
+    @pytest.mark.parametrize("kind", ["lazy", "eager"])
+    def test_fault_at_every_io_of_a_two_leaf_range_count(self, kind):
+        recs = random_permutation(4096, seed=2)
+        mach = Machine(memory=512, block=16)
+        f = load_input(mach, recs)
+        if kind == "lazy":
+            engine = LazyPartitionIndex(mach, f, k=16)
+            engine.batch_select(np.arange(1, 4097, 256))  # refines the leaf list
+        else:
+            engine = PartitionIndex.build(mach, f, 16)
+        lo, hi = 1000, 3000  # keys 0..4095: both ends cut an inner leaf
+        first, last = engine.partition_of(lo), engine.partition_of(hi)
+        assert 0 < first < last < engine.n_leaves - 1
+        want = hi - lo
+        held = mach.memory.in_use
+        assert held == engine._resident.size
+        mach.reset_counters()
+        assert engine.range_count(lo, hi) == want
+        ios = mach.io.total
+        assert ios == mach.io.reads >= 2
+        for fail_at in range(1, ios + 1):
+            disarm = arm_fault(mach, fail_at)
+            try:
+                with pytest.raises(InjectedFault) as caught:
+                    engine.range_count(lo, hi)
+            finally:
+                disarm()
+            # The traceback still holds the scan's frames: the lease was
+            # released on the way out, not when the stream is collected.
+            assert mach.memory.in_use == held, fail_at
+            del caught
+            assert engine.range_count(lo, hi) == want, fail_at
+        engine.close()
+        f.free()
+        assert mach.memory.in_use == 0
 
 
 class TestQueryFrontend:

@@ -6,9 +6,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.em import (
-    BlockReader,
     BlockWriter,
     EMFile,
+    FileError,
     Machine,
     StreamError,
     composite,
@@ -29,29 +29,31 @@ def recs(n, start=0):
 
 
 class TestBlockReader:
+    """``scan_chunks`` one block per step (``chunk_records = B``)."""
+
     def test_reads_all_blocks(self, mach):
         f = EMFile.from_records(mach, recs(20))
-        with BlockReader(f) as reader:
+        with scan_chunks(f, mach.B) as reader:
             sizes = [len(b) for b in reader]
         assert sizes == [8, 8, 4]
 
     def test_holds_block_lease(self, mach):
         f = EMFile.from_records(mach, recs(20))
-        with BlockReader(f):
+        with scan_chunks(f, mach.B):
             assert mach.memory.in_use == mach.B
         assert mach.memory.in_use == 0
 
     def test_lease_released_on_error(self, mach):
         f = EMFile.from_records(mach, recs(20))
         with pytest.raises(RuntimeError):
-            with BlockReader(f) as reader:
+            with scan_chunks(f, mach.B) as reader:
                 for _ in reader:
                     raise RuntimeError("boom")
         assert mach.memory.in_use == 0
 
     def test_closed_reader_refuses(self, mach):
         f = EMFile.from_records(mach, recs(20))
-        reader = BlockReader(f)
+        reader = scan_chunks(f, mach.B)
         it = iter(reader)
         next(it)
         reader.close()
@@ -60,7 +62,7 @@ class TestBlockReader:
 
     def test_close_mid_iteration_releases_lease_immediately(self, mach):
         f = EMFile.from_records(mach, recs(20))
-        reader = BlockReader(f)
+        reader = scan_chunks(f, mach.B)
         it = iter(reader)
         next(it)
         assert mach.memory.in_use == mach.B
@@ -71,31 +73,23 @@ class TestBlockReader:
 
     def test_break_out_of_with_block_releases_lease(self, mach):
         f = EMFile.from_records(mach, recs(40))
-        with BlockReader(f) as reader:
+        with scan_chunks(f, mach.B) as reader:
             for _ in reader:
                 break
         assert mach.memory.in_use == 0
 
-    @staticmethod
-    def _three_files(mach):
-        return [
-            EMFile.from_records(mach, recs(20), counted=False),
-            EMFile(mach),
-            EMFile.from_records(mach, recs(13, 100), counted=False),
-        ]
-
     def test_files_stream_as_the_chained_readers(self):
         chained, one = Machine(memory=256, block=8), Machine(memory=256, block=8)
-        files_c, files_o = self._three_files(chained), self._three_files(one)
+        files_c, files_o = _three_files(chained), _three_files(one)
         chained.disk.start_trace()
         one.disk.start_trace()
         want = []
         with chained.phase("scan"):
             for f in files_c:
-                with BlockReader(f, "scan-in") as reader:
+                with scan_chunks(f, chained.B, "scan-in") as reader:
                     want += [composite(b).tolist() for b in reader]
         got = []
-        with one.phase("scan"), BlockReader(files_o, "scan-in") as reader:
+        with one.phase("scan"), scan_chunks(files_o, one.B, "scan-in") as reader:
             for block in reader:
                 # One B-record lease throughout, whichever file is read.
                 assert one.memory.in_use == one.B
@@ -108,13 +102,13 @@ class TestBlockReader:
         assert one.memory.in_use == 0
 
     def test_empty_sequence_leases_and_yields_nothing(self, mach):
-        with BlockReader([]) as reader:
+        with scan_chunks([], mach.B) as reader:
             assert mach.memory.in_use == 0
             assert list(reader) == []
         assert mach.memory.peak == 0
 
     def test_closed_multi_file_reader_refuses(self, mach):
-        reader = BlockReader(self._three_files(mach))
+        reader = scan_chunks(_three_files(mach), mach.B)
         it = iter(reader)
         for _ in range(3):  # into the third file
             next(it)
@@ -124,8 +118,8 @@ class TestBlockReader:
             next(it)
 
     def test_second_iter_continues_at_the_cursor(self, mach):
-        files = self._three_files(mach)
-        with BlockReader(files) as reader:
+        files = _three_files(mach)
+        with scan_chunks(files, mach.B) as reader:
             first = []
             for block in reader:
                 first.append(int(block["key"][0]))
@@ -135,6 +129,16 @@ class TestBlockReader:
             assert list(reader) == []
         assert first == [0, 8, 16] and rest == [100, 108]
         assert mach.io.reads == 5
+
+
+def _three_files(mach):
+    """Files of 20, 0 and 13 records (B = 8: 3, 0 and 2 blocks)."""
+    return [
+        EMFile.from_records(mach, recs(20), counted=False),
+        EMFile(mach),
+        EMFile.from_records(mach, recs(13, 100), counted=False),
+    ]
+
 
 class TestBlockWriter:
     def test_accumulates_into_blocks(self, mach):
@@ -210,7 +214,7 @@ class TestScanChunks:
     def test_leases_during_iteration(self, mach):
         f = EMFile.from_records(mach, recs(50))
         gen = scan_chunks(f, 16)
-        next(gen)
+        next(iter(gen))
         assert mach.memory.in_use == 16
         gen.close()
         assert mach.memory.in_use == 0
@@ -241,15 +245,56 @@ class TestScanChunks:
         assert scanner.closed
         assert mach.memory.in_use == 0
 
-    def test_close_mid_scan_then_next_stops(self, mach):
+    def test_closed_stream_with_blocks_left_raises(self, mach):
         f = EMFile.from_records(mach, recs(50))
         scanner = scan_chunks(f, 16)
         it = iter(scanner)
         next(it)
         scanner.close()
-        with pytest.raises(StopIteration):
-            next(it)
         assert mach.memory.in_use == 0
+        with pytest.raises(StreamError):
+            next(it)
+        assert mach.io.reads == 2
+
+    def test_chunks_of_several_files_match_per_file_scans(self):
+        per_file, one = Machine(memory=256, block=8), Machine(memory=256, block=8)
+        files_p, files_o = _three_files(per_file), _three_files(one)
+        per_file.disk.start_trace()
+        one.disk.start_trace()
+        want = []
+        with per_file.phase("scan"):
+            for f in files_p:
+                with scan_chunks(f, 16, "scan-in") as chunks:
+                    want += [composite(c).tolist() for c in chunks]
+        got = []
+        with one.phase("scan"), scan_chunks(files_o, 16, "scan-in") as chunks:
+            for chunk in chunks:
+                assert one.memory.in_use == 16
+                got.append(composite(chunk).tolist())
+        # A chunk never spans two files.
+        assert [len(c) for c in got] == [16, 4, 13]
+        assert got == want
+        assert one.io.reads == per_file.io.reads == 5
+        assert one.io.by_phase == per_file.io.by_phase
+        assert one.disk.stop_trace() == per_file.disk.stop_trace()
+        assert one.memory.peak == per_file.memory.peak == 16
+        assert one.memory.in_use == 0
+
+    def test_empty_sequence_leases_nothing(self, mach):
+        scanner = scan_chunks([], 64)
+        assert mach.memory.in_use == 0
+        assert list(scanner) == [] and scanner.closed
+        assert mach.memory.peak == 0
+
+    def test_files_on_two_machines_rejected_before_anything_is_charged(self):
+        m1, m2 = Machine(memory=256, block=8), Machine(memory=256, block=8)
+        f1 = EMFile.from_records(m1, recs(20), counted=False)
+        f2 = EMFile.from_records(m2, recs(20), counted=False)
+        for chunk_records in (8, 16):
+            with pytest.raises(FileError):
+                scan_chunks([f1, f2], chunk_records)
+        for m in (m1, m2):
+            assert m.memory.peak == 0 and m.io.reads == 0
 
     def test_scan_io_count_unchanged_by_batching(self, mach):
         f = EMFile.from_records(mach, recs(50), counted=False)
