@@ -11,7 +11,6 @@ working unchanged under ``EM_SANITIZE=1``.
 
 from __future__ import annotations
 
-import functools
 import json
 from pathlib import Path
 
@@ -308,7 +307,6 @@ ROLLUP_PINS = Path(__file__).with_name("solver_rollups.json")
 PINNED_FIELDS = ("spans", "reads", "writes", "comparisons", "mem_peak", "blocks_peak")
 
 
-@functools.lru_cache(maxsize=None)
 def strict_rollup(name: str) -> dict:
     """Run solver ``name`` at its defaults on a sanitized, traced
     machine and return its span rollup, by span path, in the fields of
