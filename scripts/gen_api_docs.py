@@ -69,7 +69,6 @@ MODULES = [
     "repro.lint.rules_access",
     "repro.lint.rules_cpu",
     "repro.lint.rules_rng",
-    "repro.lint.rules_lease",
     "repro.lint.rules_kernel",
     "repro.lint.runner",
     "repro.apps.histogram",

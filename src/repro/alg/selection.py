@@ -91,21 +91,18 @@ def _select(machine: "Machine", file: EMFile, rank: int, owned: bool) -> np.void
     mu_comp = composite_of(int(mu["key"]), int(mu["uid"]))
 
     # Partition pass around mu; count theta = |{e <= mu}|.
-    low_writer = BlockWriter(machine, "select-low")
-    high_writer = BlockWriter(machine, "select-high")
-    try:
+    with (
+        BlockWriter(machine, "select-low") as low_writer,
+        BlockWriter(machine, "select-high") as high_writer,
+    ):
         with scan_chunks(file, machine.load_limit, "select-scan") as chunks:
             for chunk in chunks:
                 cmp_linear(machine, len(chunk))
                 mask = composite(chunk) <= mu_comp
                 low_writer.write(chunk[mask])
                 high_writer.write(chunk[~mask])
-    except BaseException:
-        low_writer.abort()
-        high_writer.abort()
-        raise
-    low = low_writer.close()
-    high = high_writer.close()
+        low = low_writer.close()
+        high = high_writer.close()
     if owned:
         file.free()
 
@@ -179,8 +176,7 @@ def _select_fast(machine: "Machine", file: EMFile, rank: int, owned: bool) -> np
 
     # One scan: count records <= lo and extract the (lo, hi] zone.
     below = 0
-    zone_writer = BlockWriter(machine, "fselect-zone")
-    try:
+    with BlockWriter(machine, "fselect-zone") as zone_writer:
         with scan_chunks(file, machine.load_limit, "fselect-scan") as chunks:
             for chunk in chunks:
                 cmp_linear(machine, 2 * len(chunk))
@@ -194,10 +190,7 @@ def _select_fast(machine: "Machine", file: EMFile, rank: int, owned: bool) -> np
                 if hi_comp is not None:
                     in_zone &= comps <= hi_comp
                 zone_writer.write(chunk[in_zone])
-    except BaseException:
-        zone_writer.abort()
-        raise
-    zone = zone_writer.close()
+        zone = zone_writer.close()
 
     if not (below < rank <= below + len(zone)) or len(zone) >= n:
         # Bracket missed (error bound too optimistic) — fall back to BFPRT.

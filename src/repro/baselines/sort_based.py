@@ -94,26 +94,20 @@ def sort_based_partition(
         sorted_file = external_sort(machine, file)
         try:
             segments: list[EMFile] = []
-            writers_done = 0
             with scan_chunks(sorted_file, machine.B, "cut-in") as blocks:
-                writer = BlockWriter(machine, "cut-out")
-                remaining = sizes[0]
-                for block in blocks:
-                    start = 0
-                    while start < len(block):
-                        take = min(remaining, len(block) - start)
-                        writer.write(block[start : start + take])
-                        start += take
-                        remaining -= take
-                        while remaining == 0 and writers_done < k - 1:
-                            segments.append(writer.close())
-                            writers_done += 1
-                            writer = BlockWriter(machine, "cut-out")
-                            remaining = sizes[writers_done]
-                segments.append(writer.close())
-            while len(segments) < k:  # trailing zero-size partitions
-                with BlockWriter(machine, "cut-empty") as w:
-                    segments.append(w.close())
+                blocks = iter(blocks)
+                block, start = empty_records(0), 0
+                for size in sizes:  # every size >= 1, as K <= N
+                    with BlockWriter(machine, "cut-out") as writer:
+                        remaining = size
+                        while remaining:
+                            if start == len(block):
+                                block, start = next(blocks), 0
+                            take = min(remaining, len(block) - start)
+                            writer.write(block[start : start + take])
+                            start += take
+                            remaining -= take
+                        segments.append(writer.close())
         finally:
             sorted_file.free()
     return PartitionedFile(machine, segments, list(range(k)), sizes)

@@ -134,8 +134,7 @@ def _solve(machine: "Machine", file: EMFile, t: np.ndarray, owned: bool) -> np.n
         mu = _solve(machine, sigma_file, (sigma_sizes + 1) // 2, owned=True)
 
     # Live per-group state across passes 2-3: μ, θ, t, t' — 4L words.
-    mu_lease = machine.memory.lease(4 * L, "ix-mu-theta")
-    try:
+    with machine.memory.lease(4 * L, "ix-mu-theta"):
         mu_comp = composite(mu)
 
         # --------------------------------------------------------------
@@ -162,8 +161,6 @@ def _solve(machine: "Machine", file: EMFile, t: np.ndarray, owned: bool) -> np.n
                     le = composite(chunk) <= mu_comp[g]
                     writer.write(chunk[np.where(low_side[g], le, ~le)])
             d_prime = writer.close()
-    finally:
-        mu_lease.release()
     if owned:
         file.free()
 
@@ -199,8 +196,7 @@ def _median_pass(
     by group id, per-group positions identify the complete 5-subgroups,
     and one reshape + row-wise median emits all of them at once.
     """
-    carry_lease = machine.memory.lease(7 * L, "ix-carry")
-    try:
+    with machine.memory.lease(7 * L, "ix-carry"):
         carry = np.zeros((L, 5), dtype=RECORD_DTYPE)
         carry_cnt = np.zeros(L, dtype=np.int64)
         sigma_sizes = np.zeros(L, dtype=np.int64)
@@ -251,6 +247,4 @@ def _median_pass(
                 writer.write(rest[(len(rest) - 1) // 2 : (len(rest) + 1) // 2])
                 sigma_sizes[g] += 1
             sigma = writer.close()
-    finally:
-        carry_lease.release()
     return sigma, sigma_sizes

@@ -142,10 +142,9 @@ def _base_case(machine: "Machine", file: EMFile, ranks: np.ndarray) -> np.ndarra
         p = min(max(64, 8 * k), machine.M // 8)
         splitters = memory_splitters(machine, file, n_buckets=p)
         n_buckets = len(splitters) + 1
-        resident = machine.memory.lease(
+        with machine.memory.lease(
             len(splitters) + n_buckets + 4 * k, "msel-resident"
-        )
-        try:
+        ):
             splitter_comps = composite(splitters)
 
             # Scan 1: exact partition sizes.
@@ -188,8 +187,6 @@ def _base_case(machine: "Machine", file: EMFile, ranks: np.ndarray) -> np.ndarra
                         out["grp"] = groups_flat[group_start[b][rep] + within]
                         writer.write(out)
                 d_file = writer.close()
-        finally:
-            resident.release()
 
         try:
             answers = intermixed_select(machine, d_file, t)
@@ -232,8 +229,7 @@ def multi_select_streamed(
             f"K={k} needs {g - 1} resident boundary ranks, over M/2; "
             f"supported K is at most m*M/2 = {m * machine.M // 2}"
         )
-    boundary_lease = machine.memory.lease(max(1, g - 1) + machine.B, "msf-bounds")
-    try:
+    with machine.memory.lease(max(1, g - 1) + machine.B, "msf-bounds"):
         boundaries: list[int] = []
         prev = 0
         index = 0
@@ -251,8 +247,6 @@ def multi_select_streamed(
             hit = (local % m == m - 1) & (local < (g - 1) * m)
             boundaries.extend(int(v) for v in keys[hit])
             index += len(keys)
-    finally:
-        boundary_lease.release()
 
     with BlockWriter(machine, "msf-answers") as answers_writer:
         if not boundaries:

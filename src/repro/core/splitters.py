@@ -207,8 +207,7 @@ def _take_prefix(machine: "Machine", file: EMFile, count: int) -> EMFile:
         raise SpecError(f"cannot take {count} of {len(file)} records")
     taken = 0
     with BlockWriter(machine, "prefix") as writer:
-        lease = machine.memory.lease(machine.B, "prefix-read")
-        try:
+        with machine.memory.lease(machine.B, "prefix-read"):
             i = 0
             while taken < count:
                 block = file.read_block(i)
@@ -216,8 +215,6 @@ def _take_prefix(machine: "Machine", file: EMFile, count: int) -> EMFile:
                 writer.write(block[:need])
                 taken += need
                 i += 1
-        finally:
-            lease.release()
         return writer.close()
 
 
@@ -236,8 +233,7 @@ def _arbitrary_distinct(
     excluded = set() if exclude is None else set(composite(exclude).tolist())
     picked: list[np.ndarray] = []
     need = count
-    lease = machine.memory.lease(machine.B, "arb-distinct")
-    try:
+    with machine.memory.lease(machine.B, "arb-distinct"):
         for i in range(file.num_blocks):
             if need <= 0:
                 break
@@ -253,8 +249,6 @@ def _arbitrary_distinct(
             need -= len(chosen)
         if need > 0:
             raise SpecError("not enough distinct elements to pad splitters")
-    finally:
-        lease.release()
     return machine.kernel.concat(picked)
 
 
@@ -263,17 +257,14 @@ def _split_at(
 ) -> tuple[EMFile, EMFile]:
     """One scan splitting the file into (≤ pivot, > pivot) files."""
     p = composite_of(int(pivot["key"]), int(pivot["uid"]))
-    low_writer = BlockWriter(machine, "split-low")
-    high_writer = BlockWriter(machine, "split-high")
-    try:
+    with (
+        BlockWriter(machine, "split-low") as low_writer,
+        BlockWriter(machine, "split-high") as high_writer,
+    ):
         with scan_chunks(file, machine.load_limit, "split-scan") as chunks:
             for chunk in chunks:
                 cmp_linear(machine, len(chunk))
                 mask = composite(chunk) <= p
                 low_writer.write(chunk[mask])
                 high_writer.write(chunk[~mask])
-    except BaseException:
-        low_writer.abort()
-        high_writer.abort()
-        raise
-    return low_writer.close(), high_writer.close()
+        return low_writer.close(), high_writer.close()

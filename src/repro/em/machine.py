@@ -6,6 +6,8 @@ A :class:`Machine` bundles a :class:`~repro.em.disk.Disk` with a
 data-proportional working set — block buffers, in-memory arrays, per-group
 control state — and the accountant raises
 :class:`~repro.em.errors.MemoryBudgetError` if the total ever exceeds ``M``.
+A lease charges only while it is held: inside its ``with`` block, or
+between an owner's ``acquire()`` and ``close()``.
 
 This keeps the simulation honest: a "linear I/O" algorithm that secretly
 keeps the whole input in a Python list would fail its lease.
@@ -71,16 +73,23 @@ def observe_machines(callback: Callable[["Machine"], None]) -> Iterator[None]:
 class MemoryLease:
     """A reservation of ``size`` records of machine memory.
 
-    Usable as a context manager; releasing twice is an error.  Leases can
-    also be :meth:`resize`-d, which is convenient for buffers that grow and
+    Created uncharged by :meth:`MemoryAccountant.lease`; the records are
+    charged when the lease is entered (``with lease:``) and returned when
+    the block exits, so a lease that is never entered holds nothing.  An
+    owner that holds memory for its whole life calls :meth:`acquire`
+    (what ``__enter__`` runs) once and :meth:`release` in its
+    ``close()``.  Acquiring twice, or resizing or releasing a lease that
+    was never acquired or is already released, is an error.  Leases can
+    be :meth:`resize`-d, which is convenient for buffers that grow and
     shrink during a scan.
     """
 
-    __slots__ = ("_accountant", "_size", "_released", "label")
+    __slots__ = ("_accountant", "_size", "_acquired", "_released", "label")
 
     def __init__(self, accountant: "MemoryAccountant", size: int, label: str) -> None:
         self._accountant = accountant
         self._size = size
+        self._acquired = False
         self._released = False
         self.label = label
 
@@ -89,17 +98,33 @@ class MemoryLease:
         return self._size
 
     @property
+    def acquired(self) -> bool:
+        """True once the lease has been charged (also after release)."""
+        return self._acquired
+
+    @property
     def released(self) -> bool:
         return self._released
 
+    def acquire(self) -> "MemoryLease":
+        """Charge the lease against ``M`` and return it; raises
+        MemoryBudgetError if it does not fit."""
+        if self._acquired:
+            raise LeaseError(f"lease {self.label!r} already acquired")
+        self._accountant._acquire(self)
+        self._acquired = True
+        return self
+
     def resize(self, new_size: int) -> None:
         """Grow or shrink the lease to ``new_size`` records."""
-        if self._released:
-            raise LeaseError(f"lease {self.label!r} already released")
+        if self._released or not self._acquired:
+            raise LeaseError(f"lease {self.label!r} is not held")
         self._accountant._resize(self, new_size)
 
     def release(self) -> None:
         """Return the leased records to the pool."""
+        if not self._acquired:
+            raise LeaseError(f"lease {self.label!r} was never acquired")
         if self._released:
             if self._accountant.sanitize:
                 raise DoubleReleaseError(
@@ -110,14 +135,18 @@ class MemoryLease:
         self._released = True
 
     def __enter__(self) -> "MemoryLease":
-        return self
+        return self.acquire()
 
     def __exit__(self, *exc) -> None:
         if not self._released:
             self.release()
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        state = "released" if self._released else "active"
+        state = (
+            "released" if self._released
+            else "active" if self._acquired
+            else "not acquired"
+        )
         return f"MemoryLease({self.label!r}, size={self._size}, {state})"
 
 
@@ -179,19 +208,22 @@ class MemoryAccountant:
         self._peak = self._in_use
 
     def lease(self, size: int, label: str = "") -> MemoryLease:
-        """Reserve ``size`` records; raises MemoryBudgetError if over ``M``."""
+        """A lease of ``size`` records, charged when it is entered or
+        acquired (see :class:`MemoryLease`); nothing is charged here."""
         if size < 0:
             raise ValueError("lease size must be >= 0")
+        return MemoryLease(self, size, label)
+
+    def _acquire(self, lease: MemoryLease) -> None:
+        size = lease._size
         if self._in_use + size > self._capacity:
-            raise MemoryBudgetError(size, self._in_use, self._capacity, label)
+            raise MemoryBudgetError(size, self._in_use, self._capacity, lease.label)
         self._in_use += size
         self._peak = max(self._peak, self._in_use)
         if self._observers:
             self._notify()
-        lease = MemoryLease(self, size, label)
         if self._sanitize:
             self._live_leases.add(lease)
-        return lease
 
     def _resize(self, lease: MemoryLease, new_size: int) -> None:
         if new_size < 0:

@@ -18,8 +18,11 @@ A load that takes whole files at once is
 :func:`~repro.em.file.read_runs`, one ``read_many`` over their blocks.
 
 Every stream leases its buffer space from the machine's
-:class:`~repro.em.machine.MemoryAccountant`, so the sum of open streams can
-never exceed ``M``.
+:class:`~repro.em.machine.MemoryAccountant` when its ``with`` block is
+entered and returns it when the block exits, so the sum of open streams
+can never exceed ``M``.  A stream that was never entered holds nothing,
+and reading or writing it raises :class:`~repro.em.errors.StreamError`
+before any I/O or charge.
 
 A scan step of several blocks moves them through the disk's batched
 fast path (:meth:`~repro.em.disk.Disk.read_many` / ``write_many``) —
@@ -58,11 +61,20 @@ __all__ = [
 ]
 
 
+def _closed_error(stream: str, lease) -> StreamError:
+    """The error for using a closed stream; one never entered says so."""
+    if not lease.acquired:
+        return StreamError(f"{stream} was never entered: open it with `with`")
+    return StreamError(f"{stream} is closed")
+
+
 class BlockWriter:
     """Record-granular append buffer that flushes full blocks to a new file.
 
-    Holds a ``B``-record lease for its buffer.  ``close()`` flushes the
-    trailing partial block and returns the finished :class:`EMFile`.
+    Entering the ``with`` block leases ``B`` records for its buffer; a
+    writer that was never entered is closed.  ``close()`` flushes the
+    trailing partial block and returns the finished :class:`EMFile`; a
+    failure inside the ``with`` block aborts it.
     """
 
     def __init__(self, machine: "Machine", label: str = "writer") -> None:
@@ -71,7 +83,7 @@ class BlockWriter:
         self._file = EMFile(machine)
         self._parts: list[np.ndarray] = []
         self._buffered = 0
-        self._closed = False
+        self._closed = True  # until __enter__ takes the lease
 
     @property
     def records_written(self) -> int:
@@ -81,7 +93,7 @@ class BlockWriter:
     def write(self, records: np.ndarray) -> None:
         """Append an array of records (any length)."""
         if self._closed:
-            raise StreamError("writer is closed")
+            raise _closed_error("writer", self._lease)
         if len(records) == 0:
             return
         self._parts.append(records)
@@ -100,7 +112,7 @@ class BlockWriter:
     def close(self) -> EMFile:
         """Flush and return the written file."""
         if self._closed:
-            raise StreamError("writer already closed")
+            raise _closed_error("writer", self._lease)
         if self._buffered:
             self._file.append_block(self.machine.kernel.concat(self._parts))
             self._parts = []
@@ -118,6 +130,8 @@ class BlockWriter:
         self._closed = True
 
     def __enter__(self) -> "BlockWriter":
+        self._lease.acquire()
+        self._closed = False
         return self
 
     def __exit__(self, exc_type, *exc) -> None:
@@ -138,8 +152,9 @@ class BucketWriter:
     bucket's partial last block, in ascending bucket order, and returns
     the files.  Block ids, bytes, trace and I/O count are those of one
     :class:`BlockWriter` per bucket; only the Python-level calls differ.
-    Use it as a context manager: a failure inside the ``with`` block,
-    :meth:`close` included, aborts it.
+    Use it as a context manager: entering takes the lease, a writer that
+    was never entered is closed, and a failure inside the ``with``
+    block, :meth:`close` included, aborts it.
     """
 
     def __init__(self, machine: "Machine", buckets: int, label: str = "buckets") -> None:
@@ -148,13 +163,13 @@ class BucketWriter:
         self._files = [EMFile(machine) for _ in range(buckets)]
         self._parts: list[list[np.ndarray]] = [[] for _ in range(buckets)]
         self._buffered = [0] * buckets
-        self._closed = False
+        self._closed = True  # until __enter__ takes the lease
 
     def write(self, groups: Iterable[tuple[int, np.ndarray]]) -> None:
         """Append one chunk's ``(bucket, records)`` groups, ascending by
         bucket, and write every bucket's full blocks in one batch."""
         if self._closed:
-            raise StreamError("writer is closed")
+            raise _closed_error("writer", self._lease)
         B = self.machine.B
         parts: list[np.ndarray] = []  # the full blocks, bucket by bucket
         files: list[EMFile] = []
@@ -183,7 +198,7 @@ class BucketWriter:
     def close(self) -> list[EMFile]:
         """Append every bucket's partial last block; return the files."""
         if self._closed:
-            raise StreamError("writer already closed")
+            raise _closed_error("writer", self._lease)
         for f, parts in zip(self._files, self._parts):
             if parts:
                 f.append_block(self.machine.kernel.concat(parts))
@@ -202,11 +217,15 @@ class BucketWriter:
         self._closed = True
 
     def __enter__(self) -> "BucketWriter":
+        self._lease.acquire()
+        self._closed = False
         return self
 
     def __exit__(self, exc_type, *exc) -> None:
         if exc_type is not None:
             self.abort()
+        elif not self._closed:
+            self.close()
 
 
 class ChunkScanner:
@@ -215,17 +234,15 @@ class ChunkScanner:
     Returned by :func:`scan_chunks`.  Each step reads the next
     ``chunk_records // B`` blocks (at least one) of the current file,
     fewer at its end, so a chunk never spans two files, into a buffer
-    leased at construction:
+    leased when the ``with`` block is entered:
     one :meth:`~repro.em.file.EMFile.read_block` for a one-block step,
     so a scan that stops early is charged only for what it read, and
     one batched :meth:`~repro.em.file.EMFile.read_range` for a longer
-    one.  The lease is released *deterministically*: when the stream is
-    exhausted, when :meth:`close` is called, or when the ``with`` block
-    exits — never "whenever the object happens to be garbage-collected".
-    A second ``iter()`` continues from the cursor, and a closed stream
-    with blocks left raises :class:`~repro.em.errors.StreamError`.
-    Callers that may stop scanning early (``break``, ``return``,
-    exceptions) must use the context-manager form::
+    one.  The lease is released when the stream is exhausted, when
+    :meth:`close` is called, or when the ``with`` block exits.  A stream
+    that was never entered is closed.  A second ``iter()`` continues
+    from the cursor, and a closed stream with blocks left raises
+    :class:`~repro.em.errors.StreamError`.  Every scan is written::
 
         with scan_chunks(file, machine.load_limit, "scan") as chunks:
             for chunk in chunks:
@@ -247,13 +264,16 @@ class ChunkScanner:
             self._lease = machine.memory.lease(self._step * machine.B, label)
         self._file = 0  # the cursor: block _index of file _file
         self._index = 0
-        self._closed = False
+        self._closed = True  # until __enter__ takes the lease
 
     @property
     def closed(self) -> bool:
         return self._closed
 
     def __enter__(self) -> "ChunkScanner":
+        if self._lease is not None:
+            self._lease.acquire()
+        self._closed = False
         return self
 
     def __exit__(self, *exc) -> None:
@@ -266,7 +286,7 @@ class ChunkScanner:
             n = f.num_blocks
             while self._index < n:
                 if self._closed:
-                    raise StreamError("stream is closed")
+                    raise _closed_error("stream", self._lease)
                 i = self._index
                 if step == 1:
                     chunk = f.read_block(i)
@@ -287,12 +307,6 @@ class ChunkScanner:
             if self._lease is not None:
                 self._lease.release()
 
-    def __del__(self) -> None:  # pragma: no cover - safety net only
-        try:
-            self.close()
-        except Exception:
-            pass
-
 
 def scan_chunks(
     files: EMFile | Sequence[EMFile], chunk_records: int, label: str = "chunk"
@@ -304,12 +318,12 @@ def scan_chunks(
     partition's segments); they must share a machine, or
     :class:`~repro.em.errors.FileError` is raised before anything is
     leased or charged.  ``chunk_records`` is rounded down to a multiple
-    of ``B`` (at least one block) and leased for the life of the scan;
-    an empty sequence leases nothing.  Pass ``machine.load_limit`` for
-    a full scan that counts, filters or copies, and ``machine.B`` for a
-    scan that may stop early or must hold one block.  Returns a
-    :class:`ChunkScanner`; use it as a context manager so the lease is
-    released even when the scan stops early.
+    of ``B`` (at least one block) and leased from the ``with`` entry to
+    the end of the scan; an empty sequence leases nothing.  Pass
+    ``machine.load_limit`` for a full scan that counts, filters or
+    copies, and ``machine.B`` for a scan that may stop early or must
+    hold one block.  Returns a :class:`ChunkScanner`, which reads
+    nothing until it is entered by a ``with``.
     """
     return ChunkScanner(files, chunk_records, label)
 
@@ -329,8 +343,7 @@ def merge_sorted_files(machine: "Machine", files: list[EMFile], writer: BlockWri
     if k == 0:
         return
     B = machine.B
-    lease = machine.memory.lease(2 * k * B, "merge-buffers")
-    try:
+    with machine.memory.lease(2 * k * B, "merge-buffers"):
         buffers: list[np.ndarray] = []
         next_block: list[int] = []
         for f in files:
@@ -376,8 +389,6 @@ def merge_sorted_files(machine: "Machine", files: list[EMFile], writer: BlockWri
             out = machine.kernel.concat(gathered)
             cmp_search(machine, len(out), len(active))
             writer.write(machine.kernel.sort_by_composite(out))
-    finally:
-        lease.release()
 
 
 def copy_file(machine: "Machine", file: EMFile, label: str = "copy") -> EMFile:

@@ -16,14 +16,15 @@ Aggarwal–Vitter cost accounting:
   by the same function;
 * **R4** — no unseeded / global-state RNG in the package, ``scripts/``
   or ``benchmarks/``;
-* **R5** — leases are released on all paths by the code that owns them;
 * **R6** — hot-path record ops route through the kernel backend.
 
-The shard protocol, shard isolation, the solver registry and phase
-labels are not linted: they are declared
-(``repro.shard.worker.PROTOCOL``), made unwritable (the shard pools
-hold only the coordinator's endpoints, never a worker), tested
-(``tests/test_budgets.py``) and checked at runtime (``Disk.phase``).
+Lease lifetimes, the shard protocol, shard isolation, the solver
+registry and phase labels are not linted: they are made unwritable (a
+lease charges only inside its ``with`` or between an owner's
+``acquire()`` and release; the shard pools hold only the coordinator's
+endpoints, never a worker), declared (``repro.shard.worker.PROTOCOL``),
+tested (``tests/test_budgets.py``) and checked at runtime
+(``Disk.phase``).  The retired ids R5 and R7–R9 are not reused.
 
 Run it with ``repro lint [PATH ...] [--json] [--rule R2 ...]``; silence
 an intentional exception with a same-line ``# emlint: disable=Rn``

@@ -246,7 +246,6 @@ def _ensure_loaded() -> None:
         rules_access,
         rules_cpu,
         rules_kernel,
-        rules_lease,
         rules_rng,
     )
 

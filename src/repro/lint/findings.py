@@ -29,7 +29,7 @@ class LintFinding:
     line / col:
         1-based line and 0-based column of the offending node.
     rule:
-        Rule id (``"R1"`` ... ``"R5"``).
+        Rule id (``"R1"`` ... ``"R4"``, ``"R6"``) or ``"SYNTAX"``.
     message:
         Human-readable description of the violation.
     severity:

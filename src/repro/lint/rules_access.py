@@ -30,7 +30,7 @@ EM_PRIVATE_ATTRS = frozenset(
         "_freed_ids", "_written_ids", "_check_block",
         # MemoryAccountant / MemoryLease
         "_in_use", "_peak", "_capacity", "_live_leases", "_notify",
-        "_resize", "_release", "_accountant",
+        "_acquire", "_resize", "_release", "_accountant",
         # Machine
         "_comparisons", "_lifetime_comparisons", "_observers",
         "_sanitize",

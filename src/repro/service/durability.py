@@ -153,7 +153,7 @@ class DurableStore:
         self.epoch = int(epoch)
         #: Sequence number of the latest durable flush group.
         self.seq = int(seq)
-        self._tail_lease = machine.memory.lease(machine.B, "svc-wal-tail")
+        self._tail_lease = machine.memory.lease(machine.B, "svc-wal-tail").acquire()
         self._blocks_full = 0
         self._tail_entries: list[tuple[int, int, int]] = []
         self._snapshot_blocks: list[int] = []

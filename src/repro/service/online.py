@@ -211,7 +211,7 @@ class LazyPartitionIndex:
         self._hi = _HI_END
         self._cache: dict[int, np.void] = {}
         self._cache_cap = max(machine.B, machine.M // 8)
-        self._resident = machine.memory.lease(0, "svc-resident")
+        self._resident = machine.memory.lease(0, "svc-resident").acquire()
         self._closed = False
         self.stats = {"refinements": 0, "leaf_loads": 0, "cache_hits": 0}
         # Telemetry: bound to the ambient registry at construction; all

@@ -99,7 +99,7 @@ class ShardRouter:
         # like the engine's.
         self._resident = machine.memory.lease(
             -(-(3 * len(self._sizes) - 1) // 3), "shard-router-resident"
-        )
+        ).acquire()
         self._closed = False
         registry = current_registry()
         self._metrics = registry

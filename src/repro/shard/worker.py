@@ -118,16 +118,21 @@ class ShardWorker:
     # ------------------------------------------------------------------
     # Handlers (one per PROTOCOL entry; each returns the reply payload)
     # ------------------------------------------------------------------
-    def _ingest(self, chunk) -> int:
+    def _ingest_writer(self) -> BlockWriter:
+        """The ingest writer, entered on first use.  It is the one writer
+        that outlives a ``with``: it lives across requests until
+        :meth:`_seal` closes it or :meth:`_teardown` aborts it."""
         if self._writer is None:
-            self._writer = BlockWriter(self._machine, "shard-ingest")
-        self._writer.write(chunk)
-        return self._writer.records_written
+            self._writer = BlockWriter(self._machine, "shard-ingest").__enter__()
+        return self._writer
+
+    def _ingest(self, chunk) -> int:
+        writer = self._ingest_writer()
+        writer.write(chunk)
+        return writer.records_written
 
     def _seal(self, k) -> int:
-        if self._writer is None:
-            self._writer = BlockWriter(self._machine, "shard-ingest")
-        self._file = self._writer.close()
+        self._file = self._ingest_writer().close()
         self._writer = None
         self._engine = LazyPartitionIndex(self._machine, self._file, k=max(1, int(k)))
         return len(self._file)

@@ -413,7 +413,7 @@ class TestLintCli:
         bad = tmp_path / "repro" / "alg" / "bad.py"
         bad.parent.mkdir(parents=True)
         bad.write_text("def f(m):\n    return m.disk.peek(0)\n")
-        assert main(["lint", "--rule", "R4,R5", str(bad)]) == 0
+        assert main(["lint", "--rule", "R4,R6", str(bad)]) == 0
 
     def test_lint_unknown_rule(self, capsys):
         assert main(["lint", "--rule", "R99"]) == 2

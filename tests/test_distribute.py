@@ -1,5 +1,7 @@
 """Unit and property tests for multi-way distribution."""
 
+from contextlib import ExitStack
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -23,10 +25,11 @@ def per_bucket_distribute(machine, file, pivots, label="distribute"):
     as it ran before the batched bucket writer: the reference the
     production pass must match I/O for I/O."""
     pivot_comps = composite(pivots)
-    writers = []
-    try:
-        for i in range(len(pivots) + 1):
-            writers.append(BlockWriter(machine, f"{label}-bucket{i}"))
+    with ExitStack() as stack:
+        writers = [
+            stack.enter_context(BlockWriter(machine, f"{label}-bucket{i}"))
+            for i in range(len(pivots) + 1)
+        ]
         kernel = machine.kernel
         with scan_chunks(file, machine.load_limit, f"{label}-in") as chunks:
             for chunk in chunks:
@@ -36,11 +39,7 @@ def per_bucket_distribute(machine, file, pivots, label="distribute"):
                 cmp_search(machine, len(chunk), len(pivot_comps))
                 for b, group in kernel.group_by_bucket(chunk, idx):
                     writers[b].write(group)
-    except BaseException:
-        for w in writers:
-            w.abort()
-        raise
-    return [w.close() for w in writers]
+        return [w.close() for w in writers]
 
 
 def _observed_pass(distribute, recs, n_pivots, memory, block):

@@ -36,10 +36,10 @@ class TestMergeLimits:
         for i in range(8):
             recs = sort_records(random_permutation(100, seed=i))
             files.append(EMFile.from_records(mach, recs, counted=False))
-        writer = BlockWriter(mach)
-        with pytest.raises(MemoryBudgetError):
-            merge_sorted_files(mach, files, writer)
-        writer.abort()
+        with BlockWriter(mach) as writer:
+            with pytest.raises(MemoryBudgetError):
+                merge_sorted_files(mach, files, writer)
+            writer.abort()
         assert mach.memory.in_use == 0
 
 

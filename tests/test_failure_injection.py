@@ -19,6 +19,7 @@ from repro.alg import (
     select_rank,
     select_rank_fast,
 )
+from repro.baselines import sort_based_partition
 from repro.core import (
     approximate_partition,
     approximate_splitters,
@@ -26,6 +27,7 @@ from repro.core import (
     memory_splitters,
     multi_select,
     precise_partition_via_approx,
+    right_grounded_partition,
 )
 from repro.em import InjectedFault, Machine, arm_fault
 from repro.em.records import make_records, sort_records
@@ -68,6 +70,44 @@ def test_memory_leases_released_on_midrun_failure(name, fail_at):
         f"{name} leaked {mach.memory.in_use} leased records after a fault "
         f"at I/O #{fail_at}"
     )
+
+
+# Every offset, not a sample: the calls whose writers were built outside
+# a ``with`` (select's and _split_at's low/high pair, select-fast's zone
+# writer, the sort baseline's per-segment cut writer).  A fault at the
+# close of one writer, or anywhere in the cut pass, must still release
+# every lease.
+EVERY_OFFSET = {
+    "select-bfprt": lambda mach, f: select_rank(mach, f, 256),
+    "select-fast": lambda mach, f: select_rank_fast(mach, f, 256),
+    "right-grounded": lambda mach, f: right_grounded_partition(mach, f, 8, 8),
+    "sort-based-partition": lambda mach, f: sort_based_partition(
+        mach, f, 8, 32, 128
+    ),
+}
+
+
+def _sweep_input():
+    mach = Machine(memory=128, block=8)
+    return mach, load_input(mach, random_permutation(512, seed=5))
+
+
+@pytest.mark.parametrize("name", sorted(EVERY_OFFSET))
+def test_memory_leases_released_at_every_offset(name):
+    run = EVERY_OFFSET[name]
+    mach, f = _sweep_input()
+    mach.reset_counters()
+    run(mach, f)
+    total = mach.io.total
+    leaks = []
+    for fail_at in range(1, total + 1):
+        mach, f = _sweep_input()
+        arm_fault(mach, fail_at)
+        with pytest.raises(InjectedFault):
+            run(mach, f)
+        if mach.memory.in_use:
+            leaks.append(fail_at)
+    assert not leaks, f"{name} leaked leased records at I/Os {leaks} of {total}"
 
 
 @pytest.mark.parametrize("fail_at", [2, 5, 11])

@@ -1,6 +1,6 @@
 """AST lint engine tests: one positive and one negative fixture per
-rule, the cross-function cases R3 and R5 judge from one function or one
-class, charges stripped from the real modules, a rule edit showing on
+rule, the cross-function cases R3 judges from one function, charges
+stripped from the real modules, a rule edit showing on
 the next run, suppression directives and their edge cases, rule
 selection, report output, and the repo-wide gate itself.  Shard
 isolation is not a rule: ``tests/test_shard.py::TestIsolation`` checks
@@ -45,7 +45,7 @@ def _rule_ids(findings):
 class TestRegistry:
     def test_all_six_rules_registered(self):
         assert [r.rule_id for r in all_rules()] == [
-            "R1", "R2", "R3", "R4", "R5", "R6",
+            "R1", "R2", "R3", "R4", "R6",
         ]
 
     def test_get_rules_subset_and_case(self):
@@ -393,177 +393,6 @@ def _repo_file_set(report):
     ]
 
 
-class TestR5LeaseLifecycle:
-    def test_positive_unprotected_assignment(self):
-        src = """
-            def f(machine):
-                lease = machine.memory.lease(8, "x")
-                work()
-                lease.release()
-            """
-        (finding,) = _active(src)
-        assert finding.rule == "R5" and "finally" in finding.message
-
-    def test_positive_bare_call(self):
-        (finding,) = _active("def f(m):\n    m.memory.lease(8, 'x')\n")
-        assert finding.rule == "R5"
-
-    def test_negative_with_statement(self):
-        src = """
-            def f(machine):
-                with machine.memory.lease(8, "x"):
-                    work()
-            """
-        assert not _active(src)
-
-    def test_negative_try_finally(self):
-        src = """
-            def f(machine):
-                lease = machine.memory.lease(8, "x")
-                try:
-                    work()
-                finally:
-                    lease.release()
-            """
-        assert not _active(src)
-
-    def test_negative_later_with(self):
-        src = """
-            def f(machine):
-                lease = machine.memory.lease(8, "x")
-                with lease:
-                    work()
-            """
-        assert not _active(src)
-
-    def test_negative_attribute_storage_with_release(self):
-        src = """
-            class Index:
-                def __init__(self, machine):
-                    self._lease = machine.memory.lease(8, "idx")
-
-                def close(self):
-                    self._lease.release()
-            """
-        assert not _active(src)
-
-    def test_negative_in_tests(self):
-        src = "def f(m):\n    m.memory.lease(8, 'x')\n"
-        assert not _active(src, "repro/em/tests/test_x.py")
-
-
-class TestR5Interprocedural:
-    """A lease is judged where it is taken: its release must be visible
-    in the same function, or in the class that stores it on ``self``."""
-
-    def test_seeded_defect_write_only_attribute_leaks(self):
-        src = """
-            class Index:
-                def __init__(self, machine):
-                    self._lease = machine.memory.lease(8, "idx")
-            """
-        (finding,) = _active(src)
-        assert finding.rule == "R5" and "write-only" in finding.message
-
-    def test_attribute_stored_through_a_local_with_release_is_clean(self):
-        src = """
-            class Index:
-                def __init__(self, machine):
-                    lease = machine.memory.lease(8, "idx")
-                    self._lease = lease
-
-                def __exit__(self, *exc):
-                    with self._lease:
-                        pass
-            """
-        assert not _active(src)
-
-    def test_attribute_released_only_in_subclass_is_flagged(self):
-        # The owning class must release what it stores; a subclass that
-        # happens to release it can be replaced by one that does not.
-        src = """
-            class Base:
-                def __init__(self, machine):
-                    self._lease = machine.memory.lease(8, "idx")
-
-            class Child(Base):
-                def close(self):
-                    self._lease.release()
-            """
-        (finding,) = _active(src)
-        assert finding.rule == "R5" and "`Base`" in finding.message
-
-    def test_lease_returner_call_site_discard_flagged(self):
-        src = """
-            def make_lease(machine):
-                return machine.memory.lease(8, "x")
-
-            def bad(machine):
-                make_lease(machine)
-            """
-        (finding,) = _active(src)
-        assert finding.rule == "R5" and finding.line == 3
-        assert "make_lease" in finding.message
-
-    def test_lease_returner_flagged_even_when_callers_use_with(self):
-        src = """
-            def make_lease(machine):
-                return machine.memory.lease(8, "x")
-
-            def good(machine):
-                with make_lease(machine):
-                    work()
-            """
-        (finding,) = _active(src)
-        assert finding.rule == "R5" and "returned" in finding.message
-
-    def test_wrapper_around_returner_flagged_once_at_the_return(self):
-        src = """
-            def make_lease(machine):
-                held = machine.memory.lease(8, "x")
-                return held
-
-            def wrapper(machine):
-                return make_lease(machine)
-            """
-        (finding,) = _active(src)
-        assert finding.line == 3 and "make_lease" in finding.message
-
-    def test_passed_to_releasing_callee_is_flagged(self):
-        # The release lives in another function, out of this one's view.
-        src = """
-            def consume(lease):
-                try:
-                    work()
-                finally:
-                    lease.release()
-
-            def f(machine):
-                held = machine.memory.lease(8, "x")
-                consume(held)
-            """
-        (finding,) = _active(src)
-        assert finding.rule == "R5" and "consume" in finding.message
-
-    def test_passed_to_non_releasing_callee_flagged(self):
-        src = """
-            def consume(lease):
-                return lease.size
-
-            def f(machine):
-                held = machine.memory.lease(8, "x")
-                consume(held)
-            """
-        (finding,) = _active(src)
-        assert finding.rule == "R5" and "consume" in finding.message
-
-    def test_lease_passed_directly_flagged(self):
-        (finding,) = _active(
-            "def f(m):\n    consume(m.memory.lease(8, 'x'))\n"
-        )
-        assert finding.rule == "R5" and "consume" in finding.message
-
-
 class TestR6KernelBypass:
     def test_positive_concat_records(self):
         (finding,) = _active(
@@ -634,13 +463,6 @@ class TestSuppression:
         )
         assert not active
         assert sorted(_rule_ids(suppressed)) == ["R2", "R3", "R6"]
-
-    def test_project_rule_findings_respect_suppressions(self):
-        active, suppressed = _lint(
-            "def f(machine):\n"
-            '    lease = machine.memory.lease(4, "x")  # emlint: disable=R5\n'
-        )
-        assert not active and _rule_ids(suppressed) == ["R5"]
 
 
 class TestSuppressionEdgeCases:

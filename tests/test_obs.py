@@ -91,7 +91,7 @@ class TestTracerUnit:
         trace = tracer.attach(mach)
         with mach.phase("p"):
             with mach.phase("q"):
-                mach.memory.lease(32, "x").release()
+                mach.memory.lease(32, "x").acquire().release()
             mach.disk.allocate(3)
         tracer.detach(mach)
         (p,) = trace.root.children

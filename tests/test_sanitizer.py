@@ -158,7 +158,7 @@ class TestUninitializedRead:
 class TestLeaseLifecycle:
     def test_double_release_raises(self):
         m = _mk()
-        lease = m.memory.lease(8, "x")
+        lease = m.memory.lease(8, "x").acquire()
         lease.release()
         with pytest.raises(DoubleReleaseError):
             lease.release()
@@ -166,8 +166,8 @@ class TestLeaseLifecycle:
     def test_double_release_does_not_corrupt_accounting(self):
         # Regression: the second release must not subtract again.
         m = _mk()
-        keep = m.memory.lease(16, "keep")
-        lease = m.memory.lease(8, "x")
+        keep = m.memory.lease(16, "keep").acquire()
+        lease = m.memory.lease(8, "x").acquire()
         lease.release()
         with pytest.raises(DoubleReleaseError):
             lease.release()
@@ -181,7 +181,7 @@ class TestLeaseLifecycle:
 
     def test_lenient_mode_raises_plain_lease_error(self):
         m = _mk(sanitize=False)
-        lease = m.memory.lease(8, "x")
+        lease = m.memory.lease(8, "x").acquire()
         lease.release()
         with pytest.raises(LeaseError) as exc_info:
             lease.release()
@@ -189,13 +189,13 @@ class TestLeaseLifecycle:
 
     def test_leak_detected_at_close(self):
         m = _mk()
-        m.memory.lease(8, "leaky")  # emlint: disable=R5 — deliberate leak fixture
+        m.memory.lease(8, "leaky").acquire()  # deliberate leak
         with pytest.raises(LeaseLeakError, match="leaky"):
             m.close()
 
     def test_clean_close_after_release(self):
         m = _mk()
-        lease = m.memory.lease(8, "x")
+        lease = m.memory.lease(8, "x").acquire()
         lease.release()
         m.close()
 
@@ -208,11 +208,11 @@ class TestLeaseLifecycle:
     def test_machine_context_manager_checks_on_exit(self):
         with pytest.raises(LeaseLeakError):
             with _mk() as m:
-                m.memory.lease(8, "leaky")  # emlint: disable=R5 — deliberate leak fixture
+                m.memory.lease(8, "leaky").acquire()  # deliberate leak
 
     def test_lenient_close_ignores_leaks(self):
         m = _mk(sanitize=False)
-        m.memory.lease(8, "leaky")  # emlint: disable=R5 — deliberate leak fixture
+        m.memory.lease(8, "leaky").acquire()  # deliberate leak
         m.close()
 
 

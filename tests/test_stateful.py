@@ -35,11 +35,11 @@ class AccountantMachine(RuleBasedStateMachine):
     def lease(self, size):
         if self.acc.in_use + size > self.CAPACITY:
             try:
-                self.acc.lease(size)
+                self.acc.lease(size).acquire()
                 raise AssertionError("over-budget lease must fail")
             except MemoryBudgetError:
                 return
-        lease = self.acc.lease(size, f"l{self.next_id}")
+        lease = self.acc.lease(size, f"l{self.next_id}").acquire()
         self.live[self.next_id] = lease
         self.next_id += 1
 

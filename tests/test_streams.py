@@ -17,6 +17,7 @@ from repro.em import (
     scan_chunks,
 )
 from repro.em.records import make_records, sort_records
+from repro.em.streams import BucketWriter
 
 
 @pytest.fixture
@@ -53,23 +54,23 @@ class TestBlockReader:
 
     def test_closed_reader_refuses(self, mach):
         f = EMFile.from_records(mach, recs(20))
-        reader = scan_chunks(f, mach.B)
-        it = iter(reader)
-        next(it)
-        reader.close()
-        with pytest.raises(StreamError):
+        with scan_chunks(f, mach.B) as reader:
+            it = iter(reader)
             next(it)
+            reader.close()
+            with pytest.raises(StreamError, match="is closed"):
+                next(it)
 
     def test_close_mid_iteration_releases_lease_immediately(self, mach):
         f = EMFile.from_records(mach, recs(20))
-        reader = scan_chunks(f, mach.B)
-        it = iter(reader)
-        next(it)
-        assert mach.memory.in_use == mach.B
-        reader.close()
-        assert mach.memory.in_use == 0
-        reader.close()  # idempotent
-        assert mach.memory.in_use == 0
+        with scan_chunks(f, mach.B) as reader:
+            it = iter(reader)
+            next(it)
+            assert mach.memory.in_use == mach.B
+            reader.close()
+            assert mach.memory.in_use == 0
+            reader.close()  # idempotent
+            assert mach.memory.in_use == 0
 
     def test_break_out_of_with_block_releases_lease(self, mach):
         f = EMFile.from_records(mach, recs(40))
@@ -108,14 +109,14 @@ class TestBlockReader:
         assert mach.memory.peak == 0
 
     def test_closed_multi_file_reader_refuses(self, mach):
-        reader = scan_chunks(_three_files(mach), mach.B)
-        it = iter(reader)
-        for _ in range(3):  # into the third file
-            next(it)
-        reader.close()
-        assert mach.memory.in_use == 0
-        with pytest.raises(StreamError):
-            next(it)
+        with scan_chunks(_three_files(mach), mach.B) as reader:
+            it = iter(reader)
+            for _ in range(3):  # into the third file
+                next(it)
+            reader.close()
+            assert mach.memory.in_use == 0
+            with pytest.raises(StreamError):
+                next(it)
 
     def test_second_iter_continues_at_the_cursor(self, mach):
         files = _three_files(mach)
@@ -142,47 +143,47 @@ def _three_files(mach):
 
 class TestBlockWriter:
     def test_accumulates_into_blocks(self, mach):
-        w = BlockWriter(mach)
-        w.write(recs(3))
-        w.write(recs(3, 3))
-        w.write(recs(3, 6))
-        f = w.close()
+        with BlockWriter(mach) as w:
+            w.write(recs(3))
+            w.write(recs(3, 3))
+            w.write(recs(3, 6))
+            f = w.close()
         assert len(f) == 9
         assert f.num_blocks == 2
         assert len(f.read_block(0)) == 8
 
     def test_records_written_property(self, mach):
-        w = BlockWriter(mach)
-        w.write(recs(10))
-        assert w.records_written == 10
-        w.close()
+        with BlockWriter(mach) as w:
+            w.write(recs(10))
+            assert w.records_written == 10
+            w.close()
 
     def test_large_single_write(self, mach):
-        w = BlockWriter(mach)
-        w.write(recs(50))
-        f = w.close()
+        with BlockWriter(mach) as w:
+            w.write(recs(50))
+            f = w.close()
         assert len(f) == 50
         assert f.num_blocks == 7
 
     def test_write_after_close_fails(self, mach):
-        w = BlockWriter(mach)
-        w.close()
-        with pytest.raises(StreamError):
-            w.write(recs(1))
+        with BlockWriter(mach) as w:
+            w.close()
+            with pytest.raises(StreamError, match="is closed"):
+                w.write(recs(1))
 
     def test_double_close_fails(self, mach):
-        w = BlockWriter(mach)
-        w.close()
-        with pytest.raises(StreamError):
+        with BlockWriter(mach) as w:
             w.close()
+            with pytest.raises(StreamError):
+                w.close()
 
     def test_abort_frees_everything(self, mach):
         live = mach.disk.live_blocks
-        w = BlockWriter(mach)
-        w.write(recs(30))
-        w.abort()
-        assert mach.disk.live_blocks == live
-        assert mach.memory.in_use == 0
+        with BlockWriter(mach) as w:
+            w.write(recs(30))
+            w.abort()
+            assert mach.disk.live_blocks == live
+            assert mach.memory.in_use == 0
 
     def test_context_manager_aborts_on_error(self, mach):
         live = mach.disk.live_blocks
@@ -193,31 +194,33 @@ class TestBlockWriter:
         assert mach.disk.live_blocks == live
 
     def test_preserves_order(self, mach):
-        w = BlockWriter(mach)
-        w.write(recs(5, 10))
-        w.write(recs(5, 0))
-        f = w.close()
+        with BlockWriter(mach) as w:
+            w.write(recs(5, 10))
+            w.write(recs(5, 0))
+            f = w.close()
         assert list(f.to_numpy()["key"]) == list(range(10, 15)) + list(range(5))
 
 
 class TestScanChunks:
     def test_chunk_sizes(self, mach):
         f = EMFile.from_records(mach, recs(50))
-        chunks = [len(c) for c in scan_chunks(f, 16)]
+        with scan_chunks(f, 16) as scan:
+            chunks = [len(c) for c in scan]
         assert chunks == [16, 16, 16, 2]
 
     def test_rounds_down_to_blocks(self, mach):
         f = EMFile.from_records(mach, recs(32))
-        chunks = [len(c) for c in scan_chunks(f, 12)]  # -> one block each
+        with scan_chunks(f, 12) as scan:  # -> one block each
+            chunks = [len(c) for c in scan]
         assert chunks == [8, 8, 8, 8]
 
     def test_leases_during_iteration(self, mach):
         f = EMFile.from_records(mach, recs(50))
-        gen = scan_chunks(f, 16)
-        next(iter(gen))
-        assert mach.memory.in_use == 16
-        gen.close()
-        assert mach.memory.in_use == 0
+        with scan_chunks(f, 16) as gen:
+            next(iter(gen))
+            assert mach.memory.in_use == 16
+            gen.close()
+            assert mach.memory.in_use == 0
 
     def test_break_releases_lease_deterministically(self, mach):
         # Regression: a caller that broke out of the loop used to hold
@@ -240,20 +243,20 @@ class TestScanChunks:
 
     def test_exhaustion_releases_lease(self, mach):
         f = EMFile.from_records(mach, recs(50))
-        scanner = scan_chunks(f, 16)
-        list(scanner)
-        assert scanner.closed
-        assert mach.memory.in_use == 0
+        with scan_chunks(f, 16) as scanner:
+            list(scanner)
+            assert scanner.closed
+            assert mach.memory.in_use == 0
 
     def test_closed_stream_with_blocks_left_raises(self, mach):
         f = EMFile.from_records(mach, recs(50))
-        scanner = scan_chunks(f, 16)
-        it = iter(scanner)
-        next(it)
-        scanner.close()
-        assert mach.memory.in_use == 0
-        with pytest.raises(StreamError):
+        with scan_chunks(f, 16) as scanner:
+            it = iter(scanner)
             next(it)
+            scanner.close()
+            assert mach.memory.in_use == 0
+            with pytest.raises(StreamError):
+                next(it)
         assert mach.io.reads == 2
 
     def test_chunks_of_several_files_match_per_file_scans(self):
@@ -304,6 +307,48 @@ class TestScanChunks:
         assert total == 50
         assert mach.io.reads == f.num_blocks
         assert mach.io.writes == 0
+
+
+class TestNeverEntered:
+    """A stream or writer takes its lease when its ``with`` block is
+    entered: one never entered holds no memory, and reading or writing
+    it raises before any I/O or charge."""
+
+    def test_scan_never_entered_leases_and_reads_nothing(self, mach):
+        f = EMFile.from_records(mach, recs(20), counted=False)
+        for chunk_records in (mach.B, 16):
+            scanner = scan_chunks(f, chunk_records)
+            assert mach.memory.in_use == 0 and scanner.closed
+            with pytest.raises(StreamError, match="never entered"):
+                next(iter(scanner))
+        assert mach.memory.peak == 0
+        assert mach.io.reads == mach.io.writes == 0
+
+    def test_block_writer_never_entered_leases_and_writes_nothing(self, mach):
+        w = BlockWriter(mach)
+        assert mach.memory.in_use == 0
+        with pytest.raises(StreamError, match="never entered"):
+            w.write(recs(20))
+        with pytest.raises(StreamError, match="never entered"):
+            w.close()
+        assert mach.memory.peak == 0
+        assert mach.io.reads == mach.io.writes == 0 and mach.disk.live_blocks == 0
+
+    def test_bucket_writer_never_entered_leases_and_writes_nothing(self, mach):
+        w = BucketWriter(mach, 3)
+        assert mach.memory.in_use == 0
+        with pytest.raises(StreamError, match="never entered"):
+            w.write([(0, recs(20)), (2, recs(5, 20))])
+        with pytest.raises(StreamError, match="never entered"):
+            w.close()
+        assert mach.memory.peak == 0
+        assert mach.io.reads == mach.io.writes == 0 and mach.disk.live_blocks == 0
+
+    def test_entering_takes_the_lease_and_exit_returns_it(self, mach):
+        f = EMFile.from_records(mach, recs(20), counted=False)
+        with BucketWriter(mach, 3), BlockWriter(mach), scan_chunks(f, 16):
+            assert mach.memory.in_use == 3 * mach.B + mach.B + 16
+        assert mach.memory.in_use == 0
 
 
 class TestMergeSortedFiles:
