@@ -72,11 +72,10 @@ def test_memory_leases_released_on_midrun_failure(name, fail_at):
     )
 
 
-# Every offset, not a sample: the calls whose writers were built outside
-# a ``with`` (select's and _split_at's low/high pair, select-fast's zone
-# writer, the sort baseline's per-segment cut writer).  A fault at the
-# close of one writer, or anywhere in the cut pass, must still release
-# every lease.
+# Every offset, not a sample: each call closes writers mid-run
+# (select's and _split_at's low/high pair, select-fast's zone writer,
+# the sort baseline's per-segment cut writer), and a fault at any I/O,
+# inside a writer's close included, must still release every lease.
 EVERY_OFFSET = {
     "select-bfprt": lambda mach, f: select_rank(mach, f, 256),
     "select-fast": lambda mach, f: select_rank_fast(mach, f, 256),
